@@ -24,12 +24,11 @@ from .data import (SyntheticSpec, generate_synthetic, load_feature_csv,
 from .errors import (ConfigError, ContractError, DataError, EnetPipeError,
                      NumericalError)
 from .patches import default_patch_centers, extract_patch_2_5d
-from .pipeline import (PipelineConfig, _choose_lambda1, _signed_targets,
-                       compare_selectors, run_pipeline)
+from .pipeline import (PipelineConfig, _choose_lambda1, compare_selectors,
+                       fit_selector, run_pipeline, signed_targets)
 from .report import (REPORT_FORMATS, emit_report, load_report_json,
                      save_report_json)
-from .solvers import PenaltyConfig, save_coefficients, select_support
-from .sven import elastic_net_fit_svm_reduction
+from .solvers import save_coefficients, select_support
 
 __all__ = ["main", "build_parser"]
 
@@ -325,29 +324,21 @@ def _cmd_select(args, settings) -> int:
     if labels is None:
         raise ConfigError("select needs a label column")
     X_std, _ = standardize_columns(X)
-    y = _signed_targets(labels)
+    y = signed_targets(labels)
     selector = settings["selector"]
     if selector == "none":
         raise ConfigError("selector 'none' fits no coefficients; "
                           "pick lasso, elastic_net_cd, or elastic_net_svm")
+    cfg = _pipeline_config(settings, "select")
     lambda1 = settings["lambda1"]
     if lambda1 is None:
-        cfg = _pipeline_config(settings, "select")
         lambda1 = _choose_lambda1(X_std, y, selector, cfg,
                                   seed=settings["seed"])
         print(f"lambda1 = {lambda1:.6g} (validation grid)")
     lambda2 = settings["lambda2"]
     if lambda2 is None:
         lambda2 = 0.0 if selector == "lasso" else 0.5 * lambda1
-    pen = PenaltyConfig(lambda1=lambda1, lambda2=lambda2)
-    if selector == "lasso":
-        from .solvers import lasso_fit
-        result = lasso_fit(X_std, y, pen)
-    elif selector == "elastic_net_cd":
-        from .solvers import elastic_net_fit_cd
-        result = elastic_net_fit_cd(X_std, y, pen)
-    else:
-        result = elastic_net_fit_svm_reduction(X_std, y, pen)
+    result = fit_selector(X_std, y, selector, lambda1, lambda2, cfg)
     out = _out_dir(settings)
     save_coefficients(out / "coefficients.txt", result.coefficients)
     support = select_support(result)

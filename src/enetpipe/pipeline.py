@@ -32,7 +32,8 @@ from .sven import elastic_net_fit_svm_reduction
 
 __all__ = ["PipelineConfig", "FoldOutcome", "EvaluationReport",
            "ComparisonBlock", "kfold_split", "holdout_split", "accuracy",
-           "stddev_population", "run_pipeline", "compare_selectors"]
+           "stddev_population", "signed_targets", "fit_selector",
+           "run_pipeline", "compare_selectors"]
 
 SELECTORS = ("lasso", "elastic_net_cd", "elastic_net_svm", "none")
 
@@ -167,7 +168,8 @@ def _fold_hash(folds) -> str:
     return digest.hexdigest()
 
 
-def _signed_targets(labels) -> np.ndarray:
+def signed_targets(labels) -> np.ndarray:
+    """Map a two-class label vector to -1 (lower class) and +1 targets."""
     classes = np.unique(labels)
     if classes.shape[0] != 2:
         raise ConfigError(
@@ -176,8 +178,9 @@ def _signed_targets(labels) -> np.ndarray:
     return np.where(labels == classes[0], -1.0, 1.0)
 
 
-def _fit_selector(X, y, selector: str, lambda1: float, lambda2: float,
-                  cfg: PipelineConfig):
+def fit_selector(X, y, selector: str, lambda1: float, lambda2: float,
+                 cfg: PipelineConfig):
+    """Fit the named sparse selector with cfg's stopping rule."""
     pen = PenaltyConfig(lambda1=lambda1, lambda2=lambda2,
                         stop_thr=cfg.stop_thr, max_sweeps=cfg.max_sweeps)
     if selector == "lasso":
@@ -215,7 +218,7 @@ def _choose_lambda1(X, y, selector: str, cfg: PipelineConfig, seed: int):
     for lam in grid:
         lam2 = 0.0 if selector == "lasso" else (
             cfg.lambda2 if cfg.lambda2 is not None else 0.5 * lam)
-        result = _fit_selector(X_fit, y_fit, selector, lam, lam2, cfg)
+        result = fit_selector(X_fit, y_fit, selector, lam, lam2, cfg)
         resid = y[val_idx] - X_val @ result.coefficients
         mse = float(resid @ resid) / len(val_idx)
         if mse <= best_mse:          # ascending grid, so ties keep larger lam
@@ -246,14 +249,14 @@ def _evaluate_fold(cfg: PipelineConfig, X, labels, train_idx, test_idx,
     lambda2 = cfg.lambda2
     support = np.arange(X_train.shape[1])
     if cfg.selector != "none":
-        y_signed = _signed_targets(labels)[train_idx]
+        y_signed = signed_targets(labels)[train_idx]
         if lambda1 is None:
             lambda1 = _choose_lambda1(X_train, y_signed, cfg.selector, cfg,
                                       seed=cfg.seed + 9973 * (fold_index + 1))
         if lambda2 is None:
             lambda2 = 0.0 if cfg.selector == "lasso" else 0.5 * lambda1
-        result = _fit_selector(X_train, y_signed, cfg.selector,
-                               lambda1, lambda2, cfg)
+        result = fit_selector(X_train, y_signed, cfg.selector,
+                              lambda1, lambda2, cfg)
         if not result.converged:
             warnings.append(
                 f"fold {fold_index}: selector did not converge in "

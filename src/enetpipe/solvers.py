@@ -65,7 +65,8 @@ class SolverResult:
     ``kkt_violation`` is evaluated on the returned point.  ``converged``
     means the last sweep moved every coefficient by less than ``stop_thr``;
     non-convergence is reported through this flag, never as an exception.
-    ``sweep_objectives`` traces the objective after each sweep.
+    ``sweep_objectives`` traces the objective after each sweep.  For the
+    SVM-reduction route ``sweeps_used`` counts budget solves instead.
     """
 
     coefficients: np.ndarray

@@ -5,8 +5,10 @@ feature columns are turned into 2p labeled rows, ``x_j - y/t`` with label +1
 and ``x_j + y/t`` with label -1, and a bias-free squared-hinge classifier is
 fit on them; its multipliers alpha recover the budget-constrained minimizer
 as ``beta = t * (alpha[:p] - alpha[p:]) / sum(alpha)``. The budget itself is
-then chosen by a one-dimensional search so that the recovered point minimizes
-the same penalized objective as the coordinate-descent solver.
+the root of h(t) = mu(t) - lambda1, where mu(t) is the multiplier of the
+budget constraint read off the recovered point; it is found by Brent's
+method, so the recovered point minimizes the same penalized objective as the
+coordinate-descent solver after a handful of budget solves.
 
 The margin problem is solved in the primal (Newton) when the augmented system
 has more rows than columns, 2p > n, and through its nonnegative dual
@@ -15,19 +17,19 @@ primal if its Cholesky factorization fails. Neither solve is reliable at
 very small budgets: once t nears sqrt(eps) * max|y| the y/t part of the
 augmented rows swamps the x_j part, the dual's normal matrix stops being
 numerically positive definite and the primal's Newton system can turn
-singular as well. A budget whose solve fails with ``LinAlgError`` is
-treated as infeasible (objective +inf) by the search, never raised.
+singular as well. A budget whose solve fails with ``LinAlgError`` counts as
+a budget below the optimum (h > 0) in the root find, never raised.
 
 When max|X'y|/N <= lambda1 the KKT conditions hold at beta = 0 for every
 lambda2, so zero is returned in closed form with no budget search; this
-covers lambda1 >= lambda_max, where the search would otherwise be driven
-into the unreliable small-t band.
+covers lambda1 >= lambda_max, where the root sits at t = 0, in the
+unreliable small-t band.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import nnls
+from scipy.optimize import brentq, nnls
 
 from .errors import ConfigError
 from .solvers import (
@@ -38,15 +40,8 @@ from .solvers import (
     kkt_violation,
 )
 
-# Budgets below this fraction of the search interval are treated as zero.
-# The augmented rows contain y/t, and the budget solves already lose
-# precision from t ~ sqrt(eps) * max|y| (about 1e-8 for unit-scale y), well
-# above this floor; failed solves there count as infeasible (see evaluate).
-_TINY_BUDGET_REL = 1e-9
-
-_COARSE_GRID_POINTS = 25
-_GOLDEN_MAX_ITERS = 90
-_GOLDEN_REL_WIDTH = 1e-12
+# Width of the final budget bracket, relative to max(1, t_hi).
+_ROOT_REL_WIDTH = 1e-12
 
 __all__ = ["elastic_net_fit_svm_reduction"]
 
@@ -142,67 +137,63 @@ def elastic_net_fit_svm_reduction(X, y, cfg: PenaltyConfig) -> SolverResult:
     if cfg.lambda1 > 0.0:
         t_hi = min(t_hi, float(y @ y) / (2.0 * n * cfg.lambda1))
 
-    evals = 0
-    degenerate_hit = False
-    cache: dict[float, tuple[float, np.ndarray]] = {}
-
-    def evaluate(t: float) -> float:
-        nonlocal evals, degenerate_hit
-        if t not in cache:
-            evals += 1
-            if t <= _TINY_BUDGET_REL * max(1.0, t_hi):
-                beta = np.zeros(p)
-            else:
-                try:
-                    beta, degen = _budget_solution(X, y, t, lambda2_unnorm)
-                except np.linalg.LinAlgError:
-                    # Neither margin solve worked at this budget: infeasible.
-                    cache[t] = (np.inf, None)
-                    return np.inf
-                degenerate_hit = degenerate_hit or degen
-            cache[t] = (elastic_net_objective(X, y, beta, cfg.lambda1,
-                                              cfg.lambda2), beta)
-        return cache[t][0]
-
     # Closed-form zero when t_hi == 0 (y orthogonal to the columns, or zero:
     # the ridge path is exactly 0, flagged degenerate) or when the KKT
     # conditions hold at zero, max|X'y|/N <= lambda1, whatever lambda2.
     zero = np.zeros(p)
     zero_kkt = kkt_violation(X, y, cfg, zero)
+    zero_objective = elastic_net_objective(X, y, zero, cfg.lambda1,
+                                           cfg.lambda2)
     if t_hi <= 0.0 or zero_kkt == 0.0:
         return SolverResult(
             coefficients=zero,
-            objective_value=elastic_net_objective(X, y, zero, cfg.lambda1,
-                                                  cfg.lambda2),
+            objective_value=zero_objective,
             sweeps_used=0,
             converged=True,
             kkt_violation=zero_kkt,
             degenerate=t_hi <= 0.0,
         )
 
-    # Coarse bracket, then golden-section refinement. The objective of the
-    # budget-t solution is convex in t on [0, t_hi], so the bracket around
-    # the grid argmin contains the minimizer.
-    grid = np.linspace(0.0, t_hi, _COARSE_GRID_POINTS)
-    values = [evaluate(t) for t in grid]
-    k = int(np.argmin(values))
-    lo = grid[max(0, k - 1)]
-    hi = grid[min(_COARSE_GRID_POINTS - 1, k + 1)]
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = hi - inv_phi * (hi - lo)
-    d = lo + inv_phi * (hi - lo)
-    fc, fd = evaluate(c), evaluate(d)
-    for _ in range(_GOLDEN_MAX_ITERS):
-        if fc <= fd:
-            hi, d, fd = d, c, fc
-            c = hi - inv_phi * (hi - lo)
-            fc = evaluate(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + inv_phi * (hi - lo)
-            fd = evaluate(d)
-        if hi - lo <= _GOLDEN_REL_WIDTH * max(1.0, t_hi):
-            break
+    evals = 0
+    degenerate_hit = False
+    cache: dict[float, tuple[float, np.ndarray]] = {0.0: (zero_objective,
+                                                          zero)}
+
+    def excess_multiplier(t: float) -> float:
+        """h(t) = mu(t) - lambda1 at the budget-t solution."""
+        nonlocal evals, degenerate_hit
+        evals += 1
+        try:
+            beta, degen = _budget_solution(X, y, t, lambda2_unnorm)
+        except np.linalg.LinAlgError:
+            # The margin solves break down only at small budgets: count
+            # the budget as below the optimum.
+            return zero_kkt
+        degenerate_hit = degenerate_hit or degen
+        cache[t] = (elastic_net_objective(X, y, beta, cfg.lambda1,
+                                          cfg.lambda2), beta)
+        grad = X.T @ (y - X @ beta) / n - 2.0 * cfg.lambda2 * beta
+        return float(np.abs(grad).max()) - cfg.lambda1
+
+    def bracketed(t: float) -> float:
+        if t == 0.0:
+            return zero_kkt                  # lambda_max - lambda1 > 0
+        if t == t_hi:
+            return -cfg.lambda1              # exact when t_hi is the ridge
+        return excess_multiplier(t)
+
+    # The optimal budget is the root of h on [0, t_hi]. mu(t), the
+    # multiplier of the budget constraint, is |g_j| on the support of the
+    # budget-t solution (g = X'(y - X beta)/N - 2 lambda2 beta), which is
+    # also the largest |g_j| overall. It falls from lambda_max at t = 0 to
+    # 0 at the ridge norm and is piecewise linear in t. The penalized
+    # objective along the budget path has slope lambda1 - mu(t) = -h(t), so
+    # its minimizer t* is where h changes sign, and t* <= t_hi gives
+    # h(t_hi) <= 0: the bracket needs no solve at either end.
+    root = brentq(bracketed, 0.0, t_hi,
+                  xtol=_ROOT_REL_WIDTH * max(1.0, t_hi), disp=False)
+    if root not in cache:                    # brentq may return unsolved t_hi
+        excess_multiplier(root)
 
     t_best = min(cache, key=lambda t: cache[t][0])
     objective_value, beta = cache[t_best]

@@ -195,6 +195,11 @@ class TestExitCodes:
         rc = main(["evaluate", "--config", str(cfg),
                    "--features", str(features)])
         assert rc == 1
+        # select shares the pipeline's selector dispatch, so it rejects
+        # the value too instead of fitting some default selector
+        rc = main(["select", "--config", str(cfg), "--features",
+                   str(features), "--lambda1", "0.05"])
+        assert rc == 1
 
     def test_missing_input_is_two(self, workdir):
         rc = main(["evaluate", "--features", "no_such_file.csv"])

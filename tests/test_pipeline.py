@@ -168,7 +168,7 @@ class TestRunPipeline:
 
     def test_stage_error_aborts_fold_not_run(self, monkeypatch):
         import enetpipe.pipeline as pl
-        real = pl._fit_selector
+        real = pl.fit_selector
         calls = {"n": 0}
 
         def flaky(*args, **kwargs):
@@ -177,7 +177,7 @@ class TestRunPipeline:
                 raise NumericalError("synthetic stage failure")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(pl, "_fit_selector", flaky)
+        monkeypatch.setattr(pl, "fit_selector", flaky)
         X, labels, _ = _dataset(seed=12, n=60)
         report = run_pipeline(PipelineConfig(seed=5, k_folds=4, lambda1=0.05),
                               X, labels)

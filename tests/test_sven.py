@@ -4,6 +4,7 @@ agreement is a genuine cross-check."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from enetpipe import (PenaltyConfig, elastic_net_fit_cd,
                       elastic_net_fit_svm_reduction, elastic_net_objective)
@@ -13,6 +14,11 @@ from helpers import duplicated_instance, regression_instance
 
 def _rel_gap(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-12)
+
+
+# The root find on the budget multiplier needs a handful of budget solves
+# per fit; a bracketing search that spends dozens is a regression.
+_MAX_BUDGET_SOLVES = 30
 
 
 def test_matches_coordinate_descent_objective():
@@ -27,6 +33,7 @@ def test_matches_coordinate_descent_objective():
         cd = elastic_net_fit_cd(X, y, cfg)
         sven = elastic_net_fit_svm_reduction(X, y, cfg)
         worst = max(worst, _rel_gap(sven.objective_value, cd.objective_value))
+        assert sven.sweeps_used <= _MAX_BUDGET_SOLVES
     assert worst <= 1e-4
 
 
@@ -37,6 +44,7 @@ def test_coefficients_agree_with_cd():
     cd = elastic_net_fit_cd(X, y, cfg)
     sven = elastic_net_fit_svm_reduction(X, y, cfg)
     np.testing.assert_allclose(sven.coefficients, cd.coefficients, atol=1e-5)
+    assert sven.sweeps_used <= _MAX_BUDGET_SOLVES
 
 
 def test_grouping_effect_survives_the_reduction():
@@ -63,6 +71,7 @@ def test_wide_matrix_takes_the_other_internal_path():
     cd = elastic_net_fit_cd(X, y, cfg)
     sven = elastic_net_fit_svm_reduction(X, y, cfg)
     assert _rel_gap(sven.objective_value, cd.objective_value) <= 1e-4
+    assert sven.sweeps_used <= _MAX_BUDGET_SOLVES
 
 
 def test_pure_l1_is_rejected():
@@ -119,26 +128,57 @@ def test_zero_at_and_above_lambda_max_on_both_branches(seed, n, m, lam2):
     assert _rel_gap(sven.objective_value, cd.objective_value) <= 1e-4
     assert np.abs(cd.coefficients).max() > 1e-3
     np.testing.assert_allclose(sven.coefficients, cd.coefficients, atol=1e-5)
+    assert sven.sweeps_used <= _MAX_BUDGET_SOLVES
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(seed=st.integers(0, 10_000), n=st.integers(5, 20),
+       m=st.integers(1, 24), duplicate=st.booleans(),
+       factor=st.sampled_from([0.5, 0.99, 0.999, 1.0, 1.5]),
+       lam2=st.sampled_from([0.05, 0.5]))
+def test_edge_inputs_agree_with_cd_and_closed_form_zero(seed, n, m, duplicate,
+                                                        factor, lam2):
+    # lambda1 around lambda_max, duplicated columns, n < p and p = 1: the
+    # route raises nothing, matches CD, and is exactly zero at and above
+    # lambda_max.
+    X, y = regression_instance(seed, n, m, noise=0.5)
+    if duplicate:
+        X = np.column_stack([X[:, 0], X])
+    lam_max = float(np.abs(X.T @ y).max()) / n
+    cfg = PenaltyConfig(lambda1=factor * lam_max, lambda2=lam2,
+                        stop_thr=1e-10)
+    cd = elastic_net_fit_cd(X, y, cfg)
+    sven = elastic_net_fit_svm_reduction(X, y, cfg)
+    assert _rel_gap(sven.objective_value, cd.objective_value) <= 1e-4
+    if factor >= 1.0:
+        zero = np.zeros(X.shape[1])
+        np.testing.assert_array_equal(sven.coefficients, zero)
+        np.testing.assert_array_equal(cd.coefficients, zero)
+        assert sven.objective_value == elastic_net_objective(
+            X, y, zero, cfg.lambda1, cfg.lambda2)
 
 
 def test_failed_budget_solve_counts_as_infeasible(monkeypatch):
-    # A budget whose margin solves both fail is skipped by the search,
-    # not raised; the optimum lies elsewhere, so the result still matches CD.
+    # A budget whose margin solves both fail counts as a budget below the
+    # optimum, not raised; the optimum lies elsewhere, so the result still
+    # matches CD. On this instance t* = 0.964 and the search visits
+    # t = 0.812, so failures below t = 0.9 are hit and must be stepped over.
     from enetpipe import sven
     real = sven._budget_solution
     calls = {"failed": 0}
 
     def flaky(X, y, t, lambda2_unnorm):
-        if t < 1.0:
+        if t < 0.9:
             calls["failed"] += 1
             raise np.linalg.LinAlgError("Singular matrix")
         return real(X, y, t, lambda2_unnorm)
 
     monkeypatch.setattr(sven, "_budget_solution", flaky)
-    X, y = regression_instance(600, 25, 5)
-    cfg = PenaltyConfig(lambda1=0.03, lambda2=0.2, stop_thr=1e-10)
+    X, y = regression_instance(602, 15, 4, noise=0.5)
+    lam_max = float(np.abs(X.T @ y).max()) / 15
+    cfg = PenaltyConfig(lambda1=0.5 * lam_max, lambda2=0.1, stop_thr=1e-10)
     cd = elastic_net_fit_cd(X, y, cfg)
     result = elastic_net_fit_svm_reduction(X, y, cfg)
     assert calls["failed"] > 0
-    assert np.abs(result.coefficients).sum() >= 1.0
+    assert np.abs(result.coefficients).sum() >= 0.9
     np.testing.assert_allclose(result.coefficients, cd.coefficients, atol=1e-5)
