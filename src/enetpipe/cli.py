@@ -24,8 +24,9 @@ from .data import (SyntheticSpec, generate_synthetic, load_feature_csv,
 from .errors import (ConfigError, ContractError, DataError, EnetPipeError,
                      NumericalError)
 from .patches import default_patch_centers, extract_patch_2_5d
-from .pipeline import (PipelineConfig, _choose_lambda1, compare_selectors,
-                       fit_selector, run_pipeline, signed_targets)
+from .pipeline import (PipelineConfig, choose_lambda1, compare_selectors,
+                       fit_selector, resolve_lambda2, run_pipeline,
+                       signed_targets)
 from .report import (REPORT_FORMATS, emit_report, load_report_json,
                      save_report_json)
 from .solvers import save_coefficients, select_support
@@ -85,7 +86,7 @@ def load_config_file(path) -> dict:
     values = {}
     try:
         lines = Path(path).read_text(encoding="ascii").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, line in enumerate(lines, start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -273,11 +274,11 @@ def _cmd_extract(args, settings) -> int:
     X = np.vstack(rows)
     labels = None
     if args.labels:
-        raw = Path(args.labels).read_text(encoding="ascii").split()
-        if len(raw) != X.shape[0]:
+        labels = textio.load_matrix(args.labels, args.labels,
+                                    encoding="ascii").ravel()
+        if labels.size != X.shape[0]:
             raise DataError(
-                f"{len(raw)} labels for {X.shape[0]} volumes")
-        labels = np.array([float(v) for v in raw])
+                f"{labels.size} labels for {X.shape[0]} volumes")
     out = _out_dir(settings)
     save_feature_csv(out / "features.csv", X, labels=labels)
     print(f"wrote {out / 'features.csv'}: {X.shape[0]} volumes x "
@@ -287,19 +288,23 @@ def _cmd_extract(args, settings) -> int:
 
 def _cmd_train_cnn(args, settings) -> int:
     patches, labels = [], []
-    manifest = Path(args.manifest).read_text(encoding="ascii").splitlines()
+    manifest = textio.read_ascii(args.manifest).splitlines()
     for lineno, line in enumerate(manifest, start=1):
         if not line.strip():
             continue
         path, _, label = line.rpartition(",")
-        if not path:
+        try:
+            value = float(label)
+        except ValueError:
+            value = None
+        if not path or value is None:
             raise DataError(
                 f"{args.manifest}:{lineno}: expected 'volume_path,label'")
         vol = load_volume_raw3d(path.strip())
         centers = default_patch_centers(vol.voxels.shape, count=args.centers)
         for center in centers:
             patches.append(extract_patch_2_5d(vol, center).planes)
-            labels.append(float(label))
+            labels.append(value)
     if not patches:
         raise DataError(f"manifest {args.manifest} lists no volumes")
     labels = np.asarray(labels)
@@ -320,25 +325,21 @@ def _cmd_train_cnn(args, settings) -> int:
 
 
 def _cmd_select(args, settings) -> int:
+    cfg = _pipeline_config(settings, "select")
+    if cfg.selector == "none":
+        raise ConfigError("selector 'none' fits no coefficients; "
+                          "pick lasso, elastic_net_cd, or elastic_net_svm")
     X, labels = _load_features(args, settings)
     if labels is None:
         raise ConfigError("select needs a label column")
     X_std, _ = standardize_columns(X)
     y = signed_targets(labels)
-    selector = settings["selector"]
-    if selector == "none":
-        raise ConfigError("selector 'none' fits no coefficients; "
-                          "pick lasso, elastic_net_cd, or elastic_net_svm")
-    cfg = _pipeline_config(settings, "select")
-    lambda1 = settings["lambda1"]
+    lambda1 = cfg.lambda1
     if lambda1 is None:
-        lambda1 = _choose_lambda1(X_std, y, selector, cfg,
-                                  seed=settings["seed"])
+        lambda1 = choose_lambda1(X_std, y, cfg, seed=cfg.seed)
         print(f"lambda1 = {lambda1:.6g} (validation grid)")
-    lambda2 = settings["lambda2"]
-    if lambda2 is None:
-        lambda2 = 0.0 if selector == "lasso" else 0.5 * lambda1
-    result = fit_selector(X_std, y, selector, lambda1, lambda2, cfg)
+    lambda2 = resolve_lambda2(cfg.selector, lambda1, cfg.lambda2)
+    result = fit_selector(X_std, y, cfg.selector, lambda1, lambda2, cfg)
     out = _out_dir(settings)
     save_coefficients(out / "coefficients.txt", result.coefficients)
     support = select_support(result)

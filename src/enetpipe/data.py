@@ -4,6 +4,12 @@ Feature matrices and label vectors are plain float64 ndarrays; the helpers
 here validate them, read/write the two on-disk formats (headerless feature
 CSV and the RAW3D volume container) and build the correlated-groups
 synthetic datasets used throughout the test and comparison harnesses.
+
+The feature CSV goes through numpy's own reader and writer: one
+``np.loadtxt`` call parses it (via :func:`textio.load_matrix`, so a ragged
+row, a non-numeric cell or a non-ASCII byte is a ``DataFormatError`` naming
+the file and numpy's row and column) and ``np.savetxt`` writes it in
+:data:`textio.FLOAT_FORMAT`, so doubles round-trip exactly.
 """
 
 import struct
@@ -18,6 +24,7 @@ from .errors import (
     InsufficientDataError,
 )
 from .rng import PortableRng
+from .textio import FLOAT_FORMAT, load_matrix
 
 RAW3D_MAGIC = b"R3D1"
 
@@ -33,8 +40,11 @@ def validate_feature_matrix(values) -> np.ndarray:
         raise DimensionError(f"feature matrix must be 2-D, got {X.ndim}-D")
     if X.shape[0] < 1 or X.shape[1] < 1:
         raise DimensionError(f"feature matrix must be at least 1x1, got {X.shape}")
-    if not np.all(np.isfinite(X)):
-        raise DataFormatError("feature matrix contains non-finite entries")
+    finite = np.isfinite(X)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0] + 1
+        raise DataFormatError(
+            f"feature matrix has a non-finite entry at row {row}, column {col}")
     return X
 
 
@@ -89,48 +99,18 @@ def load_feature_csv(path, label_column=None, skip_header=False):
     Returns ``(X, labels)``; ``labels`` is None unless ``label_column``
     names the column (0-based, negative indices allowed) to split out.
     """
-    rows = []
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if skip_header and lines:
-        lines = lines[1:]
-    n_fields = None
-    for lineno, line in enumerate(lines, start=2 if skip_header else 1):
-        if line == "":
-            continue
-        fields = line.split(",")
-        if n_fields is None:
-            n_fields = len(fields)
-        elif len(fields) != n_fields:
-            raise DataFormatError(
-                f"ragged row {lineno}: expected {n_fields} fields, got {len(fields)}"
-            )
-        parsed = []
-        for col, tok in enumerate(fields):
-            try:
-                value = float(tok)
-            except ValueError:
-                raise DataFormatError(
-                    f"non-numeric cell at row {lineno}, column {col + 1}: {tok!r}"
-                ) from None
-            if not np.isfinite(value):
-                raise DataFormatError(
-                    f"non-finite cell at row {lineno}, column {col + 1}: {tok!r}"
-                )
-            parsed.append(value)
-        rows.append(parsed)
-    if not rows:
+    data = load_matrix(path, str(path), delimiter=",",
+                       skiprows=1 if skip_header else 0, encoding="ascii")
+    if data.size == 0:
         raise DataFormatError(f"empty input: {path}")
-    data = np.array(rows, dtype=np.float64)
+    data = validate_feature_matrix(data)
     if label_column is None:
-        return validate_feature_matrix(data), None
+        return data, None
     m = data.shape[1]
     col = label_column + m if label_column < 0 else label_column
     if not 0 <= col < m:
         raise ConfigError(f"label column {label_column} out of range for {m} columns")
-    labels = data[:, col]
-    X = np.delete(data, col, axis=1)
-    return validate_feature_matrix(X), validate_labels(labels, X.shape[0])
+    return validate_feature_matrix(np.delete(data, col, axis=1)), data[:, col]
 
 
 def save_feature_csv(path, X, labels=None):
@@ -139,10 +119,7 @@ def save_feature_csv(path, X, labels=None):
     if labels is not None:
         labels = validate_labels(labels, X.shape[0])
         X = np.column_stack([X, labels])
-    with open(path, "w", encoding="ascii") as fh:
-        for row in X:
-            fh.write(",".join("%.17g" % v for v in row))
-            fh.write("\n")
+    np.savetxt(path, X, fmt=FLOAT_FORMAT, delimiter=",")
 
 
 def load_volume_raw3d(path) -> Volume3D:

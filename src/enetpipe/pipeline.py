@@ -32,8 +32,9 @@ from .sven import elastic_net_fit_svm_reduction
 
 __all__ = ["PipelineConfig", "FoldOutcome", "EvaluationReport",
            "ComparisonBlock", "kfold_split", "holdout_split", "accuracy",
-           "stddev_population", "signed_targets", "fit_selector",
-           "run_pipeline", "compare_selectors"]
+           "stddev_population", "signed_targets", "resolve_lambda2",
+           "fit_selector", "choose_lambda1", "run_pipeline",
+           "compare_selectors"]
 
 SELECTORS = ("lasso", "elastic_net_cd", "elastic_net_svm", "none")
 
@@ -48,7 +49,7 @@ class PipelineConfig:
     use_pca: bool = True
     pca_retain: float | int = 0.95
     lambda1: float | None = None      # None: per-fold internal validation
-    lambda2: float | None = None      # None: 0.5 * lambda1
+    lambda2: float | None = None      # None: see resolve_lambda2
     stop_thr: float = 1e-7
     max_sweeps: int = 10_000
     elm_gamma: float | None = None    # None: median heuristic
@@ -72,6 +73,9 @@ class PipelineConfig:
             raise ConfigError(f"lambda1 must be >= 0, got {self.lambda1}")
         if self.lambda2 is not None and self.lambda2 < 0:
             raise ConfigError(f"lambda2 must be >= 0, got {self.lambda2}")
+        if self.selector == "lasso" and self.lambda2:
+            raise ConfigError(
+                f"selector lasso has no ridge term; got lambda2={self.lambda2}")
 
 
 @dataclass
@@ -117,9 +121,10 @@ class EvaluationReport:
     mean_accuracy: float
     accuracy_sigma: float
     mean_time_ms: float
-    mean_support_size: float
-    warnings: tuple
-    fold_hash: str
+    # defaulted so that a report JSON without them still loads
+    mean_support_size: float = 0.0
+    warnings: tuple = ()
+    fold_hash: str = ""
     comparison: ComparisonBlock | None = None
 
 
@@ -178,6 +183,15 @@ def signed_targets(labels) -> np.ndarray:
     return np.where(labels == classes[0], -1.0, 1.0)
 
 
+def resolve_lambda2(selector: str, lambda1: float,
+                    lambda2: float | None) -> float:
+    """The ridge weight to fit with: lambda2 when given, else 0 for lasso
+    and 0.5 * lambda1 for the elastic-net selectors."""
+    if lambda2 is not None:
+        return lambda2
+    return 0.0 if selector == "lasso" else 0.5 * lambda1
+
+
 def fit_selector(X, y, selector: str, lambda1: float, lambda2: float,
                  cfg: PipelineConfig):
     """Fit the named sparse selector with cfg's stopping rule."""
@@ -195,9 +209,9 @@ def fit_selector(X, y, selector: str, lambda1: float, lambda2: float,
     raise ConfigError(f"selector {selector!r} does not fit coefficients")
 
 
-def _choose_lambda1(X, y, selector: str, cfg: PipelineConfig, seed: int):
-    """5-point log-grid internal validation on an 80/20 split of the
-    training fold; ties prefer the larger (sparser) lambda1."""
+def choose_lambda1(X, y, cfg: PipelineConfig, seed: int):
+    """5-point log-grid internal validation of cfg.selector on an 80/20
+    split of the training fold; ties prefer the larger (sparser) lambda1."""
     n = X.shape[0]
     n_val = max(1, n // 5)
     if n - n_val < 2:
@@ -216,9 +230,9 @@ def _choose_lambda1(X, y, selector: str, cfg: PipelineConfig, seed: int):
                                          _LAMBDA_GRID_POINTS)
     best_lam, best_mse = None, np.inf
     for lam in grid:
-        lam2 = 0.0 if selector == "lasso" else (
-            cfg.lambda2 if cfg.lambda2 is not None else 0.5 * lam)
-        result = fit_selector(X_fit, y_fit, selector, lam, lam2, cfg)
+        result = fit_selector(X_fit, y_fit, cfg.selector, lam,
+                              resolve_lambda2(cfg.selector, lam, cfg.lambda2),
+                              cfg)
         resid = y[val_idx] - X_val @ result.coefficients
         mse = float(resid @ resid) / len(val_idx)
         if mse <= best_mse:          # ascending grid, so ties keep larger lam
@@ -251,10 +265,9 @@ def _evaluate_fold(cfg: PipelineConfig, X, labels, train_idx, test_idx,
     if cfg.selector != "none":
         y_signed = signed_targets(labels)[train_idx]
         if lambda1 is None:
-            lambda1 = _choose_lambda1(X_train, y_signed, cfg.selector, cfg,
-                                      seed=cfg.seed + 9973 * (fold_index + 1))
-        if lambda2 is None:
-            lambda2 = 0.0 if cfg.selector == "lasso" else 0.5 * lambda1
+            lambda1 = choose_lambda1(X_train, y_signed, cfg,
+                                     seed=cfg.seed + 9973 * (fold_index + 1))
+        lambda2 = resolve_lambda2(cfg.selector, lambda1, lambda2)
         result = fit_selector(X_train, y_signed, cfg.selector,
                               lambda1, lambda2, cfg)
         if not result.converged:
@@ -359,10 +372,9 @@ def compare_selectors(cfg: PipelineConfig, features, labels,
                       proposed: str | None = None) -> EvaluationReport:
     """Run two selector arms on identical folds and attach paired deltas."""
     proposed = proposed if proposed is not None else cfg.selector
-    base_cfg = replace(cfg, selector=baseline)
-    if baseline == "lasso":
-        # an explicit ridge weight belongs to the elastic-net arm only
-        base_cfg = replace(base_cfg, lambda2=None)
+    # an explicit ridge weight belongs to the elastic-net arm only
+    base_cfg = replace(cfg, selector=baseline,
+                       lambda2=None if baseline == "lasso" else cfg.lambda2)
     base_report = run_pipeline(base_cfg, features, labels)
     prop_report = run_pipeline(replace(cfg, selector=proposed), features, labels)
     if base_report.fold_hash != prop_report.fold_hash:

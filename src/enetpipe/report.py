@@ -9,6 +9,7 @@ value column stays unit-free; a footnote records the unit.
 from __future__ import annotations
 
 import json
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -147,68 +148,56 @@ def _plot_data(report: EvaluationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fold_to_dict(o: FoldOutcome) -> dict:
-    return {
-        "fold_index": o.fold_index,
-        "test_indices": np.asarray(o.test_indices).tolist(),
-        "accuracy": o.accuracy,
-        "time_ms": o.time_ms,
-        "support": None if o.support is None else np.asarray(o.support).tolist(),
-        "n_candidate_features": o.n_candidate_features,
-        "lambda1": o.lambda1,
-        "lambda2": o.lambda2,
-        "warnings": list(o.warnings),
-        "failure": o.failure,
-    }
+# FoldOutcome fields holding the fold's fitted models; they stay in memory.
+_MODEL_FIELDS = ("standardization", "post_pca_standardization", "pca", "elm")
 
 
-def _fold_from_dict(d: dict) -> FoldOutcome:
-    return FoldOutcome(
-        fold_index=d["fold_index"],
-        test_indices=np.asarray(d["test_indices"], dtype=np.int64),
-        accuracy=d["accuracy"],
-        time_ms=d["time_ms"],
-        support=None if d["support"] is None else np.asarray(d["support"],
-                                                             dtype=np.int64),
-        n_candidate_features=d["n_candidate_features"],
-        lambda1=d["lambda1"],
-        lambda2=d["lambda2"],
-        warnings=tuple(d["warnings"]),
-        failure=d["failure"],
-    )
+def _to_dict(obj) -> dict:
+    """A report dataclass as a JSON-ready dict, keys in field order."""
+    return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)
+            if f.name not in _MODEL_FIELDS}
+
+
+def _jsonable(value):
+    if is_dataclass(value):
+        return _to_dict(value)
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    return value
+
+
+def _from_dict(cls, d: dict):
+    """Rebuild a report dataclass from its JSON dict; a field missing from
+    ``d`` takes its dataclass default."""
+    return cls(**{f.name: _LOADERS.get(f.name, lambda v: v)(d[f.name])
+                  for f in fields(cls)
+                  if f.name in d and f.name not in _MODEL_FIELDS})
+
+
+def _folds_from_list(items) -> list:
+    return [_from_dict(FoldOutcome, d) for d in items]
+
+
+def _index_array(v):
+    return None if v is None else np.asarray(v, dtype=np.int64)
+
+
+# Field name -> conversion from its JSON value; other fields load as-is.
+_LOADERS = {
+    "test_indices": _index_array,
+    "support": _index_array,
+    "warnings": tuple,
+    "folds": _folds_from_list,
+    "baseline_folds": _folds_from_list,
+    "comparison": lambda v: None if v is None else _from_dict(
+        ComparisonBlock, v),
+}
 
 
 def report_to_json(report: EvaluationReport) -> str:
-    payload = {
-        "group": report.group,
-        "selector": report.selector,
-        "k_folds": report.k_folds,
-        "seed": report.seed,
-        "folds": [_fold_to_dict(o) for o in report.folds],
-        "mean_accuracy": report.mean_accuracy,
-        "accuracy_sigma": report.accuracy_sigma,
-        "mean_time_ms": report.mean_time_ms,
-        "mean_support_size": report.mean_support_size,
-        "warnings": list(report.warnings),
-        "fold_hash": report.fold_hash,
-        "comparison": None,
-    }
-    comp = report.comparison
-    if comp is not None:
-        payload["comparison"] = {
-            "baseline_selector": comp.baseline_selector,
-            "proposed_selector": comp.proposed_selector,
-            "baseline_mean_accuracy": comp.baseline_mean_accuracy,
-            "proposed_mean_accuracy": comp.proposed_mean_accuracy,
-            "baseline_mean_time_ms": comp.baseline_mean_time_ms,
-            "proposed_mean_time_ms": comp.proposed_mean_time_ms,
-            "fold_accuracy_deltas": list(comp.fold_accuracy_deltas),
-            "fold_time_deltas_ms": list(comp.fold_time_deltas_ms),
-            "mean_accuracy_delta": comp.mean_accuracy_delta,
-            "mean_time_delta_ms": comp.mean_time_delta_ms,
-            "baseline_folds": [_fold_to_dict(o) for o in comp.baseline_folds],
-        }
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(_to_dict(report), indent=2) + "\n"
 
 
 def report_from_json(text: str) -> EvaluationReport:
@@ -223,37 +212,7 @@ def report_from_json(text: str) -> EvaluationReport:
     missing = required - payload.keys()
     if missing:
         raise DataFormatError(f"report JSON is missing {sorted(missing)}")
-    comparison = None
-    comp = payload.get("comparison")
-    if comp is not None:
-        comparison = ComparisonBlock(
-            baseline_selector=comp["baseline_selector"],
-            proposed_selector=comp["proposed_selector"],
-            baseline_mean_accuracy=comp["baseline_mean_accuracy"],
-            proposed_mean_accuracy=comp["proposed_mean_accuracy"],
-            baseline_mean_time_ms=comp["baseline_mean_time_ms"],
-            proposed_mean_time_ms=comp["proposed_mean_time_ms"],
-            fold_accuracy_deltas=comp["fold_accuracy_deltas"],
-            fold_time_deltas_ms=comp["fold_time_deltas_ms"],
-            mean_accuracy_delta=comp["mean_accuracy_delta"],
-            mean_time_delta_ms=comp["mean_time_delta_ms"],
-            baseline_folds=[_fold_from_dict(d)
-                            for d in comp.get("baseline_folds", [])],
-        )
-    return EvaluationReport(
-        group=payload["group"],
-        selector=payload["selector"],
-        k_folds=payload["k_folds"],
-        seed=payload["seed"],
-        folds=[_fold_from_dict(d) for d in payload["folds"]],
-        mean_accuracy=payload["mean_accuracy"],
-        accuracy_sigma=payload["accuracy_sigma"],
-        mean_time_ms=payload["mean_time_ms"],
-        mean_support_size=payload.get("mean_support_size", 0.0),
-        warnings=tuple(payload.get("warnings", ())),
-        fold_hash=payload.get("fold_hash", ""),
-        comparison=comparison,
-    )
+    return _from_dict(EvaluationReport, payload)
 
 
 def save_report_json(path, report: EvaluationReport) -> Path:

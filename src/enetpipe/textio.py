@@ -3,18 +3,53 @@
 A file is a sequence of blocks.  Each block starts with a header line
 ``name: d1 [d2 ...]`` giving the array shape, followed by the values in
 row-major order: vectors on one line, higher-rank arrays one line per
-leading index.  Values are written with 17 significant digits so doubles
-round-trip exactly.  Lines starting with ``#`` before a header are ignored,
+leading index.  Lines starting with ``#`` before a header are ignored,
 as are blank lines between blocks.
+
+Numbers are written by ``np.savetxt`` in :data:`FLOAT_FORMAT` (17
+significant digits, so doubles round-trip exactly) and each block's lines
+are parsed by one ``np.loadtxt`` call; a truncated block, a wrong value
+count or a bad value is a ``DataFormatError``.
 """
+
+import warnings
+from pathlib import Path
 
 import numpy as np
 
 from .errors import DataFormatError
 
 
+# The one number format of every text file the package writes: 17
+# significant digits, so doubles round-trip exactly.
+FLOAT_FORMAT = "%.17g"
+
+
 def format_value(v: float) -> str:
-    return "%.17g" % v
+    return FLOAT_FORMAT % v
+
+
+def read_ascii(path) -> str:
+    """The text of an ASCII file; a non-ASCII byte is a DataFormatError."""
+    try:
+        return Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+
+
+def load_matrix(source, context: str, **kwargs) -> np.ndarray:
+    """``np.loadtxt(source, comments=None, ndmin=2, **kwargs)``.
+
+    Its ``ValueError`` (a ragged row, a bad value, a non-ASCII byte) is
+    re-raised as a ``DataFormatError`` prefixed with ``context``; input
+    without data gives an empty array, without loadtxt's warning.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            return np.loadtxt(source, comments=None, ndmin=2, **kwargs)
+    except ValueError as exc:
+        raise DataFormatError(f"{context}: {exc}") from None
 
 
 def write_blocks(path, blocks: dict, preamble: list | None = None):
@@ -26,12 +61,11 @@ def write_blocks(path, blocks: dict, preamble: list | None = None):
             shape = arr.shape if arr.ndim > 0 else (1,)
             fh.write(f"{name}: " + " ".join(str(d) for d in shape) + "\n")
             rows = arr.reshape(shape[0], -1) if arr.ndim > 1 else arr.reshape(1, -1)
-            for row in rows:
-                fh.write(" ".join(format_value(v) for v in row) + "\n")
+            np.savetxt(fh, rows, fmt=FLOAT_FORMAT, delimiter=" ")
 
 
 def read_blocks(path):
-    """Parse a block file; returns ``(blocks)`` dict of name -> ndarray.
+    """Parse a block file; returns a dict of name -> ndarray.
 
     Use :func:`read_blocks_with_preamble` when leading non-block lines
     carry metadata.
@@ -41,8 +75,9 @@ def read_blocks(path):
 
 
 def read_blocks_with_preamble(path, allow_preamble: bool = True):
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    """Parse a block file; returns ``(blocks, preamble)``, the dict of
+    name -> ndarray and the non-block lines before the first header."""
+    lines = read_ascii(path).splitlines()
     preamble = []
     blocks = {}
     i = 0
@@ -61,25 +96,18 @@ def read_blocks_with_preamble(path, allow_preamble: bool = True):
         name, shape = header
         n_lines = shape[0] if len(shape) > 1 else 1
         per_line = int(np.prod(shape[1:], dtype=np.int64)) if len(shape) > 1 else shape[0]
-        values = []
         i += 1
-        for _ in range(n_lines):
-            if i >= len(lines):
-                raise DataFormatError(f"block {name!r} truncated in {path}")
-            toks = lines[i].split()
-            if len(toks) != per_line:
-                raise DataFormatError(
-                    f"block {name!r}: expected {per_line} values on line "
-                    f"{i + 1}, got {len(toks)}"
-                )
-            try:
-                values.extend(float(t) for t in toks)
-            except ValueError as exc:
-                raise DataFormatError(
-                    f"block {name!r}: bad value on line {i + 1}"
-                ) from exc
-            i += 1
-        blocks[name] = np.array(values, dtype=np.float64).reshape(shape)
+        if i + n_lines > len(lines):
+            raise DataFormatError(f"block {name!r} truncated in {path}")
+        values = load_matrix(lines[i:i + n_lines],
+                             f"block {name!r} at line {i + 1}")
+        if values.shape != (n_lines, per_line):
+            raise DataFormatError(
+                f"block {name!r}: expected {n_lines} lines of {per_line} values "
+                f"from line {i + 1}, got shape {values.shape}"
+            )
+        blocks[name] = values.reshape(shape)
+        i += n_lines
     return blocks, preamble
 
 

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+import enetpipe.pipeline
 from enetpipe.cli import load_config_file, main
+from enetpipe.cnn import CnnConfig, cnn_init, save_cnn
 from enetpipe.data import (Volume3D, load_feature_csv, save_feature_csv,
                            save_volume_raw3d)
 from enetpipe.errors import ConfigError
@@ -201,6 +203,32 @@ class TestExitCodes:
                    str(features), "--lambda1", "0.05"])
         assert rc == 1
 
+    @pytest.mark.parametrize("command", ["select", "evaluate", "compare"])
+    def test_lasso_with_ridge_weight_is_one_before_any_fit(
+            self, workdir, monkeypatch, command):
+        features = _generate(workdir)
+        fits = []
+        monkeypatch.setattr(enetpipe.pipeline, "lasso_fit",
+                            lambda *a: fits.append(a))
+        rc = main([command, "--features", str(features), "--selector",
+                   "lasso", "--lambda2", "0.3", "--k-folds", "3"])
+        assert rc == 1
+        assert fits == []
+
+    def test_non_ascii_config_is_one(self, workdir):
+        features = _generate(workdir)
+        cfg = workdir / "bad.conf"
+        cfg.write_bytes("seed = 4 # caf\xe9\n".encode("latin-1"))
+        with pytest.raises(ConfigError):
+            load_config_file(cfg)
+        assert main(["evaluate", "--config", str(cfg),
+                     "--features", str(features)]) == 1
+
+    def test_non_ascii_features_is_two(self, workdir):
+        path = workdir / "bad.csv"
+        path.write_bytes("1,2,1\n3,\xe9,-1\n".encode("latin-1"))
+        assert main(["evaluate", "--features", str(path)]) == 2
+
     def test_missing_input_is_two(self, workdir):
         rc = main(["evaluate", "--features", "no_such_file.csv"])
         assert rc == 2
@@ -243,6 +271,24 @@ class TestImageCommands:
         X, labels = load_feature_csv(workdir / "features.csv")
         assert labels is None
         assert X.shape == (2, 3 * 1024)
+
+    @pytest.mark.parametrize("line", ["{path},caf\xe9", "{path},one"])
+    def test_bad_manifest_is_two(self, workdir, line):
+        paths = self._volumes(workdir, n=1, side=8)
+        manifest = workdir / "manifest.csv"
+        manifest.write_bytes(line.format(path=paths[0]).encode("latin-1"))
+        assert main(["train-cnn", "--manifest", str(manifest)]) == 2
+
+    @pytest.mark.parametrize("content", ["1\n\xe9\n", "1\none\n", "1\n"])
+    def test_bad_labels_file_is_two(self, workdir, content):
+        paths = self._volumes(workdir)
+        save_cnn(workdir / "cnn.txt", cnn_init(CnnConfig(), seed=0))
+        labels_file = workdir / "labels.txt"
+        labels_file.write_bytes(content.encode("latin-1"))
+        rc = main(["extract", *map(str, paths),
+                   "--net", str(workdir / "cnn.txt"), "--centers", "3",
+                   "--labels", str(labels_file)])
+        assert rc == 2
 
     def test_extract_with_labels(self, workdir):
         paths = self._volumes(workdir)

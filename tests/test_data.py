@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from enetpipe import (PortableRng, SyntheticSpec, Volume3D,
                       apply_standardization, duplicate_columns,
@@ -52,12 +54,48 @@ class TestFeatureCsv:
         "1,x\n",               # non-numeric
         "1,inf\n",             # non-finite
         "",                    # empty
+        "1,2\n \n3,4\n",       # whitespace-only line
+        "# comment\n1,2\n",    # no comment syntax
+        "1,2\n3,nan\n",        # non-finite cell in the label column
+        "1,2\n3,4\u00e9\n",    # non-ASCII
     ])
     def test_malformed_inputs(self, tmp_path, content):
         path = tmp_path / "bad.csv"
         path.write_text(content)
         with pytest.raises(DataFormatError):
             load_feature_csv(path)
+        with pytest.raises(DataFormatError):
+            load_feature_csv(path, label_column=-1)
+
+    def test_non_finite_cell_is_located(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("a,b\n1,2\n3,-inf\n")
+        with pytest.raises(DataFormatError, match="row 2, column 2"):
+            load_feature_csv(path, skip_header=True)
+
+    def test_crlf_line_endings_load(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_bytes(b"1,2,-1\r\n3,4,1\r\n")
+        X, labels = load_feature_csv(path, label_column=-1)
+        np.testing.assert_array_equal(X, [[1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(labels, [-1.0, 1.0])
+
+    @settings(derandomize=True, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 5)),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+    def test_round_trip_is_exact_for_any_finite_matrix(self, tmp_path_factory,
+                                                        X):
+        path = tmp_path_factory.mktemp("csv") / "f.csv"
+        save_feature_csv(path, X)
+        loaded, _ = load_feature_csv(path)
+        assert loaded.shape == X.shape
+        assert loaded.tobytes() == X.tobytes()
+
+    def test_label_column_alone_leaves_no_features(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("1\n-1\n")
+        with pytest.raises(DimensionError):
+            load_feature_csv(path, label_column=0)
 
     def test_label_column_out_of_range(self, tmp_path):
         path = tmp_path / "f.csv"

@@ -106,10 +106,14 @@ class TestPipelineConfig:
         dict(holdout=1.5),
         dict(lambda1=-1.0),
         dict(lambda2=-0.5),
+        dict(selector="lasso", lambda2=0.3),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
             PipelineConfig(**kwargs)
+
+    def test_lasso_accepts_a_zero_ridge_weight(self):
+        assert PipelineConfig(selector="lasso", lambda2=0.0).lambda2 == 0.0
 
 
 class TestRunPipeline:

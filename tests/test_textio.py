@@ -47,6 +47,36 @@ def test_wrong_value_count_raises(tmp_path):
         read_blocks(path)
 
 
+def test_truncated_block_raises(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("mat: 3 2\n1 2\n3 4\n")
+    with pytest.raises(DataFormatError, match="truncated"):
+        read_blocks(path)
+
+
+def test_non_numeric_value_raises(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("mat: 2 2\n1 2\n3 x\n")
+    with pytest.raises(DataFormatError, match="'mat'"):
+        read_blocks(path)
+
+
+def test_non_ascii_byte_raises(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes("v: 2\n1 \xe9\n".encode("latin-1"))
+    with pytest.raises(DataFormatError):
+        read_blocks(path)
+
+
+def test_written_bytes(tmp_path):
+    path = tmp_path / "w.txt"
+    write_blocks(path, {"v": np.array([0.1, -2.0]),
+                        "m": np.array([[1.0, 1e-300], [-0.0, 3.0]])},
+                 preamble=["# note"])
+    assert path.read_text() == ("# note\nv: 2\n0.10000000000000001 -2\n"
+                                "m: 2 2\n1 1e-300\n-0 3\n")
+
+
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_format_value_round_trips_doubles(v):
     assert float(format_value(v)) == v
