@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, DataFormatError
 from .pipeline import ComparisonBlock, EvaluationReport, FoldOutcome
+from .textio import read_ascii
 
 __all__ = ["emit_report", "report_to_json", "report_from_json",
            "save_report_json", "load_report_json", "REPORT_FORMATS"]
@@ -170,10 +171,20 @@ def _jsonable(value):
 
 def _from_dict(cls, d: dict):
     """Rebuild a report dataclass from its JSON dict; a field missing from
-    ``d`` takes its dataclass default."""
-    return cls(**{f.name: _LOADERS.get(f.name, lambda v: v)(d[f.name])
-                  for f in fields(cls)
-                  if f.name in d and f.name not in _MODEL_FIELDS})
+    ``d`` takes its dataclass default.  A field that cannot be rebuilt (a
+    missing key, a wrong type) is a DataFormatError naming the field."""
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in d and f.name not in _MODEL_FIELDS:
+            try:
+                kwargs[f.name] = _LOADERS.get(f.name, lambda v: v)(d[f.name])
+            except (TypeError, KeyError, ValueError) as exc:
+                raise DataFormatError(
+                    f"report JSON field {f.name!r}: {exc}") from None
+    try:
+        return cls(**kwargs)
+    except TypeError as exc:
+        raise DataFormatError(f"report JSON: {exc}") from None
 
 
 def _folds_from_list(items) -> list:
@@ -222,7 +233,7 @@ def save_report_json(path, report: EvaluationReport) -> Path:
 
 
 def load_report_json(path) -> EvaluationReport:
-    return report_from_json(Path(path).read_text())
+    return report_from_json(read_ascii(path))
 
 
 def emit_report(report: EvaluationReport, fmt: str, out_dir) -> Path:

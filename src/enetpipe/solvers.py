@@ -15,6 +15,11 @@ coordinate minimizer, which is the update iterated here in fixed ascending
 sweep order.  Gradient components ``gc = X'X beta`` are kept incrementally;
 above ``_GRAM_COLUMN_LIMIT`` columns the mathematically identical residual
 form is used instead of materializing the Gram matrix.
+
+The sweep runs on plain Python floats and inlines the soft-threshold as
+``(z - t) / d`` above ``t``, ``(z + t) / d`` below ``-t`` and ``0.0``
+between; ``x - 0`` and ``0 - (-z - t)`` are exact, so its coefficients are
+bitwise what ``soft_threshold(z, t) / d`` gives.
 """
 
 from dataclasses import dataclass, field
@@ -121,14 +126,18 @@ def check_standardized(X) -> np.ndarray:
 
 def _coordinate_descent(X, y, lambda1, lambda2, stop_thr, max_sweeps):
     n, m = X.shape
-    ipy = X.T @ y
-    beta = np.zeros(m)
-    denom = 1.0 + 2.0 * lambda2
+    ipy = (X.T @ y).tolist()
+    beta = [0.0] * m
+    # Python floats: the penalties may arrive as numpy scalars
+    t = float(lambda1)
+    denom = float(1.0 + 2.0 * lambda2)
     use_gram = m <= _GRAM_COLUMN_LIMIT
     if use_gram:
         gram = X.T @ X
+        cols = [gram[:, j] for j in range(m)]
         gc = np.zeros(m)
     else:
+        cols = [X[:, j] for j in range(m)]
         resid = y.astype(np.float64).copy()
     objectives = []
     sweeps = 0
@@ -136,25 +145,33 @@ def _coordinate_descent(X, y, lambda1, lambda2, stop_thr, max_sweeps):
     while sweeps < max_sweeps:
         max_dif = 0.0
         for j in range(m):
+            b_old = beta[j]
             if use_gram:
-                z = (ipy[j] - gc[j]) / n + beta[j]
+                z = (ipy[j] - gc.item(j)) / n + b_old
             else:
-                z = float(X[:, j] @ resid) / n + beta[j]
-            b_new = soft_threshold(z, lambda1) / denom
-            dif = b_new - beta[j]
+                z = float(cols[j] @ resid) / n + b_old
+            # soft_threshold(z, t) / denom, bit for bit
+            if z > t:
+                b_new = (z - t) / denom
+            elif z < -t:
+                b_new = (z + t) / denom
+            else:
+                b_new = 0.0
+            dif = b_new - b_old
             if dif != 0.0:
                 beta[j] = b_new
                 if use_gram:
-                    gc += gram[:, j] * dif
+                    gc += cols[j] * dif
                 else:
-                    resid -= X[:, j] * dif
+                    resid -= cols[j] * dif
                 max_dif = max(max_dif, abs(dif))
         sweeps += 1
-        objectives.append(elastic_net_objective(X, y, beta, lambda1, lambda2))
+        objectives.append(
+            elastic_net_objective(X, y, np.array(beta), lambda1, lambda2))
         if max_dif < stop_thr:
             converged = True
             break
-    return beta, sweeps, converged, objectives
+    return np.array(beta), sweeps, converged, objectives
 
 
 def lasso_fit(X, y, cfg: PenaltyConfig) -> SolverResult:

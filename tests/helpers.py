@@ -1,5 +1,6 @@
 """Shared fixtures-by-hand for the test suite: instance generators, the
-independent grid-search oracle, and timing-field masking for golden files.
+independent grid-search oracle, the reference coordinate-descent sweep,
+and timing-field masking for golden files.
 """
 
 from __future__ import annotations
@@ -9,7 +10,9 @@ import re
 
 import numpy as np
 
-from enetpipe import PortableRng, standardize_columns
+from enetpipe import (PortableRng, elastic_net_objective, soft_threshold,
+                      standardize_columns)
+from enetpipe.solvers import _GRAM_COLUMN_LIMIT
 
 
 def regression_instance(seed: int, n: int, m: int, noise: float = 0.25):
@@ -110,3 +113,46 @@ def _mask_json_value(value):
 def mask_timing_json(content: str) -> str:
     """Replace every *time* field in a JSON report with a placeholder."""
     return json.dumps(_mask_json_value(json.loads(content)), indent=2)
+
+
+def reference_coordinate_descent(X, y, lambda1, lambda2, stop_thr, max_sweeps):
+    """The cyclic coordinate-descent sweep written plainly: numpy arrays,
+    fresh column views and one ``soft_threshold`` call per coordinate.
+
+    ``enetpipe.solvers._coordinate_descent`` must return the same bits.
+    """
+    n, m = X.shape
+    ipy = X.T @ y
+    beta = np.zeros(m)
+    denom = 1.0 + 2.0 * lambda2
+    use_gram = m <= _GRAM_COLUMN_LIMIT
+    if use_gram:
+        gram = X.T @ X
+        gc = np.zeros(m)
+    else:
+        resid = y.astype(np.float64).copy()
+    objectives = []
+    sweeps = 0
+    converged = False
+    while sweeps < max_sweeps:
+        max_dif = 0.0
+        for j in range(m):
+            if use_gram:
+                z = (ipy[j] - gc[j]) / n + beta[j]
+            else:
+                z = float(X[:, j] @ resid) / n + beta[j]
+            b_new = soft_threshold(z, lambda1) / denom
+            dif = b_new - beta[j]
+            if dif != 0.0:
+                beta[j] = b_new
+                if use_gram:
+                    gc += gram[:, j] * dif
+                else:
+                    resid -= X[:, j] * dif
+                max_dif = max(max_dif, abs(dif))
+        sweeps += 1
+        objectives.append(elastic_net_objective(X, y, beta, lambda1, lambda2))
+        if max_dif < stop_thr:
+            converged = True
+            break
+    return beta, sweeps, converged, objectives

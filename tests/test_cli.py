@@ -229,6 +229,23 @@ class TestExitCodes:
         path.write_bytes("1,2,1\n3,\xe9,-1\n".encode("latin-1"))
         assert main(["evaluate", "--features", str(path)]) == 2
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda text: text.replace('"folds": [', '"folds": [{}, ', 1),
+        lambda text: text.replace('"support": [', '"support": "x", "_": [', 1),
+        lambda text: text.replace('"group": "', '"group": "\xe9', 1),
+    ], ids=["empty-fold", "wrong-typed-fold-field", "non-ascii"])
+    def test_bad_report_json_is_two(self, workdir, capsys, corrupt):
+        features = _generate(workdir)
+        assert main(["evaluate", "--features", str(features),
+                     "--k-folds", "3"]) == 0
+        text = (workdir / "report.json").read_text()
+        bad = workdir / "bad.json"
+        bad.write_bytes(corrupt(text).encode("latin-1"))
+        capsys.readouterr()
+        assert main(["report", str(bad), "--out-dir",
+                     str(workdir / "out")]) == 2
+        assert "data error" in capsys.readouterr().err
+
     def test_missing_input_is_two(self, workdir):
         rc = main(["evaluate", "--features", "no_such_file.csv"])
         assert rc == 2

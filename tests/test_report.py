@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,34 @@ class TestJsonRoundTrip:
     def test_malformed_json_is_rejected(self, text):
         with pytest.raises(DataFormatError):
             report_from_json(text)
+
+    @pytest.mark.parametrize("edit,field", [
+        (lambda d: d.update(folds=[{}]), "fold_index"),
+        (lambda d: d.update(folds=5), "folds"),
+        (lambda d: d.update(folds=[1]), "folds"),
+        (lambda d: d["folds"][0].update(support="x"), "support"),
+        (lambda d: d["folds"][0].update(test_indices=[[1, 2], [3]]),
+         "test_indices"),
+        (lambda d: d.update(warnings=5), "warnings"),
+        (lambda d: d.update(comparison=3), "comparison"),
+        (lambda d: d.update(comparison={"baseline_selector": "x"}),
+         "proposed_selector"),
+        (lambda d: d["comparison"]["baseline_folds"][0].pop("lambda1"),
+         "lambda1"),
+    ])
+    def test_bad_field_is_a_format_error_naming_it(self, comparison_report,
+                                                   edit, field):
+        payload = json.loads(report_to_json(comparison_report))
+        edit(payload)
+        with pytest.raises(DataFormatError, match=field):
+            report_from_json(json.dumps(payload))
+
+    def test_non_ascii_file_is_a_format_error(self, plain_report, tmp_path):
+        path = tmp_path / "r.json"
+        path.write_bytes(report_to_json(plain_report)
+                         .replace('"g"', '"caf\xe9"').encode("latin-1"))
+        with pytest.raises(DataFormatError):
+            load_report_json(path)
 
 
 class TestEmitReport:

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from enetpipe import (PenaltyConfig, elastic_net_fit_cd,
                       elastic_net_objective, kkt_violation, lasso_fit,
                       load_coefficients, save_coefficients, select_support,
                       soft_threshold)
 from enetpipe.errors import ConfigError, ContractError
+from enetpipe.solvers import _GRAM_COLUMN_LIMIT, _coordinate_descent
 from helpers import grid_search_lasso_objective, regression_instance, \
-    duplicated_instance
+    duplicated_instance, reference_coordinate_descent
 
 
 class TestSoftThreshold:
@@ -92,6 +93,39 @@ class TestLasso:
         result = lasso_fit(X, y, PenaltyConfig(lambda1=0.02))
         diffs = np.diff(result.sweep_objectives)
         assert np.all(diffs <= 1e-12)
+
+
+class TestSweep:
+    @pytest.mark.parametrize("wide", [False, True])
+    @pytest.mark.parametrize("lambda1_frac", [1e-3, 0.5, 0.999, 1.0, 1.2])
+    @settings(derandomize=True, deadline=None, max_examples=8)
+    @given(seed=st.integers(0, 10_000), n=st.integers(5, 40),
+           m=st.integers(1, 30), lambda2=st.sampled_from([0.0, 0.01, 2.0]),
+           max_sweeps=st.sampled_from([1, 3, 2000]),
+           numpy_scalars=st.booleans())
+    def test_bit_identical_to_reference_sweep(self, wide, lambda1_frac, seed,
+                                              n, m, lambda2, max_sweeps,
+                                              numpy_scalars):
+        if wide:
+            # residual branch; few rows and sweeps keep it cheap
+            n, m = 5 + n % 8, _GRAM_COLUMN_LIMIT - 1 + m % 6
+            max_sweeps = min(max_sweeps, 3)
+        X, y = regression_instance(seed, n, m)
+        # a copy of column 0 right after it, and a zero column at the end
+        X = np.column_stack([X[:, :1], X, np.zeros(n)])
+        assert (X.shape[1] > _GRAM_COLUMN_LIMIT) == wide
+        # the lambda search passes numpy scalars, fixed penalties are floats
+        scalar = np.float64 if numpy_scalars else float
+        lambda1 = scalar(lambda1_frac * np.abs(X.T @ y).max() / n)
+        args = (X, y, lambda1, scalar(lambda2), 1e-7, max_sweeps)
+        beta, sweeps, converged, objectives = _coordinate_descent(*args)
+        ref_beta, ref_sweeps, ref_converged, ref_objectives = \
+            reference_coordinate_descent(*args)
+        assert beta.dtype == ref_beta.dtype
+        assert beta.tobytes() == ref_beta.tobytes()
+        assert (sweeps, converged) == (ref_sweeps, ref_converged)
+        assert (np.array(objectives).tobytes()
+                == np.array(ref_objectives).tobytes())
 
 
 class TestElasticNet:
