@@ -6,7 +6,6 @@ report. The duplicated pair makes the selector behaviors visible: the
 elastic net keeps both twins, the lasso keeps exactly one.
 """
 
-import pathlib
 import tempfile
 
 import numpy as np
@@ -39,9 +38,9 @@ def main():
         print(f"lasso fold {outcome.fold_index}: keeps twins {twins}, "
               f"support size {len(outcome.support)}")
 
-    out = pathlib.Path(tempfile.mkdtemp())
     print()
-    print(emit_report(report, "text-table", out).read_text())
+    with tempfile.TemporaryDirectory() as out:
+        print(emit_report(report, "text-table", out).read_text())
 
 
 if __name__ == "__main__":

@@ -16,6 +16,20 @@ All arrays are float64, batch-first, channels-first. Max-pool ties resolve
 to the first occurrence in row-major window order, and training uses plain
 minibatch SGD on mean cross-entropy with a seeded portable shuffle, so runs
 are reproducible bit-for-bit.
+
+Training keeps the ReLU mask and the pool's argmax indices for the
+backward pass. Extraction (``cnn_forward``, ``cnn_forward_batch``,
+``extract_image_features``) needs neither: it takes the maximum ``m`` of
+the raw conv map over the four strided views v0..v3 of each 2x2 window
+(row-major order), then rectifies, ``where(m > 0, m, v0 * 0.0)``. This
+returns the same bits as ReLU followed by the first-occurrence pool. If
+``m > 0``, both give the window's largest value. If ``m <= 0``, ReLU
+turns each entry e into ``e * 0``, a zero with e's sign; the four zeros
+tie, so the pool keeps the first, ``v0 * 0.0``. The shorter
+``m * (m > 0)`` is not exact: ``np.maximum`` may return either zero on a
++0/-0 tie, and ``%.17g`` prints -0.0 as ``-0``. Because the pool would
+hide an overflow in a window's smaller entries, extraction raises
+NumericalError when a stage's conv output is not finite.
 """
 
 from __future__ import annotations
@@ -167,6 +181,15 @@ def _maxpool(x):
     return out, idx
 
 
+def _pool_then_rectify(x):
+    """2x2 max-pool of the raw conv map, then ReLU: the same bits as ReLU
+    then ``_maxpool``, the sign of zero included (see the module docstring)."""
+    v0, v1 = x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2]
+    v2, v3 = x[:, :, 1::2, 0::2], x[:, :, 1::2, 1::2]
+    m = np.maximum(np.maximum(v0, v1), np.maximum(v2, v3))
+    return np.where(m > 0.0, m, v0 * 0.0)
+
+
 def _unpool(dout, idx, pooled_from_shape):
     b, c, h, w = pooled_from_shape
     tiles = np.zeros((b, c, h // 2, w // 2, 4))
@@ -185,15 +208,20 @@ def _forward_batch(net: CnnNetwork, x, want_cache: bool = False):
             raise ContractError(
                 f"stage {stage + 1} conv produced {out.shape[1:]}, "
                 f"expected {expected[2 * stage]}")
-        relu_mask = out > 0.0
-        activated = out * relu_mask
-        pooled, idx = _maxpool(activated)
+        if want_cache:
+            relu_mask = out > 0.0
+            activated = out * relu_mask
+            pooled, idx = _maxpool(activated)
+            caches.append((x_pad, relu_mask, idx, activated.shape))
+        else:
+            if not np.isfinite(out).all():
+                raise NumericalError(
+                    f"stage {stage + 1} convolution output is not finite")
+            pooled = _pool_then_rectify(out)
         if pooled.shape[1:] != expected[2 * stage + 1]:
             raise ContractError(
                 f"stage {stage + 1} pool produced {pooled.shape[1:]}, "
                 f"expected {expected[2 * stage + 1]}")
-        if want_cache:
-            caches.append((x_pad, relu_mask, idx, activated.shape))
         x = pooled
     features = x.reshape(x.shape[0], -1)
     logits = features @ net.fc_weights.T + net.fc_bias

@@ -172,12 +172,15 @@ def _jsonable(value):
 def _from_dict(cls, d: dict):
     """Rebuild a report dataclass from its JSON dict; a field missing from
     ``d`` takes its dataclass default.  A field that cannot be rebuilt (a
-    missing key, a wrong type) is a DataFormatError naming the field."""
+    missing key, a wrong type, a numeric field that is not an int or a
+    float) is a DataFormatError naming the field."""
     kwargs = {}
     for f in fields(cls):
         if f.name in d and f.name not in _MODEL_FIELDS:
+            load = _LOADERS.get(f.name) or _SCALAR_LOADERS.get(f.type,
+                                                               lambda v: v)
             try:
-                kwargs[f.name] = _LOADERS.get(f.name, lambda v: v)(d[f.name])
+                kwargs[f.name] = load(d[f.name])
             except (TypeError, KeyError, ValueError) as exc:
                 raise DataFormatError(
                     f"report JSON field {f.name!r}: {exc}") from None
@@ -195,7 +198,22 @@ def _index_array(v):
     return None if v is None else np.asarray(v, dtype=np.int64)
 
 
-# Field name -> conversion from its JSON value; other fields load as-is.
+def _number(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return value
+
+
+# Field annotation (a string: the report dataclasses postpone their
+# annotations) -> check of a numeric scalar field's JSON value.
+_SCALAR_LOADERS = {
+    "int": _number,
+    "float": _number,
+    "float | None": lambda v: None if v is None else _number(v),
+}
+
+# Field name -> conversion from its JSON value; fields that neither this
+# nor _SCALAR_LOADERS names load as-is.
 _LOADERS = {
     "test_indices": _index_array,
     "support": _index_array,

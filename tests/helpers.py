@@ -1,6 +1,7 @@
 """Shared fixtures-by-hand for the test suite: instance generators, the
 independent grid-search oracle, the reference coordinate-descent sweep,
-and timing-field masking for golden files.
+the reference CNN extraction forward, and timing-field masking for golden
+files.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import numpy as np
 
 from enetpipe import (PortableRng, elastic_net_objective, soft_threshold,
                       standardize_columns)
+from enetpipe.cnn import _conv_same, _maxpool
 from enetpipe.solvers import _GRAM_COLUMN_LIMIT
 
 
@@ -156,3 +158,16 @@ def reference_coordinate_descent(X, y, lambda1, lambda2, stop_thr, max_sweeps):
             converged = True
             break
     return beta, sweeps, converged, objectives
+
+
+def reference_forward_features(net, x):
+    """Per-patch CNN features the plain way: each stage rectifies the conv
+    output with its ReLU mask, then takes the first-occurrence argmax pool.
+
+    The forward-only branch of ``enetpipe.cnn._forward_batch`` must return
+    the same bytes, the sign of every zero included.
+    """
+    for w, b in zip(net.conv_weights, net.conv_biases):
+        out, _ = _conv_same(x, w, b)
+        x, _ = _maxpool(out * (out > 0.0))
+    return x.reshape(x.shape[0], -1)

@@ -232,8 +232,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("corrupt", [
         lambda text: text.replace('"folds": [', '"folds": [{}, ', 1),
         lambda text: text.replace('"support": [', '"support": "x", "_": [', 1),
+        lambda text: text.replace('"accuracy": ', '"accuracy": "x", "_": ', 1),
         lambda text: text.replace('"group": "', '"group": "\xe9', 1),
-    ], ids=["empty-fold", "wrong-typed-fold-field", "non-ascii"])
+    ], ids=["empty-fold", "wrong-typed-fold-field", "wrong-typed-fold-scalar",
+            "non-ascii"])
     def test_bad_report_json_is_two(self, workdir, capsys, corrupt):
         features = _generate(workdir)
         assert main(["evaluate", "--features", str(features),
@@ -306,6 +308,19 @@ class TestImageCommands:
                    "--net", str(workdir / "cnn.txt"), "--centers", "3",
                    "--labels", str(labels_file)])
         assert rc == 2
+
+    def test_overflowing_network_is_three(self, workdir):
+        vol = workdir / "ones.raw3d"
+        save_volume_raw3d(vol, Volume3D(np.ones((40, 40, 40))))
+        net = cnn_init(CnnConfig(), seed=0)
+        for w in net.conv_weights:
+            w[...] = 1e200
+        save_cnn(workdir / "cnn.txt", net)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            rc = main(["extract", str(vol), "--net",
+                       str(workdir / "cnn.txt"), "--centers", "3"])
+        assert rc == 3
+        assert not (workdir / "features.csv").exists()
 
     def test_extract_with_labels(self, workdir):
         paths = self._volumes(workdir)

@@ -1,12 +1,18 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from enetpipe import (CnnConfig, PortableRng, Volume3D, cnn_forward,
                       cnn_forward_batch, cnn_init, cnn_loss_grad,
                       cnn_train_sgd, default_patch_centers,
-                      extract_image_features, load_cnn, save_cnn)
-from enetpipe.cnn import _maxpool, _unpool
+                      extract_image_features, extract_patch_2_5d, load_cnn,
+                      save_cnn)
+from enetpipe.cnn import (_forward_batch, _maxpool, _pool_then_rectify,
+                          _unpool)
 from enetpipe.errors import ConfigError, DataError, NumericalError
+
+from helpers import reference_forward_features
 
 # small configuration for everything gradient- or training-related;
 # the full-size network is exercised by the acceptance suite
@@ -175,7 +181,6 @@ def test_extract_image_features_concatenates_in_center_order():
     centers = default_patch_centers(vol.voxels.shape, count=3)
     vec = extract_image_features(net, vol, centers, expected_count=3)
     assert vec.shape == (3 * net.config.feature_length,)
-    from enetpipe import extract_patch_2_5d
     f0, _ = cnn_forward(net, extract_patch_2_5d(vol, centers[0]))
     np.testing.assert_allclose(vec[:net.config.feature_length], f0,
                                atol=1e-12)
@@ -187,3 +192,93 @@ def test_extract_image_features_count_contract():
     centers = default_patch_centers(vol.voxels.shape, count=3)
     with pytest.raises(DataError):
         extract_image_features(net, vol, centers, expected_count=5)
+
+
+# Forward-only extraction: pool the raw conv map, then rectify. It must give
+# the bytes of ReLU-then-argmax-pool, so every comparison below is on
+# .tobytes(), where -0.0 and 0.0 differ.
+
+_WINDOW_VALUES = (0.0, -0.0, 1.0, -1.0, 3.5, -3.5, 1e-300, -1e-300)
+
+
+def test_pool_then_rectify_matches_relu_then_pool_on_every_window():
+    windows = np.array(list(itertools.product(_WINDOW_VALUES, repeat=4)))
+    x = windows.reshape(-1, 1, 2, 2)                # row-major window order
+    assert x.shape[0] == 8 ** 4
+    expected, _ = _maxpool(x * (x > 0.0))
+    assert _pool_then_rectify(x).tobytes() == expected.tobytes()
+
+
+def _bias_variant(net, kind):
+    for b in net.conv_biases:
+        if kind == "zero":
+            b[...] = 0.0
+        elif kind == "negative-zero":
+            b[...] = -0.0
+        elif kind == "negative":
+            b[...] = -0.5 - np.arange(b.size) / b.size
+    return net
+
+
+# Rows of the input set exactly to zero. Below a zero band that starts
+# inside a pool window, conv outputs of +0.0 follow negative ones in the
+# window. A band from 2/5 of the height keeps such windows alive up to the
+# last pool of the default geometry, where they reach the features.
+_ZERO_ROWS = {
+    "none": lambda s: slice(0, 0),
+    "top-half": lambda s: slice(0, s // 2),
+    "bottom-half": lambda s: slice(s // 2, None),
+    "bottom-from-2/5": lambda s: slice(2 * s // 5, None),
+}
+
+
+@pytest.mark.parametrize("config", [TINY, CnnConfig()], ids=["8x8", "32x32"])
+@pytest.mark.parametrize("bias", ["init", "zero", "negative-zero", "negative"])
+@pytest.mark.parametrize("zero_rows", sorted(_ZERO_ROWS))
+def test_forward_only_features_match_reference_bytes(config, bias, zero_rows):
+    net = _bias_variant(cnn_init(config, seed=31), bias)
+    size = config.input_size
+    batch = PortableRng(32).normals(4 * 3 * size * size).reshape(4, 3, size,
+                                                                 size)
+    batch[:, :, _ZERO_ROWS[zero_rows](size)] = 0.0
+    expected = reference_forward_features(net, batch).tobytes()
+    features, _ = cnn_forward_batch(net, batch)
+    assert features.tobytes() == expected
+    cached = _forward_batch(net, batch, want_cache=True)[0]
+    assert cached.tobytes() == expected
+    single, _ = cnn_forward(net, batch[1])
+    assert single.tobytes() == reference_forward_features(
+        net, batch[1:2])[0].tobytes()
+
+
+@pytest.mark.parametrize("bias", ["zero", "negative-zero", "negative"])
+def test_extract_image_features_matches_reference_bytes(bias):
+    net = _bias_variant(cnn_init(seed=33), bias)
+    vox = PortableRng(34).normals(40 * 40 * 40).reshape(40, 40, 40)
+    # a zero band from y = 12 starts inside pool windows of every patch,
+    # and some of those windows reach the last pool
+    vox[:, 12:] = 0.0
+    vol = Volume3D(voxels=vox)
+    centers = default_patch_centers(vol.voxels.shape, count=5)
+    planes = np.stack([extract_patch_2_5d(vol, c).planes for c in centers])
+    expected = reference_forward_features(net, planes).reshape(-1)
+    vec = extract_image_features(net, vol, centers, expected_count=5,
+                                 batch_size=2)
+    assert vec.tobytes() == expected.tobytes()
+
+
+def _overflowing_net():
+    net = cnn_init(seed=35)
+    for w in net.conv_weights:
+        w[...] = 1e200
+    return net
+
+
+def test_overflowing_network_raises_numerical_error():
+    vol = Volume3D(voxels=np.ones((40, 40, 40)))
+    centers = default_patch_centers(vol.voxels.shape, count=3)
+    # numpy reports the overflow as it happens; the typed error follows
+    with pytest.raises(NumericalError, match="stage 2"), \
+            pytest.warns(RuntimeWarning, match="overflow"):
+        extract_image_features(_overflowing_net(), vol, centers,
+                               expected_count=3)

@@ -187,12 +187,36 @@ class TestJsonRoundTrip:
          "proposed_selector"),
         (lambda d: d["comparison"]["baseline_folds"][0].pop("lambda1"),
          "lambda1"),
+        (lambda d: d["folds"][0].update(accuracy="x"), "accuracy"),
+        (lambda d: d["folds"][0].update(time_ms=[1.0]), "time_ms"),
+        (lambda d: d["folds"][0].update(n_candidate_features=None),
+         "n_candidate_features"),
+        (lambda d: d["comparison"]["baseline_folds"][0].update(lambda2="0"),
+         "lambda2"),
+        (lambda d: d["comparison"].update(baseline_mean_accuracy="x"),
+         "baseline_mean_accuracy"),
+        (lambda d: d["comparison"].update(mean_time_delta_ms=False),
+         "mean_time_delta_ms"),
+        (lambda d: d.update(mean_accuracy="x"), "mean_accuracy"),
+        (lambda d: d.update(k_folds=True), "k_folds"),
     ])
     def test_bad_field_is_a_format_error_naming_it(self, comparison_report,
                                                    edit, field):
         payload = json.loads(report_to_json(comparison_report))
         edit(payload)
         with pytest.raises(DataFormatError, match=field):
+            report_from_json(json.dumps(payload))
+
+    def test_numeric_fields_take_ints_floats_and_declared_nulls(
+            self, comparison_report):
+        payload = json.loads(report_to_json(comparison_report))
+        payload["folds"][0].update(accuracy=1, time_ms=None, lambda1=None)
+        payload["comparison"].update(baseline_mean_accuracy=0)
+        back = report_from_json(json.dumps(payload))
+        assert back.folds[0].accuracy == 1 and back.folds[0].time_ms is None
+        assert back.comparison.baseline_mean_accuracy == 0
+        payload["comparison"].update(baseline_mean_accuracy=None)
+        with pytest.raises(DataFormatError, match="baseline_mean_accuracy"):
             report_from_json(json.dumps(payload))
 
     def test_non_ascii_file_is_a_format_error(self, plain_report, tmp_path):
