@@ -29,7 +29,8 @@ tie, so the pool keeps the first, ``v0 * 0.0``. The shorter
 ``m * (m > 0)`` is not exact: ``np.maximum`` may return either zero on a
 +0/-0 tie, and ``%.17g`` prints -0.0 as ``-0``. Because the pool would
 hide an overflow in a window's smaller entries, extraction raises
-NumericalError when a stage's conv output is not finite.
+NumericalError when a stage's conv output is not finite; numpy's own
+overflow warning is silenced there, so that error is the one signal.
 """
 
 from __future__ import annotations
@@ -202,8 +203,12 @@ def _forward_batch(net: CnnNetwork, x, want_cache: bool = False):
     cfg = net.config
     expected = cfg.stage_trace()
     caches = []
+    # extraction's finite check below is its one overflow signal
+    quiet = None if want_cache else "ignore"
     for stage in range(3):
-        out, x_pad = _conv_same(x, net.conv_weights[stage], net.conv_biases[stage])
+        with np.errstate(over=quiet, invalid=quiet):
+            out, x_pad = _conv_same(x, net.conv_weights[stage],
+                                    net.conv_biases[stage])
         if out.shape[1:] != expected[2 * stage]:
             raise ContractError(
                 f"stage {stage + 1} conv produced {out.shape[1:]}, "

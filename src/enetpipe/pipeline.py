@@ -7,6 +7,11 @@ rows are transformed with the frozen parameters. This is load-bearing: the
 leakage test recomputes a fold with garbage test rows and requires identical
 fitted parameters.
 
+A fold's design (its standardization, PCA and re-standardization, fitted on
+its training rows only) does not depend on the selector, so with PCA the two
+arms of compare_selectors share it: each fold's design is fitted once and
+both arms read the same matrices, records and PCA model.
+
 Determinism: all randomness flows from config.seed through the portable
 generator. The only nondeterministic report content is wall-clock timing.
 """
@@ -37,6 +42,9 @@ __all__ = ["PipelineConfig", "FoldOutcome", "EvaluationReport",
            "compare_selectors"]
 
 SELECTORS = ("lasso", "elastic_net_cd", "elastic_net_svm", "none")
+
+# Errors that fail one fold instead of the whole run.
+_FOLD_ERRORS = (EnetPipeError, np.linalg.LinAlgError)
 
 # Number of lambda1 candidates tried by the per-fold internal validation.
 _LAMBDA_GRID_POINTS = 5
@@ -240,13 +248,20 @@ def choose_lambda1(X, y, cfg: PipelineConfig, seed: int):
     return float(best_lam)
 
 
-def _evaluate_fold(cfg: PipelineConfig, X, labels, train_idx, test_idx,
-                   fold_index: int) -> FoldOutcome:
-    warnings = []
+@dataclass(frozen=True)
+class _FoldDesign:
+    """A fold's data after the preprocessing fitted on its training rows;
+    the matrices are read-only, so selector arms can share it."""
+    X_train: np.ndarray
+    X_test: np.ndarray
+    standardization: StandardizationRecord
+    pca: PcaModel | None
+    post_pca_standardization: StandardizationRecord
+
+
+def _prepare_fold(cfg: PipelineConfig, X, train_idx, test_idx) -> _FoldDesign:
     X_train, record = standardize_columns(X[train_idx])
     X_test = apply_standardization(record, X[test_idx])
-    y_train_labels = labels[train_idx]
-    y_test_labels = labels[test_idx]
 
     pca_model = None
     if cfg.use_pca:
@@ -258,6 +273,16 @@ def _evaluate_fold(cfg: PipelineConfig, X, labels, train_idx, test_idx,
     # does not have them; re-standardize on the training rows.
     X_train, post_record = standardize_columns(X_train)
     X_test = apply_standardization(post_record, X_test)
+    X_train.flags.writeable = X_test.flags.writeable = False
+    return _FoldDesign(X_train, X_test, record, pca_model, post_record)
+
+
+def _evaluate_fold(cfg: PipelineConfig, design: _FoldDesign, labels,
+                   train_idx, test_idx, fold_index: int) -> FoldOutcome:
+    warnings = []
+    X_train, X_test = design.X_train, design.X_test
+    y_train_labels = labels[train_idx]
+    y_test_labels = labels[test_idx]
 
     lambda1 = cfg.lambda1
     lambda2 = cfg.lambda2
@@ -302,9 +327,9 @@ def _evaluate_fold(cfg: PipelineConfig, X, labels, train_idx, test_idx,
         lambda1=lambda1,
         lambda2=lambda2,
         warnings=tuple(warnings),
-        standardization=record,
-        post_pca_standardization=post_record,
-        pca=pca_model,
+        standardization=design.standardization,
+        post_pca_standardization=design.post_pca_standardization,
+        pca=design.pca,
         elm=model,
     )
 
@@ -319,7 +344,15 @@ def _folds_for(cfg: PipelineConfig, n: int):
     return kfold_split(n, cfg.k_folds, cfg.seed)
 
 
-def run_pipeline(cfg: PipelineConfig, features, labels) -> EvaluationReport:
+def run_pipeline(cfg: PipelineConfig, features, labels, *,
+                 designs: dict | None = None) -> EvaluationReport:
+    """Evaluate cfg's pipeline on every fold of features and labels.
+
+    designs, when given, is shared by calls on the same data whose configs
+    differ only in selector and lambda2 (see compare_selectors): the first
+    call stores each fold's design, or the error its preparation raised,
+    under the fold index, and later calls reuse it.
+    """
     X = validate_feature_matrix(features)
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.shape[0] != X.shape[0]:
@@ -333,10 +366,20 @@ def run_pipeline(cfg: PipelineConfig, features, labels) -> EvaluationReport:
         train_mask = np.ones(X.shape[0], dtype=bool)
         train_mask[test_idx] = False
         train_idx = all_indices[train_mask]
+        design = None if designs is None else designs.get(fold_index)
+        if design is None:
+            try:
+                design = _prepare_fold(cfg, X, train_idx, test_idx)
+            except _FOLD_ERRORS as exc:
+                design = exc          # every sharing arm records this failure
+            if designs is not None:
+                designs[fold_index] = design
         try:
-            outcome = _evaluate_fold(cfg, X, labels, train_idx, test_idx,
+            if isinstance(design, Exception):
+                raise design
+            outcome = _evaluate_fold(cfg, design, labels, train_idx, test_idx,
                                      fold_index)
-        except (EnetPipeError, np.linalg.LinAlgError) as exc:
+        except _FOLD_ERRORS as exc:
             outcome = FoldOutcome(
                 fold_index=fold_index, test_indices=np.asarray(test_idx),
                 accuracy=None, time_ms=None, support=None,
@@ -375,8 +418,13 @@ def compare_selectors(cfg: PipelineConfig, features, labels,
     # an explicit ridge weight belongs to the elastic-net arm only
     base_cfg = replace(cfg, selector=baseline,
                        lambda2=None if baseline == "lasso" else cfg.lambda2)
-    base_report = run_pipeline(base_cfg, features, labels)
-    prop_report = run_pipeline(replace(cfg, selector=proposed), features, labels)
+    # Both arms see each fold's standardization and PCA, fitted once.
+    # Without PCA a design is as large as the fold's rows and cheap to
+    # rebuild, so each arm builds its own instead of holding all k of them.
+    designs = {} if cfg.use_pca else None
+    base_report = run_pipeline(base_cfg, features, labels, designs=designs)
+    prop_report = run_pipeline(replace(cfg, selector=proposed), features,
+                               labels, designs=designs)
     if base_report.fold_hash != prop_report.fold_hash:
         raise EnetPipeError(
             "comparison arms received different fold assignments")

@@ -309,17 +309,19 @@ class TestImageCommands:
                    "--labels", str(labels_file)])
         assert rc == 2
 
-    def test_overflowing_network_is_three(self, workdir):
+    def test_overflowing_network_is_three(self, workdir, capsys):
         vol = workdir / "ones.raw3d"
         save_volume_raw3d(vol, Volume3D(np.ones((40, 40, 40))))
         net = cnn_init(CnnConfig(), seed=0)
         for w in net.conv_weights:
             w[...] = 1e200
         save_cnn(workdir / "cnn.txt", net)
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            rc = main(["extract", str(vol), "--net",
-                       str(workdir / "cnn.txt"), "--centers", "3"])
+        capsys.readouterr()
+        rc = main(["extract", str(vol), "--net",
+                   str(workdir / "cnn.txt"), "--centers", "3"])
         assert rc == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: stage 2 convolution output is not finite\n")
         assert not (workdir / "features.csv").exists()
 
     def test_extract_with_labels(self, workdir):

@@ -277,8 +277,7 @@ def _overflowing_net():
 def test_overflowing_network_raises_numerical_error():
     vol = Volume3D(voxels=np.ones((40, 40, 40)))
     centers = default_patch_centers(vol.voxels.shape, count=3)
-    # numpy reports the overflow as it happens; the typed error follows
-    with pytest.raises(NumericalError, match="stage 2"), \
-            pytest.warns(RuntimeWarning, match="overflow"):
+    # the typed error is the only signal: warnings are errors in this suite
+    with pytest.raises(NumericalError, match="stage 2"):
         extract_image_features(_overflowing_net(), vol, centers,
                                expected_count=3)
