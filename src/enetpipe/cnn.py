@@ -159,17 +159,22 @@ def _conv_same(x, w, b):
     return out, x_pad
 
 
-def _conv_backward(dout, x_pad, w):
+def _conv_param_grad(dout, x_pad):
+    """Gradients of a ``_conv_same`` stage's weights and bias."""
     windows = sliding_window_view(x_pad, (3, 3), axis=(2, 3))
     dw = np.einsum("bchwij,bohw->ocij", windows, dout, optimize=True)
-    db = dout.sum(axis=(0, 2, 3))
+    return dw, dout.sum(axis=(0, 2, 3))
+
+
+def _conv_input_grad(dout, x_pad, w):
+    """Gradient of a ``_conv_same`` stage's (unpadded) input."""
     h, wd = dout.shape[2], dout.shape[3]
     dx_pad = np.zeros_like(x_pad)
     for di in range(3):
         for dj in range(3):
             dx_pad[:, :, di:di + h, dj:dj + wd] += np.einsum(
                 "bohw,oc->bchw", dout, w[:, :, di, dj], optimize=True)
-    return dw, db, dx_pad[:, :, 1:-1, 1:-1]
+    return dx_pad[:, :, 1:-1, 1:-1]
 
 
 def _maxpool(x):
@@ -283,9 +288,9 @@ def cnn_loss_grad(net: CnnNetwork, batch, labels):
         x_pad, relu_mask, idx, act_shape = caches[stage]
         dact = _unpool(grad, idx, act_shape)
         dact *= relu_mask
-        dw, db, grad = _conv_backward(dact, x_pad, net.conv_weights[stage])
-        dconv_w[stage] = dw
-        dconv_b[stage] = db
+        dconv_w[stage], dconv_b[stage] = _conv_param_grad(dact, x_pad)
+        if stage > 0:  # the input patch needs no gradient
+            grad = _conv_input_grad(dact, x_pad, net.conv_weights[stage])
     return loss, CnnGradients(dconv_w, dconv_b, dfc_w, dfc_b)
 
 

@@ -173,12 +173,13 @@ def standardize_columns(X):
     centered = X - means
     scales = np.sqrt((centered**2).mean(axis=0))
     degenerate = scales <= _DEGENERATE_REL_TOL * np.maximum(1.0, np.abs(means))
-    safe = np.where(degenerate, 1.0, scales)
-    out = np.where(degenerate, 0.0, centered / safe)
+    scales[degenerate] = 1.0
+    centered /= scales
+    centered[:, degenerate] = 0.0
     record = StandardizationRecord(
-        column_means=means, column_scales=safe, degenerate=degenerate
+        column_means=means, column_scales=scales, degenerate=degenerate
     )
-    return out, record
+    return centered, record
 
 
 def apply_standardization(record: StandardizationRecord, X):
@@ -189,7 +190,8 @@ def apply_standardization(record: StandardizationRecord, X):
             f"matrix has {X.shape[1]} columns, record expects "
             f"{record.column_means.shape[0]}"
         )
-    out = (X - record.column_means) / record.column_scales
+    out = X - record.column_means
+    out /= record.column_scales
     out[:, record.degenerate] = 0.0
     return out
 

@@ -1,8 +1,17 @@
 """Principal component analysis on feature matrices.
 
-Fit uses the singular value decomposition of the centered data; eigenvalues
-of the sample covariance (divisor N-1) are recovered from the singular
-values. Component signs follow a fixed convention so repeated fits and
+Fit takes one of two routes, by the shape of the N x M data:
+
+- N >= M: the singular value decomposition of the centered data C.
+- N < M (short, wide data such as CNN features of a few dozen subjects):
+  Sirovich's method of snapshots. ``eigh`` of the N x N Gram matrix C C^T
+  gives the squared singular values and the left singular vectors V, and
+  each kept component is ``V[:, k]^T C / s_k``.
+
+Either way the eigenvalues of the sample covariance (divisor N-1) are the
+squared singular values over N-1. The Gram matrix squares the condition
+number, so its rank cut is a tolerance on eigenvalues (see `pca_fit`).
+Component signs follow a fixed convention so repeated fits and
 cross-implementation comparisons are stable: the largest-magnitude entry of
 each component is made positive.
 """
@@ -53,8 +62,15 @@ def pca_fit(X, retain=0.95) -> PcaModel:
     components to cover a `retain` fraction of the variance (float in (0,1]).
 
     A float of exactly 1.0 keeps the numerical rank of the centered data.
-    Integer counts above min(N-1, M) are clamped, with a note recorded on
-    the model.
+    With N >= M that rank counts singular values ``s_k > s_0 * max(N, M) *
+    eps``, and integer counts above min(N-1, M) are clamped, with a note
+    recorded on the model. With N < M it counts Gram eigenvalues
+    ``lambda_k > lambda_0 * max(N, M) * eps``, that is ``s_k > s_0 *
+    sqrt(max(N, M) * eps)``; no component is built from an eigenvalue at or
+    below that tolerance, so an integer count above the rank is reduced to
+    it, with a note. A kept component carries a relative error of about
+    ``eps * (s_0 / s_k)**2`` on that route, at most about 1/max(N, M) at
+    the cut.
     """
     X = validate_feature_matrix(X)
     n, m = X.shape
@@ -64,11 +80,21 @@ def pca_fit(X, retain=0.95) -> PcaModel:
 
     mean = X.mean(axis=0)
     centered = X - mean
-    _, sing, vt = np.linalg.svd(centered, full_matrices=False)
-    eigenvalues = sing ** 2 / (n - 1)
     max_rank = min(n - 1, m)
-    rank_tol = sing[0] * max(n, m) * np.finfo(np.float64).eps if sing.size else 0.0
-    rank = int(np.sum(sing > rank_tol))
+    if n < m:
+        gram_eigenvalues, left = np.linalg.eigh(centered @ centered.T)
+        gram_eigenvalues = np.maximum(gram_eigenvalues[::-1], 0.0)
+        left = left[:, ::-1]
+        tol = gram_eigenvalues[0] * max(n, m) * np.finfo(np.float64).eps
+        rank = min(int(np.sum(gram_eigenvalues > tol)), max_rank)
+        eigenvalues = gram_eigenvalues / (n - 1)
+        max_rank, limit = rank, "the numerical rank"
+    else:
+        _, sing, vt = np.linalg.svd(centered, full_matrices=False)
+        eigenvalues = sing ** 2 / (n - 1)
+        rank_tol = sing[0] * max(n, m) * np.finfo(np.float64).eps
+        rank = int(np.sum(sing > rank_tol))
+        limit = "min(N-1, M)"
 
     notes = []
     if isinstance(retain, (int, np.integer)) and not isinstance(retain, bool):
@@ -77,7 +103,7 @@ def pca_fit(X, retain=0.95) -> PcaModel:
             raise DimensionError(f"component count must be >= 1, got {k}")
         if k > max_rank:
             notes.append(
-                f"requested {k} components clamped to min(N-1, M) = {max_rank}")
+                f"requested {k} components reduced to {limit} = {max_rank}")
             k = max_rank
     else:
         fraction = float(retain)
@@ -91,6 +117,8 @@ def pca_fit(X, retain=0.95) -> PcaModel:
             k = int(np.searchsorted(cumulative, fraction - 1e-12) + 1)
             k = min(k, max_rank)
 
+    if n < m:
+        vt = (left[:, :k].T @ centered) / np.sqrt(gram_eigenvalues[:k, None])
     components = _apply_sign_convention(vt[:k])
     return PcaModel(mean=mean,
                     components=components,

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from enetpipe import (PortableRng, load_pca, pca_fit, pca_inverse,
-                      pca_transform, save_pca)
-from enetpipe.errors import DimensionError, InsufficientDataError
+from enetpipe import (PipelineConfig, PortableRng, load_pca, pca_fit,
+                      pca_inverse, pca_transform, run_pipeline, save_pca)
+from enetpipe.errors import (DimensionError, EnetPipeError,
+                             InsufficientDataError)
 
 
 def _blobs(seed: int = 0, n: int = 60, m: int = 8):
@@ -109,3 +110,56 @@ def test_transform_dimension_mismatch():
     model = pca_fit(_blobs(10), retain=2)
     with pytest.raises(DimensionError):
         pca_transform(model, np.zeros((3, 2)))
+
+
+# Wide data (N < M) takes the snapshot route: eigh of the N x N Gram matrix.
+
+def _wide(seed: int, n: int, m: int):
+    X = PortableRng(seed).normal_matrix(n, m)
+    X[:, :n] *= np.linspace(6.0, 1.5, n)  # well-separated leading spectrum
+    return X + 3.0
+
+
+@pytest.mark.parametrize("n, m", [(12, 300), (30, 500)])
+def test_snapshot_route_agrees_with_svd(n, m):
+    X = _wide(11, n, m)
+    model = pca_fit(X, retain=0.95)
+    k = model.n_components
+    centered = X - X.mean(axis=0)
+    _, sing, vt = np.linalg.svd(centered, full_matrices=False)
+    assert abs(float(model.components[0] @ vt[0])) >= 1.0 - 1e-12
+    np.testing.assert_allclose(model.explained_variance,
+                               sing[:k] ** 2 / (n - 1), rtol=1e-12, atol=0.0)
+    signs = np.sign(np.sum(model.components * vt[:k], axis=1))
+    np.testing.assert_allclose(pca_transform(model, X),
+                               (centered @ vt[:k].T) * signs, atol=1e-10)
+
+
+@pytest.mark.parametrize("n, m", [(12, 300), (30, 500)])
+def test_snapshot_components_orthonormal_with_sign_convention(n, m):
+    model = pca_fit(_wide(12, n, m), retain=1.0)
+    assert model.n_components == n - 1
+    gram = model.components @ model.components.T
+    np.testing.assert_allclose(gram, np.eye(n - 1), atol=1e-10)
+    for row in model.components:
+        assert row[np.argmax(np.abs(row))] > 0
+
+
+def test_snapshot_rank_deficient_data_keeps_rank():
+    distinct = _wide(13, 4, 300)
+    X = np.repeat(distinct, 3, axis=0)  # 12 rows, centered rank 3 < N-1
+    assert pca_fit(X, retain=1.0).n_components == 3
+    model = pca_fit(X, retain=8)
+    assert model.n_components == 3
+    np.testing.assert_allclose(np.linalg.norm(model.components, axis=1),
+                               1.0, atol=1e-10)
+    assert any("reduc" in note for note in model.notes)
+
+
+def test_constant_wide_matrix_has_no_components_and_fails_typed():
+    X = np.full((12, 40), 2.5)
+    assert pca_fit(X).n_components == 0
+    assert pca_fit(X, retain=3).n_components == 0
+    cfg = PipelineConfig(k_folds=3, seed=1, lambda1=0.1)
+    with pytest.raises(EnetPipeError, match="DimensionError"):
+        run_pipeline(cfg, X, np.arange(12) % 2)
