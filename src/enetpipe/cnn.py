@@ -220,14 +220,16 @@ def _forward_batch(net: CnnNetwork, x, want_cache: bool = False):
                 f"expected {expected[2 * stage]}")
         if want_cache:
             relu_mask = out > 0.0
-            activated = out * relu_mask
-            pooled, idx = _maxpool(activated)
-            caches.append((x_pad, relu_mask, idx, activated.shape))
+            out *= relu_mask            # the bits of out * relu_mask
+            pooled, idx = _maxpool(out)
+            caches.append((x_pad, relu_mask, idx, out.shape))
         else:
             if not np.isfinite(out).all():
                 raise NumericalError(
                     f"stage {stage + 1} convolution output is not finite")
             pooled = _pool_then_rectify(out)
+        # free this stage's conv map before the next stage's convolution
+        del out, x_pad
         if pooled.shape[1:] != expected[2 * stage + 1]:
             raise ContractError(
                 f"stage {stage + 1} pool produced {pooled.shape[1:]}, "

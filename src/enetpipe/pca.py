@@ -24,7 +24,7 @@ import numpy as np
 
 from . import textio
 from .data import validate_feature_matrix
-from .errors import DimensionError, InsufficientDataError
+from .errors import DimensionError, InsufficientDataError, NumericalError
 
 __all__ = ["PcaModel", "pca_fit", "pca_transform", "pca_inverse",
            "save_pca", "load_pca"]
@@ -48,13 +48,12 @@ class PcaModel:
         return self.components.shape[1]
 
 
-def _apply_sign_convention(components: np.ndarray) -> np.ndarray:
-    fixed = components.copy()
-    for row in fixed:
+def _apply_sign_convention(components: np.ndarray) -> None:
+    """Flip rows in place so each one's largest-magnitude entry is positive."""
+    for row in components:
         j = int(np.argmax(np.abs(row)))
         if row[j] < 0:
             row *= -1.0
-    return fixed
 
 
 def pca_fit(X, retain=0.95) -> PcaModel:
@@ -70,7 +69,8 @@ def pca_fit(X, retain=0.95) -> PcaModel:
     below that tolerance, so an integer count above the rank is reduced to
     it, with a note. A kept component carries a relative error of about
     ``eps * (s_0 / s_k)**2`` on that route, at most about 1/max(N, M) at
-    the cut.
+    the cut, and a Gram matrix that overflows or an ``eigh`` that fails
+    raises NumericalError.
     """
     X = validate_feature_matrix(X)
     n, m = X.shape
@@ -82,7 +82,15 @@ def pca_fit(X, retain=0.95) -> PcaModel:
     centered = X - mean
     max_rank = min(n - 1, m)
     if n < m:
-        gram_eigenvalues, left = np.linalg.eigh(centered @ centered.T)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = centered @ centered.T
+        if not np.isfinite(gram).all():
+            raise NumericalError("PCA Gram matrix is not finite")
+        try:
+            gram_eigenvalues, left = np.linalg.eigh(gram)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"PCA Gram eigendecomposition failed: {exc}") from None
         gram_eigenvalues = np.maximum(gram_eigenvalues[::-1], 0.0)
         left = left[:, ::-1]
         tol = gram_eigenvalues[0] * max(n, m) * np.finfo(np.float64).eps
@@ -118,8 +126,13 @@ def pca_fit(X, retain=0.95) -> PcaModel:
             k = min(k, max_rank)
 
     if n < m:
-        vt = (left[:, :k].T @ centered) / np.sqrt(gram_eigenvalues[:k, None])
-    components = _apply_sign_convention(vt[:k])
+        # one k x M buffer: the centered copy goes before the scaling
+        components = left[:, :k].T @ centered
+        del centered
+        components /= np.sqrt(gram_eigenvalues[:k, None])
+    else:
+        components = vt[:k].copy()
+    _apply_sign_convention(components)
     return PcaModel(mean=mean,
                     components=components,
                     explained_variance=eigenvalues[:k].copy(),

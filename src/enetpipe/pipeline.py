@@ -4,13 +4,16 @@ and the two-selector comparison.
 Every per-fold artifact (column standardization, PCA basis, sparse support,
 classifier weights) is fit on that fold's training rows only; the held-out
 rows are transformed with the frozen parameters. This is load-bearing: the
-leakage test recomputes a fold with garbage test rows and requires identical
-fitted parameters.
+leakage tests recompute a fold with garbage test rows and require identical
+fitted parameters, which they capture by wrapping the fitting functions this
+module calls (standardize_columns, pca_fit, elm_train). A FoldOutcome keeps
+none of those models: they are dropped once the fold is scored, so a k-fold
+run holds one fold's working set, not k folds' fitted models.
 
 A fold's design (its standardization, PCA and re-standardization, fitted on
 its training rows only) does not depend on the selector, so with PCA the two
 arms of compare_selectors share it: each fold's design is fitted once and
-both arms read the same matrices, records and PCA model.
+both arms read the same two read-only matrices.
 
 Determinism: all randomness flows from config.seed through the portable
 generator. The only nondeterministic report content is wall-clock timing.
@@ -24,12 +27,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import (StandardizationRecord, apply_standardization,
-                   standardize_columns, validate_feature_matrix)
-from .elm import ElmModel, elm_predict, elm_train
+from .data import (apply_standardization, standardize_columns,
+                   validate_feature_matrix)
+from .elm import elm_predict, elm_train
 from .errors import (ConfigError, DimensionError, EnetPipeError,
                      UndefinedMetricError)
-from .pca import PcaModel, pca_fit, pca_transform
+from .pca import pca_fit, pca_transform
 from .rng import PortableRng
 from .solvers import (PenaltyConfig, elastic_net_fit_cd, lasso_fit,
                       select_support)
@@ -98,10 +101,6 @@ class FoldOutcome:
     lambda2: float | None
     warnings: tuple = ()
     failure: str | None = None
-    standardization: StandardizationRecord | None = field(default=None, repr=False)
-    post_pca_standardization: StandardizationRecord | None = field(default=None, repr=False)
-    pca: PcaModel | None = field(default=None, repr=False)
-    elm: ElmModel | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -254,16 +253,12 @@ class _FoldDesign:
     the matrices are read-only, so selector arms can share it."""
     X_train: np.ndarray
     X_test: np.ndarray
-    standardization: StandardizationRecord
-    pca: PcaModel | None
-    post_pca_standardization: StandardizationRecord
 
 
 def _prepare_fold(cfg: PipelineConfig, X, train_idx, test_idx) -> _FoldDesign:
     X_train, record = standardize_columns(X[train_idx])
     X_test = apply_standardization(record, X[test_idx])
 
-    pca_model = None
     if cfg.use_pca:
         pca_model = pca_fit(X_train, retain=cfg.pca_retain)
         X_train = pca_transform(pca_model, X_train)
@@ -271,10 +266,10 @@ def _prepare_fold(cfg: PipelineConfig, X, train_idx, test_idx) -> _FoldDesign:
 
     # The selector contract requires unit-variance columns, and PCA output
     # does not have them; re-standardize on the training rows.
-    X_train, post_record = standardize_columns(X_train)
-    X_test = apply_standardization(post_record, X_test)
+    X_train, record = standardize_columns(X_train)
+    X_test = apply_standardization(record, X_test)
     X_train.flags.writeable = X_test.flags.writeable = False
-    return _FoldDesign(X_train, X_test, record, pca_model, post_record)
+    return _FoldDesign(X_train, X_test)
 
 
 def _evaluate_fold(cfg: PipelineConfig, design: _FoldDesign, labels,
@@ -327,10 +322,6 @@ def _evaluate_fold(cfg: PipelineConfig, design: _FoldDesign, labels,
         lambda1=lambda1,
         lambda2=lambda2,
         warnings=tuple(warnings),
-        standardization=design.standardization,
-        post_pca_standardization=design.post_pca_standardization,
-        pca=design.pca,
-        elm=model,
     )
 
 

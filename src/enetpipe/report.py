@@ -149,14 +149,9 @@ def _plot_data(report: EvaluationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-# FoldOutcome fields holding the fold's fitted models; they stay in memory.
-_MODEL_FIELDS = ("standardization", "post_pca_standardization", "pca", "elm")
-
-
 def _to_dict(obj) -> dict:
     """A report dataclass as a JSON-ready dict, keys in field order."""
-    return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)
-            if f.name not in _MODEL_FIELDS}
+    return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
 
 
 def _jsonable(value):
@@ -176,7 +171,7 @@ def _from_dict(cls, d: dict):
     float) is a DataFormatError naming the field."""
     kwargs = {}
     for f in fields(cls):
-        if f.name in d and f.name not in _MODEL_FIELDS:
+        if f.name in d:
             load = _LOADERS.get(f.name) or _SCALAR_LOADERS.get(f.type,
                                                                lambda v: v)
             try:

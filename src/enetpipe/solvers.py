@@ -22,7 +22,7 @@ between; ``x - 0`` and ``0 - (-z - t)`` are exact, so its coefficients are
 bitwise what ``soft_threshold(z, t) / d`` gives.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,8 +70,7 @@ class SolverResult:
     ``kkt_violation`` is evaluated on the returned point.  ``converged``
     means the last sweep moved every coefficient by less than ``stop_thr``;
     non-convergence is reported through this flag, never as an exception.
-    ``sweep_objectives`` traces the objective after each sweep.  For the
-    SVM-reduction route ``sweeps_used`` counts budget solves instead.
+    For the SVM-reduction route ``sweeps_used`` counts budget solves instead.
     """
 
     coefficients: np.ndarray
@@ -80,7 +79,6 @@ class SolverResult:
     converged: bool
     kkt_violation: float
     degenerate: bool = False
-    sweep_objectives: list = field(default_factory=list, repr=False)
 
 
 def soft_threshold(z: float, t: float) -> float:
@@ -139,7 +137,6 @@ def _coordinate_descent(X, y, lambda1, lambda2, stop_thr, max_sweeps):
     else:
         cols = [X[:, j] for j in range(m)]
         resid = y.astype(np.float64).copy()
-    objectives = []
     sweeps = 0
     converged = False
     while sweeps < max_sweeps:
@@ -166,12 +163,10 @@ def _coordinate_descent(X, y, lambda1, lambda2, stop_thr, max_sweeps):
                     resid -= cols[j] * dif
                 max_dif = max(max_dif, abs(dif))
         sweeps += 1
-        objectives.append(
-            elastic_net_objective(X, y, np.array(beta), lambda1, lambda2))
         if max_dif < stop_thr:
             converged = True
             break
-    return np.array(beta), sweeps, converged, objectives
+    return np.array(beta), sweeps, converged
 
 
 def lasso_fit(X, y, cfg: PenaltyConfig) -> SolverResult:
@@ -193,7 +188,7 @@ def elastic_net_fit_cd(X, y, cfg: PenaltyConfig) -> SolverResult:
     X = validate_feature_matrix(X)
     y = validate_labels(y, X.shape[0])
     check_standardized(X)
-    beta, sweeps, converged, objectives = _coordinate_descent(
+    beta, sweeps, converged = _coordinate_descent(
         X, y, cfg.lambda1, cfg.lambda2, cfg.stop_thr, cfg.max_sweeps
     )
     return SolverResult(
@@ -202,7 +197,6 @@ def elastic_net_fit_cd(X, y, cfg: PenaltyConfig) -> SolverResult:
         sweeps_used=sweeps,
         converged=converged,
         kkt_violation=kkt_violation(X, y, cfg, beta),
-        sweep_objectives=objectives,
     )
 
 

@@ -1,6 +1,7 @@
 """Shared fixtures-by-hand for the test suite: instance generators, the
-independent grid-search oracle, the reference coordinate-descent sweep,
-the reference CNN extraction forward, and timing-field masking for golden
+independent grid-search oracle, the reference coordinate-descent sweep and
+per-sweep objectives, the reference CNN extraction forward, a probe that
+captures each fold's fitted models, and timing-field masking for golden
 files.
 """
 
@@ -8,13 +9,14 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
 from enetpipe import (PortableRng, elastic_net_objective, soft_threshold,
                       standardize_columns)
 from enetpipe.cnn import _conv_same, _maxpool
-from enetpipe.solvers import _GRAM_COLUMN_LIMIT
+from enetpipe.solvers import _GRAM_COLUMN_LIMIT, _coordinate_descent
 
 
 def regression_instance(seed: int, n: int, m: int, noise: float = 0.25):
@@ -158,6 +160,61 @@ def reference_coordinate_descent(X, y, lambda1, lambda2, stop_thr, max_sweeps):
             converged = True
             break
     return beta, sweeps, converged, objectives
+
+
+def sweep_objectives(X, y, lambda1, lambda2, stop_thr, sweep_counts):
+    """The objective after k sweeps of
+    ``enetpipe.solvers._coordinate_descent``, for each k in
+    ``sweep_counts``, rebuilt by refitting with ``max_sweeps = k``: the
+    sweep is deterministic from beta = 0, so a fit capped at k sweeps stops
+    where a longer fit was after k."""
+    return [elastic_net_objective(
+                X, y, _coordinate_descent(X, y, lambda1, lambda2, stop_thr,
+                                          k)[0], lambda1, lambda2)
+            for k in sweep_counts]
+
+
+def capture_fold_fits(monkeypatch) -> list:
+    """Wrap the fitting functions ``enetpipe.pipeline`` calls
+    (``standardize_columns``, ``pca_fit``, ``elm_train``) so that every
+    call's result is appended, as ``(name, result)``, to the returned list.
+
+    A fold ends with its one ``elm_train`` call; see ``fold_fits``.
+    """
+    import enetpipe.pipeline as pl
+    calls = []
+    for name in ("standardize_columns", "pca_fit", "elm_train"):
+        def wrapper(*args, _name=name, _real=getattr(pl, name), **kwargs):
+            result = _real(*args, **kwargs)
+            calls.append((_name, result))
+            return result
+        monkeypatch.setattr(pl, name, wrapper)
+    return calls
+
+
+def fold_fits(calls) -> list:
+    """Split ``capture_fold_fits``' record into one list per fold."""
+    folds, current = [], []
+    for call in calls:
+        current.append(call)
+        if call[0] == "elm_train":
+            folds.append(current)
+            current = []
+    return folds
+
+
+def fit_bytes(value):
+    """A fitted result as nested tuples of bytes and scalars, for bit-for-bit
+    comparison: arrays become (dtype, shape, bytes), dataclasses their
+    fields."""
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes())
+    if is_dataclass(value):
+        return tuple((f.name, fit_bytes(getattr(value, f.name)))
+                     for f in fields(value))
+    if isinstance(value, (list, tuple)):
+        return tuple(fit_bytes(v) for v in value)
+    return value
 
 
 def reference_forward_features(net, x):

@@ -228,7 +228,7 @@ def test_criterion_10_sigma_formula_against_two_pass_oracle():
              f"{gap:.2e} (limit 1e-12)")
 
 
-def test_criterion_11_fold_laws_and_no_test_row_leakage():
+def test_criterion_11_fold_laws_and_no_test_row_leakage(monkeypatch):
     folds = kfold_split(100, 10, seed=11)
     joined = np.sort(np.concatenate(folds))
     laws = (len(folds) == 10 and all(len(f) == 10 for f in folds)
@@ -239,17 +239,23 @@ def test_criterion_11_fold_laws_and_no_test_row_leakage():
                          n_noise_features=6, seed=110)
     X, labels, _ = generate_synthetic(spec)
     cfg = PipelineConfig(selector="lasso", k_folds=4, seed=11)
+    # every standardization, PCA basis and classifier fitted, in call order
+    fits = helpers.capture_fold_fits(monkeypatch)
     clean = run_pipeline(cfg, X, labels)
     target = clean.folds[0]
+    clean_fits = helpers.fold_fits(fits)[0]
     tampered = X.copy()
     tampered[target.test_indices] = 1e6 * PortableRng(112).normal_matrix(
         len(target.test_indices), X.shape[1])
+    fits.clear()
     dirty = run_pipeline(cfg, tampered, labels).folds[0]
+    dirty_fits = helpers.fold_fits(fits)[0]
+    fitted = {name for name, _ in clean_fits}
     leakage_free = (np.array_equal(dirty.support, target.support)
-                    and np.array_equal(dirty.elm.output_weights,
-                                       target.elm.output_weights)
-                    and np.array_equal(dirty.pca.components,
-                                       target.pca.components))
+                    and fitted == {"standardize_columns", "pca_fit",
+                                   "elm_train"}
+                    and (helpers.fit_bytes(dirty_fits)
+                         == helpers.fit_bytes(clean_fits)))
     _verdict(11, laws and leakage_free,
              f"10x10 fold laws {'hold' if laws else 'fail'}; corrupting test "
              f"rows leaves fitted parameters bit-identical: {leakage_free}")

@@ -4,7 +4,7 @@ import pytest
 from enetpipe import (PipelineConfig, PortableRng, load_pca, pca_fit,
                       pca_inverse, pca_transform, run_pipeline, save_pca)
 from enetpipe.errors import (DimensionError, EnetPipeError,
-                             InsufficientDataError)
+                             InsufficientDataError, NumericalError)
 
 
 def _blobs(seed: int = 0, n: int = 60, m: int = 8):
@@ -163,3 +163,20 @@ def test_constant_wide_matrix_has_no_components_and_fails_typed():
     cfg = PipelineConfig(k_folds=3, seed=1, lambda1=0.1)
     with pytest.raises(EnetPipeError, match="DimensionError"):
         run_pipeline(cfg, X, np.arange(12) % 2)
+
+
+def test_overflowing_wide_matrix_raises_numerical_error():
+    # the centered Gram matrix overflows; eigh would raise LinAlgError
+    X = _wide(14, 10, 400) * 2.0 ** 510
+    assert np.isfinite(X).all()
+    with pytest.raises(NumericalError, match="Gram"):
+        pca_fit(X)
+
+
+def test_failed_gram_eigh_raises_numerical_error(monkeypatch):
+    def fails(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fails)
+    with pytest.raises(NumericalError, match="did not converge"):
+        pca_fit(_wide(14, 10, 400))

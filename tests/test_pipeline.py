@@ -1,8 +1,10 @@
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,7 +18,8 @@ from enetpipe import (EvaluationReport, PipelineConfig, PortableRng,
 from enetpipe.errors import (ConfigError, DimensionError, EnetPipeError,
                              NumericalError, UndefinedMetricError)
 from enetpipe.report import report_to_json
-from helpers import mask_timing_json
+from helpers import (capture_fold_fits, fit_bytes, fold_fits,
+                     mask_timing_json)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -145,29 +148,32 @@ class TestRunPipeline:
         assert ja == jb
         assert ja != report_to_json(a)
 
-    def test_no_leakage_from_test_rows(self):
+    def test_no_leakage_from_test_rows(self, monkeypatch):
         X, labels, _ = _dataset(seed=9, n=80)
         cfg = PipelineConfig(seed=3, k_folds=4, selector="lasso")
+        fits = capture_fold_fits(monkeypatch)
         clean = run_pipeline(cfg, X, labels)
         target = clean.folds[0]
+        clean_fits = fold_fits(fits)[0]
 
         tampered = X.copy()
         tampered[target.test_indices] = 1e6 * PortableRng(99).normal_matrix(
             len(target.test_indices), X.shape[1])
+        fits.clear()
         dirty = run_pipeline(cfg, tampered, labels)
         dirty_target = dirty.folds[0]
+        dirty_fits = fold_fits(fits)[0]
 
         # fold 0 trains on the same clean rows, so everything fitted
-        # from the training split must be bit-identical
+        # from the training split must be bit-identical: the
+        # standardizations (and the matrices they return), the PCA basis
+        # and the classifier
         np.testing.assert_array_equal(dirty_target.support, target.support)
         assert dirty_target.lambda1 == target.lambda1
-        np.testing.assert_array_equal(
-            dirty_target.standardization.column_means,
-            target.standardization.column_means)
-        np.testing.assert_array_equal(dirty_target.elm.output_weights,
-                                      target.elm.output_weights)
-        np.testing.assert_array_equal(dirty_target.pca.components,
-                                      target.pca.components)
+        assert [name for name, _ in clean_fits] == [
+            "standardize_columns", "pca_fit", "standardize_columns",
+            "standardize_columns", "elm_train"]
+        assert fit_bytes(dirty_fits) == fit_bytes(clean_fits)
 
     def test_empty_support_falls_back_with_warning(self):
         X, labels, _ = _dataset(seed=10, n=60)
@@ -325,6 +331,14 @@ def _wide_dataset():
     return X, labels
 
 
+def _preprocessing(fits):
+    """The fits on a fold's full-width training rows (the first
+    standardization and the PCA) from a ``capture_fold_fits`` record."""
+    return [(name, result) for name, result in fits
+            if name == "pca_fit" or (name == "standardize_columns"
+                                     and result[0].shape[1] == 600)]
+
+
 def _masked(report):
     return json.loads(mask_timing_json(report_to_json(report)))
 
@@ -335,22 +349,26 @@ class TestSharedFoldDesign:
     @pytest.mark.parametrize("baseline", ["none", "lasso"])
     def test_shared_design_matches_independent_runs(self, monkeypatch,
                                                     baseline):
-        import enetpipe.pipeline as pl
         X, labels = _wide_dataset()
         cfg = PipelineConfig(seed=5, k_folds=4)
+        fits = capture_fold_fits(monkeypatch)
         base = run_pipeline(replace(cfg, selector=baseline), X, labels)
+        base_fits = _preprocessing(fits)
+        fits.clear()
         prop = run_pipeline(cfg, X, labels)
-
-        real, calls = pl.pca_fit, []
-
-        def counting(*args, **kwargs):
-            calls.append(args[0].shape)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(pl, "pca_fit", counting)
+        prop_fits = _preprocessing(fits)
+        fits.clear()
         report = compare_selectors(cfg, X, labels, baseline=baseline)
-        assert len(calls) == 4
-        assert all(shape[0] < shape[1] for shape in calls)
+        shared_fits = _preprocessing(fits)
+        # one full-width standardization and one PCA per fold serve both
+        # arms, bit-identical to each arm's own
+        assert [name for name, _ in shared_fits] == [
+            "standardize_columns", "pca_fit"] * 4
+        # each PCA fits a wide (n < p) standardized training matrix
+        assert all(r[0].shape[0] < r[0].shape[1] for name, r in shared_fits
+                   if name == "standardize_columns")
+        assert fit_bytes(shared_fits) == fit_bytes(base_fits)
+        assert fit_bytes(shared_fits) == fit_bytes(prop_fits)
 
         got, want, want_base = _masked(report), _masked(prop), _masked(base)
         comparison = got.pop("comparison")
@@ -360,14 +378,6 @@ class TestSharedFoldDesign:
         want["warnings"] = want_base["warnings"] + want["warnings"]
         # the JSON holds each fold's support, lambda1, lambda2 and accuracy
         assert got == want
-        for arm, alone in ((report.comparison.baseline_folds, base.folds),
-                           (report.folds, prop.folds)):
-            for shared, own in zip(arm, alone):
-                assert (shared.pca.components.tobytes()
-                        == own.pca.components.tobytes())
-        for b, p in zip(report.comparison.baseline_folds, report.folds):
-            assert b.pca is p.pca
-            assert b.standardization is p.standardization
 
     @pytest.mark.parametrize("use_pca,preparations", [(True, 4), (False, 8)])
     def test_designs_are_shared_only_with_pca(self, monkeypatch, use_pca,
@@ -445,3 +455,48 @@ def test_no_pca_report_is_identical_across_blas_thread_counts(tmp_path):
         assert proc.returncode == 0, proc.stderr
         reports.append(mask_timing_json(proc.stdout))
     assert reports[0] == reports[1]
+
+
+class TestFoldMemory:
+    """A k-fold run holds one fold's working set, not k folds' models."""
+
+    @staticmethod
+    def _data(n, m, seed):
+        X = PortableRng(seed).normal_matrix(n, m)
+        return X, np.where(X[:, :10].sum(axis=1) > 0.0, 1.0, 0.0)
+
+    def test_no_pca_report_holds_less_than_one_copy_of_the_data(self):
+        # without selection each fold's classifier keeps its training
+        # rows, 0.9 of X per fold and arm while it is alive
+        X, labels = self._data(60, 5000, seed=3)
+        cfg = PipelineConfig(selector="none", use_pca=False, k_folds=10,
+                             seed=3)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = compare_selectors(cfg, X, labels, baseline="none")
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(report.folds) == len(report.comparison.baseline_folds) == 10
+        assert held < X.nbytes
+
+    @staticmethod
+    def _pca_peak(X, labels, k_folds):
+        cfg = PipelineConfig(lambda1=0.1, k_folds=k_folds, seed=3)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            compare_selectors(cfg, X, labels, baseline="lasso")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_pca_peak_does_not_grow_with_fold_count(self):
+        # 32 and 36 training rows; holding each fold's 4000-wide PCA
+        # basis would add about 0.7 of X per fold
+        X, labels = self._data(40, 4000, seed=4)
+        five, ten = (self._pca_peak(X, labels, k) for k in (5, 10))
+        assert ten < 1.2 * five

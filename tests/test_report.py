@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -145,14 +146,14 @@ class TestJsonRoundTrip:
         assert comp.mean_accuracy_delta == 0.0355
         assert comp.baseline_folds[1].accuracy == 0.80
 
-    def test_fitted_models_are_not_serialized(self, comparison_report):
-        # attach model-shaped objects; the JSON schema has no field for them
-        comparison_report.folds[0].elm = object()
-        comparison_report.folds[0].pca = object()
+    def test_fold_outcome_holds_no_fitted_models(self, comparison_report):
+        # a fold keeps only what its JSON holds; the fitted models go
+        # with the fold's working set
+        names = [f.name for f in fields(FoldOutcome)]
+        assert not {"standardization", "post_pca_standardization", "pca",
+                    "elm"} & set(names)
         text = report_to_json(comparison_report)
-        back = report_from_json(text)
-        assert back.folds[0].elm is None
-        assert back.folds[0].pca is None
+        assert list(json.loads(text)["folds"][0]) == names
 
     def test_failure_text_round_trips(self, plain_report):
         back = report_from_json(report_to_json(plain_report))

@@ -9,7 +9,7 @@ from enetpipe import (PenaltyConfig, elastic_net_fit_cd,
 from enetpipe.errors import ConfigError, ContractError
 from enetpipe.solvers import _GRAM_COLUMN_LIMIT, _coordinate_descent
 from helpers import grid_search_lasso_objective, regression_instance, \
-    duplicated_instance, reference_coordinate_descent
+    duplicated_instance, reference_coordinate_descent, sweep_objectives
 
 
 class TestSoftThreshold:
@@ -91,7 +91,10 @@ class TestLasso:
     def test_sweep_objectives_never_increase(self):
         X, y = regression_instance(9, 25, 6)
         result = lasso_fit(X, y, PenaltyConfig(lambda1=0.02))
-        diffs = np.diff(result.sweep_objectives)
+        objectives = sweep_objectives(X, y, 0.02, 0.0, 1e-7,
+                                      range(1, result.sweeps_used + 1))
+        assert objectives[-1] == result.objective_value
+        diffs = np.diff(objectives)
         assert np.all(diffs <= 1e-12)
 
 
@@ -118,14 +121,19 @@ class TestSweep:
         scalar = np.float64 if numpy_scalars else float
         lambda1 = scalar(lambda1_frac * np.abs(X.T @ y).max() / n)
         args = (X, y, lambda1, scalar(lambda2), 1e-7, max_sweeps)
-        beta, sweeps, converged, objectives = _coordinate_descent(*args)
+        beta, sweeps, converged = _coordinate_descent(*args)
         ref_beta, ref_sweeps, ref_converged, ref_objectives = \
             reference_coordinate_descent(*args)
         assert beta.dtype == ref_beta.dtype
         assert beta.tobytes() == ref_beta.tobytes()
         assert (sweeps, converged) == (ref_sweeps, ref_converged)
+        # each refit costs k sweeps, so take every sweep up to 16, then
+        # powers of two and the last one
+        counts = sorted({*range(1, min(sweeps, 16) + 1), sweeps,
+                         *(2 ** j for j in range(4, sweeps.bit_length()))})
+        objectives = sweep_objectives(*args[:5], counts)
         assert (np.array(objectives).tobytes()
-                == np.array(ref_objectives).tobytes())
+                == np.array([ref_objectives[k - 1] for k in counts]).tobytes())
 
 
 class TestElasticNet:
