@@ -130,17 +130,22 @@ class CnnTrainResult:
 
 def cnn_init(config: CnnConfig = CnnConfig(), seed: int = 0) -> CnnNetwork:
     """He-style normal initialization from the portable generator."""
-    rng = PortableRng(seed)
-    widths = (config.in_channels, *config.channels)
+    widths = list(zip((config.in_channels, *config.channels),
+                      config.channels))
+    fc_size = config.n_classes * config.feature_length
+    draws = PortableRng(seed).normals(
+        sum(c_out * c_in * 9 for c_in, c_out in widths) + fc_size)
     conv_w, conv_b = [], []
-    for c_in, c_out in zip(widths[:-1], widths[1:]):
+    start = 0
+    for c_in, c_out in widths:
         scale = np.sqrt(2.0 / (c_in * 9))
-        w = rng.normals(c_out * c_in * 9).reshape(c_out, c_in, 3, 3) * scale
-        conv_w.append(w)
+        w = draws[start:start + c_out * c_in * 9].reshape(c_out, c_in, 3, 3)
+        conv_w.append(w * scale)
         conv_b.append(np.zeros(c_out))
+        start += c_out * c_in * 9
     fc_scale = np.sqrt(2.0 / config.feature_length)
-    fc_w = rng.normals(config.n_classes * config.feature_length)
-    fc_w = fc_w.reshape(config.n_classes, config.feature_length) * fc_scale
+    fc_w = draws[start:].reshape(config.n_classes, config.feature_length)
+    fc_w = fc_w * fc_scale
     return CnnNetwork(conv_w, conv_b, fc_w, np.zeros(config.n_classes), config)
 
 

@@ -239,18 +239,21 @@ def generate_synthetic(spec: SyntheticSpec):
     rng = PortableRng(spec.seed)
     n = spec.n_samples
     rho = spec.within_group_correlation
+    blocks = (spec.n_informative_groups * (1 + spec.group_size)
+              + spec.n_noise_features + 1)
+    draws = iter(rng.normals(blocks * n).reshape(blocks, n))
     cols = []
     latents = []
     for _ in range(spec.n_informative_groups):
-        latent = rng.normals(n)
+        latent = next(draws)
         latents.append(latent)
         for _ in range(spec.group_size):
-            eps = rng.normals(n)
+            eps = next(draws)
             cols.append(np.sqrt(rho) * latent + np.sqrt(1.0 - rho) * eps)
     for _ in range(spec.n_noise_features):
-        cols.append(rng.normals(n))
+        cols.append(next(draws))
     X = np.column_stack(cols)
-    label_noise = rng.normals(n)
+    label_noise = next(draws)
     if latents:
         score = np.sum(latents, axis=0) / np.sqrt(len(latents))
         score = score + spec.noise_std * label_noise

@@ -1,8 +1,8 @@
 """Shared fixtures-by-hand for the test suite: instance generators, the
-independent grid-search oracle, the reference coordinate-descent sweep and
-per-sweep objectives, the reference CNN extraction forward, a probe that
-captures each fold's fitted models, and timing-field masking for golden
-files.
+independent grid-search oracle, the reference normal draws, the reference
+coordinate-descent sweep and per-sweep objectives, the reference CNN
+extraction forward, a probe that captures each fold's fitted models, and
+timing-field masking for golden files.
 """
 
 from __future__ import annotations
@@ -17,6 +17,12 @@ from enetpipe import (PortableRng, elastic_net_objective, soft_threshold,
                       standardize_columns)
 from enetpipe.cnn import _conv_same, _maxpool
 from enetpipe.solvers import _GRAM_COLUMN_LIMIT, _coordinate_descent
+
+
+def reference_normals(rng: PortableRng, n: int) -> np.ndarray:
+    """``n`` draws of the scalar ``normal()``; ``PortableRng.normals`` must
+    return the same bytes and leave ``rng`` in the same state."""
+    return np.array([rng.normal() for _ in range(n)], dtype=np.float64)
 
 
 def regression_instance(seed: int, n: int, m: int, noise: float = 0.25):

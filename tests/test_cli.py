@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -260,20 +261,67 @@ class TestExitCodes:
         assert rc == 3
 
 
-class TestImageCommands:
-    def _volumes(self, workdir, n=2, side=40):
-        rng = PortableRng(11)
-        paths = []
-        for i in range(n):
-            vol = Volume3D(rng.normal_matrix(side * side, side)
-                           .reshape(side, side, side))
-            path = workdir / f"vol{i}.raw3d"
-            save_volume_raw3d(path, vol)
-            paths.append(path)
-        return paths
+def _volumes(workdir, n=2, side=40):
+    rng = PortableRng(11)
+    paths = []
+    for i in range(n):
+        vol = Volume3D(rng.normal_matrix(side * side, side)
+                       .reshape(side, side, side))
+        path = workdir / f"vol{i}.raw3d"
+        save_volume_raw3d(path, vol)
+        paths.append(path)
+    return paths
 
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestSeededOutputPins:
+    """Seeded CLI outputs, pinned byte for byte: the benchmark's two
+    `generate` argument sets at two seeds each, and a small `train-cnn`.
+    Any change to the generator, its normal draws or their order moves
+    them."""
+
+    NARROW = ("--n-samples", "200", "--groups", "3", "--group-size", "3",
+              "--correlation", "0.8", "--noise-std", "0.3", "--n-noise", "20")
+    WIDE = ("--n-samples", "200", "--groups", "10", "--group-size", "5",
+            "--correlation", "0.8", "--noise-std", "0.3", "--n-noise", "1050")
+    NARROW_SUPPORT = ("b77f35ff2e2e71a907f806229241e0c5"
+                      "823e48c65cf573a7f573b02cfbff6800")
+    WIDE_SUPPORT = ("512e20d514cb68e32019d771fea63b55"
+                    "f5cdec717948da48bc20daf52f9dc47a")
+
+    @pytest.mark.parametrize("args, seed, features, support", [
+        (NARROW, 5, "b0ac94099e4e43fcec35ba3b6b5a0433"
+                    "a67579310984f53e1f4a6acfb95218e3", NARROW_SUPPORT),
+        (NARROW, 321, "dd1b87e2f47629c05c9f09e3b592f0a0"
+                      "b9073e3c4e9f802049c112e074c4542d", NARROW_SUPPORT),
+        (WIDE, 5, "da46f9221e8cea639e90b37add523cba"
+                  "b6b0158a155a86772b8a77ccf00141b7", WIDE_SUPPORT),
+        (WIDE, 321, "b4cdbd66dfea86cb63aac8ba04d029fe"
+                    "ff0834298ce7e775e3b2c12f4d4ad87c", WIDE_SUPPORT),
+    ], ids=["narrow-5", "narrow-321", "wide-5", "wide-321"])
+    def test_generate(self, workdir, args, seed, features, support):
+        assert main(["generate", *args, "--seed", str(seed)]) == 0
+        assert _sha256(workdir / "features.csv") == features
+        assert _sha256(workdir / "ground_truth_support.txt") == support
+
+    def test_train_cnn(self, workdir):
+        paths = _volumes(workdir)
+        manifest = workdir / "manifest.csv"
+        manifest.write_text("".join(f"{p},{i}\n"
+                                    for i, p in enumerate(paths)))
+        assert main(["train-cnn", "--manifest", str(manifest),
+                     "--centers", "3", "--epochs", "1", "--lr", "0.001",
+                     "--batch-size", "2", "--seed", "1"]) == 0
+        assert _sha256(workdir / "cnn.txt") == (
+            "63464067e9da560333232848df57d55357279f382696aa55f434bb3e6f9012fd")
+
+
+class TestImageCommands:
     def test_train_then_extract(self, workdir):
-        paths = self._volumes(workdir)
+        paths = _volumes(workdir)
         manifest = workdir / "manifest.csv"
         manifest.write_text("".join(f"{p},{i}\n"
                                     for i, p in enumerate(paths)))
@@ -293,14 +341,14 @@ class TestImageCommands:
 
     @pytest.mark.parametrize("line", ["{path},caf\xe9", "{path},one"])
     def test_bad_manifest_is_two(self, workdir, line):
-        paths = self._volumes(workdir, n=1, side=8)
+        paths = _volumes(workdir, n=1, side=8)
         manifest = workdir / "manifest.csv"
         manifest.write_bytes(line.format(path=paths[0]).encode("latin-1"))
         assert main(["train-cnn", "--manifest", str(manifest)]) == 2
 
     @pytest.mark.parametrize("content", ["1\n\xe9\n", "1\none\n", "1\n"])
     def test_bad_labels_file_is_two(self, workdir, content):
-        paths = self._volumes(workdir)
+        paths = _volumes(workdir)
         save_cnn(workdir / "cnn.txt", cnn_init(CnnConfig(), seed=0))
         labels_file = workdir / "labels.txt"
         labels_file.write_bytes(content.encode("latin-1"))
@@ -325,7 +373,7 @@ class TestImageCommands:
         assert not (workdir / "features.csv").exists()
 
     def test_extract_with_labels(self, workdir):
-        paths = self._volumes(workdir)
+        paths = _volumes(workdir)
         labels_file = workdir / "labels.txt"
         labels_file.write_text("1\n0\n")
         manifest = workdir / "manifest.csv"

@@ -118,3 +118,14 @@ def test_persistence_round_trip(tmp_path):
     X_test, _ = _blobs(11, n_per=8)
     np.testing.assert_array_equal(elm_predict(loaded, X_test).scores,
                                   elm_predict(model, X_test).scores)
+
+
+def test_model_keeps_a_row_ordered_copy_of_its_inputs():
+    # the pipeline passes X[:, support], which numpy lays out column by
+    # column; predict's row norms and products take their last bits from
+    # the stored layout, so the model keeps its own row-ordered copy
+    X, y = _blobs(12)
+    rows = X[:, np.arange(X.shape[1])]
+    model = elm_train(rows, y)
+    assert model.training_inputs.flags.c_contiguous
+    assert not np.shares_memory(model.training_inputs, rows)
