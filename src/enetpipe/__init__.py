@@ -17,26 +17,24 @@ from .data import (StandardizationRecord, SyntheticSpec, Volume3D,
                    save_feature_csv, save_volume_raw3d, standardize_columns,
                    validate_feature_matrix, validate_labels)
 from .elm import (DEFAULT_RIDGE_C, ClassScores, ElmModel, elm_predict,
-                  elm_train, load_elm, median_heuristic_gamma,
-                  predicted_labels, rbf_gram, rbf_kernel, save_elm)
+                  elm_train, median_heuristic_gamma, predicted_labels,
+                  rbf_gram)
 from .errors import (ConfigError, ContractError, DataError, DataFormatError,
                      DimensionError, EnetPipeError, InsufficientDataError,
                      NumericalError, UndefinedMetricError)
 from .patches import (PATCH_SIZE, Patch2_5D, default_patch_centers,
                       extract_patch_2_5d)
-from .pca import (PcaModel, load_pca, pca_fit, pca_inverse, pca_transform,
-                  save_pca)
+from .pca import PcaModel, pca_fit, pca_inverse, pca_transform
 from .pipeline import (ComparisonBlock, EvaluationReport, FoldOutcome,
                        PipelineConfig, accuracy, compare_selectors,
                        holdout_split, kfold_split, run_pipeline,
                        stddev_population)
 from .report import (REPORT_FORMATS, emit_report, load_report_json,
-                     report_from_json, report_to_json, save_report_json)
+                     report_from_json, report_to_json)
 from .rng import PortableRng
 from .solvers import (PenaltyConfig, SolverResult, elastic_net_fit_cd,
                       elastic_net_objective, kkt_violation, lasso_fit,
-                      load_coefficients, save_coefficients, select_support,
-                      soft_threshold)
+                      save_coefficients, select_support, soft_threshold)
 from .sven import elastic_net_fit_svm_reduction
 
 __version__ = "0.1.0"
@@ -52,24 +50,21 @@ __all__ = [
     "save_volume_raw3d", "standardize_columns", "validate_feature_matrix",
     "validate_labels",
     "DEFAULT_RIDGE_C", "ClassScores", "ElmModel", "elm_predict", "elm_train",
-    "load_elm", "median_heuristic_gamma", "predicted_labels", "rbf_gram",
-    "rbf_kernel", "save_elm",
+    "median_heuristic_gamma", "predicted_labels", "rbf_gram",
     "ConfigError", "ContractError", "DataError", "DataFormatError",
     "DimensionError", "EnetPipeError", "InsufficientDataError",
     "NumericalError", "UndefinedMetricError",
     "PATCH_SIZE", "Patch2_5D", "default_patch_centers", "extract_patch_2_5d",
-    "PcaModel", "load_pca", "pca_fit", "pca_inverse", "pca_transform",
-    "save_pca",
+    "PcaModel", "pca_fit", "pca_inverse", "pca_transform",
     "ComparisonBlock", "EvaluationReport", "FoldOutcome", "PipelineConfig",
     "accuracy", "compare_selectors", "holdout_split", "kfold_split",
     "run_pipeline", "stddev_population",
     "REPORT_FORMATS", "emit_report", "load_report_json", "report_from_json",
-    "report_to_json", "save_report_json",
+    "report_to_json",
     "PortableRng",
     "PenaltyConfig", "SolverResult", "elastic_net_fit_cd",
     "elastic_net_objective", "kkt_violation", "lasso_fit",
-    "load_coefficients", "save_coefficients", "select_support",
-    "soft_threshold",
+    "save_coefficients", "select_support", "soft_threshold",
     "elastic_net_fit_svm_reduction",
     "__version__",
 ]

@@ -27,8 +27,7 @@ from .patches import default_patch_centers, extract_patch_2_5d
 from .pipeline import (PipelineConfig, choose_lambda1, compare_selectors,
                        fit_selector, resolve_lambda2, run_pipeline,
                        signed_targets)
-from .report import (REPORT_FORMATS, emit_report, load_report_json,
-                     save_report_json)
+from .report import REPORT_FORMATS, emit_report, load_report_json
 from .solvers import save_coefficients, select_support
 
 __all__ = ["main", "build_parser"]
@@ -330,8 +329,6 @@ def _cmd_select(args, settings) -> int:
         raise ConfigError("selector 'none' fits no coefficients; "
                           "pick lasso, elastic_net_cd, or elastic_net_svm")
     X, labels = _load_features(args, settings)
-    if labels is None:
-        raise ConfigError("select needs a label column")
     X_std, _ = standardize_columns(X)
     y = signed_targets(labels)
     lambda1 = cfg.lambda1
@@ -339,7 +336,7 @@ def _cmd_select(args, settings) -> int:
         lambda1 = choose_lambda1(X_std, y, cfg, seed=cfg.seed)
         print(f"lambda1 = {lambda1:.6g} (validation grid)")
     lambda2 = resolve_lambda2(cfg.selector, lambda1, cfg.lambda2)
-    result = fit_selector(X_std, y, cfg.selector, lambda1, lambda2, cfg)
+    result = fit_selector(X_std, y, cfg.selector, lambda1, lambda2)
     out = _out_dir(settings)
     save_coefficients(out / "coefficients.txt", result.coefficients)
     support = select_support(result)
@@ -360,8 +357,6 @@ def _emit_all(report, out: Path, formats=None) -> None:
 
 def _cmd_evaluate(args, settings) -> int:
     X, labels = _load_features(args, settings)
-    if labels is None:
-        raise ConfigError("evaluate needs a label column")
     cfg = _pipeline_config(settings, args.group)
     report = run_pipeline(cfg, X, labels)
     out = _out_dir(settings)
@@ -373,8 +368,6 @@ def _cmd_evaluate(args, settings) -> int:
 
 def _cmd_compare(args, settings) -> int:
     X, labels = _load_features(args, settings)
-    if labels is None:
-        raise ConfigError("compare needs a label column")
     cfg = _pipeline_config(settings, args.group)
     report = compare_selectors(cfg, X, labels, baseline=args.baseline)
     out = _out_dir(settings)
@@ -386,15 +379,8 @@ def _cmd_compare(args, settings) -> int:
 
 def _cmd_report(args, settings) -> int:
     report = load_report_json(args.report_json)
-    out = _out_dir(settings)
-    if args.fmt == "all":
-        _emit_all(report, out)
-    elif args.fmt == "json":
-        target = save_report_json(out / "report.json", report)
-        print(f"wrote {target}")
-    else:
-        target = emit_report(report, args.fmt, out)
-        print(f"wrote {target}")
+    _emit_all(report, _out_dir(settings),
+              None if args.fmt == "all" else [args.fmt])
     return 0
 
 

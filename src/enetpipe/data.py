@@ -48,7 +48,7 @@ def validate_feature_matrix(values) -> np.ndarray:
     return X
 
 
-def validate_labels(values, n_samples: int, two_class: bool = False) -> np.ndarray:
+def validate_labels(values, n_samples: int) -> np.ndarray:
     y = np.asarray(values, dtype=np.float64).ravel()
     if y.shape[0] != n_samples:
         raise DimensionError(
@@ -56,8 +56,6 @@ def validate_labels(values, n_samples: int, two_class: bool = False) -> np.ndarr
         )
     if not np.all(np.isfinite(y)):
         raise DataFormatError("label vector contains non-finite entries")
-    if two_class and not np.all(np.isin(y, (-1.0, 1.0))):
-        raise DataFormatError("two-class labels must all be -1 or +1")
     return y
 
 

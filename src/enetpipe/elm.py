@@ -13,13 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from . import textio
 from .data import validate_feature_matrix
 from .errors import ConfigError, DimensionError, NumericalError
 
-__all__ = ["ElmModel", "ClassScores", "rbf_kernel", "rbf_gram",
-           "median_heuristic_gamma", "elm_train", "elm_predict",
-           "save_elm", "load_elm"]
+__all__ = ["ElmModel", "ClassScores", "rbf_gram", "median_heuristic_gamma",
+           "elm_train", "elm_predict"]
 
 DEFAULT_RIDGE_C = 100.0
 
@@ -44,17 +42,6 @@ class ClassScores:
 
     scores: np.ndarray             # (Q, C)
     predicted_class: np.ndarray    # (Q,) indices into the model's classes
-
-
-def rbf_kernel(a, b, gamma: float) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionError(f"kernel arguments differ in shape: {a.shape} vs {b.shape}")
-    if gamma <= 0:
-        raise ConfigError(f"gamma must be positive, got {gamma}")
-    diff = a - b
-    return float(np.exp(-gamma * (diff @ diff)))
 
 
 def rbf_gram(A, B, gamma: float) -> np.ndarray:
@@ -132,32 +119,3 @@ def elm_predict(model: ElmModel, X) -> ClassScores:
 def predicted_labels(model: ElmModel, result: ClassScores) -> np.ndarray:
     """Map argmax indices back to the original label values."""
     return model.classes[result.predicted_class]
-
-
-def save_elm(path, model: ElmModel) -> None:
-    preamble = (f"kernel: rbf gamma={textio.format_value(model.gamma)} "
-                f"ridge_c={textio.format_value(model.ridge_c)}")
-    textio.write_blocks(path, {
-        "training_inputs": model.training_inputs,
-        "output_weights": model.output_weights,
-        "classes": model.classes.astype(np.float64),
-    }, preamble=[preamble])
-
-
-def load_elm(path) -> ElmModel:
-    blocks, preamble = textio.read_blocks_with_preamble(path)
-    fields = {}
-    for line in preamble:
-        if line.startswith("kernel:"):
-            parts = line.split()
-            if parts[1] != "rbf":
-                raise ConfigError(f"unknown kernel type {parts[1]!r}")
-            for item in parts[2:]:
-                key, _, value = item.partition("=")
-                fields[key] = float(value)
-    if "gamma" not in fields or "ridge_c" not in fields:
-        raise ConfigError("model file lacks a 'kernel: rbf gamma=... ridge_c=...' line")
-    return ElmModel(training_inputs=np.atleast_2d(blocks["training_inputs"]),
-                    output_weights=np.atleast_2d(blocks["output_weights"]),
-                    classes=np.atleast_1d(blocks["classes"]),
-                    gamma=fields["gamma"], ridge_c=fields["ridge_c"])

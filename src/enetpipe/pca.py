@@ -22,12 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import textio
 from .data import validate_feature_matrix
 from .errors import DimensionError, InsufficientDataError, NumericalError
 
-__all__ = ["PcaModel", "pca_fit", "pca_transform", "pca_inverse",
-           "save_pca", "load_pca"]
+__all__ = ["PcaModel", "pca_fit", "pca_transform", "pca_inverse"]
 
 
 @dataclass(frozen=True)
@@ -153,19 +151,3 @@ def pca_inverse(model: PcaModel, Z) -> np.ndarray:
         raise DimensionError(
             f"projection has shape {Z.shape}, model expects (*, {model.n_components})")
     return Z @ model.components + model.mean
-
-
-def save_pca(path, model: PcaModel) -> None:
-    textio.write_blocks(path, {
-        "mean": model.mean,
-        "components": model.components,
-        "explained_variance": model.explained_variance,
-    })
-
-
-def load_pca(path) -> PcaModel:
-    blocks = textio.read_blocks(path)
-    components = np.atleast_2d(blocks["components"])
-    return PcaModel(mean=blocks["mean"],
-                    components=components,
-                    explained_variance=np.atleast_1d(blocks["explained_variance"]))

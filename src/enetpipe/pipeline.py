@@ -61,8 +61,6 @@ class PipelineConfig:
     pca_retain: float | int = 0.95
     lambda1: float | None = None      # None: per-fold internal validation
     lambda2: float | None = None      # None: see resolve_lambda2
-    stop_thr: float = 1e-7
-    max_sweeps: int = 10_000
     elm_gamma: float | None = None    # None: median heuristic
     elm_ridge: float = 100.0
     k_folds: int = 10
@@ -199,19 +197,15 @@ def resolve_lambda2(selector: str, lambda1: float,
     return 0.0 if selector == "lasso" else 0.5 * lambda1
 
 
-def fit_selector(X, y, selector: str, lambda1: float, lambda2: float,
-                 cfg: PipelineConfig):
-    """Fit the named sparse selector with cfg's stopping rule."""
-    pen = PenaltyConfig(lambda1=lambda1, lambda2=lambda2,
-                        stop_thr=cfg.stop_thr, max_sweeps=cfg.max_sweeps)
+def fit_selector(X, y, selector: str, lambda1: float, lambda2: float):
+    """Fit the named sparse selector with PenaltyConfig's default stopping
+    rule; the SVM route raises ConfigError unless lambda2 > 0."""
+    pen = PenaltyConfig(lambda1, lambda2)
     if selector == "lasso":
         return lasso_fit(X, y, pen)
     if selector == "elastic_net_cd":
         return elastic_net_fit_cd(X, y, pen)
     if selector == "elastic_net_svm":
-        if lambda2 <= 0.0:
-            raise ConfigError(
-                "selector elastic_net_svm needs lambda2 > 0")
         return elastic_net_fit_svm_reduction(X, y, pen)
     raise ConfigError(f"selector {selector!r} does not fit coefficients")
 
@@ -238,8 +232,7 @@ def choose_lambda1(X, y, cfg: PipelineConfig, seed: int):
     best_lam, best_mse = None, np.inf
     for lam in grid:
         result = fit_selector(X_fit, y_fit, cfg.selector, lam,
-                              resolve_lambda2(cfg.selector, lam, cfg.lambda2),
-                              cfg)
+                              resolve_lambda2(cfg.selector, lam, cfg.lambda2))
         resid = y[val_idx] - X_val @ result.coefficients
         mse = float(resid @ resid) / len(val_idx)
         if mse <= best_mse:          # ascending grid, so ties keep larger lam
@@ -289,11 +282,11 @@ def _evaluate_fold(cfg: PipelineConfig, design: _FoldDesign, labels,
                                      seed=cfg.seed + 9973 * (fold_index + 1))
         lambda2 = resolve_lambda2(cfg.selector, lambda1, lambda2)
         result = fit_selector(X_train, y_signed, cfg.selector,
-                              lambda1, lambda2, cfg)
+                              lambda1, lambda2)
         if not result.converged:
             warnings.append(
                 f"fold {fold_index}: selector did not converge in "
-                f"{cfg.max_sweeps} sweeps")
+                f"{result.sweeps_used} sweeps")
         support = select_support(result, cfg.min_support_magnitude)
         if support.size == 0:
             warnings.append(
@@ -329,9 +322,6 @@ def _folds_for(cfg: PipelineConfig, n: int):
     if cfg.holdout is not None:
         _, test_idx = holdout_split(n, cfg.holdout, cfg.seed)
         return [test_idx]
-    if cfg.k_folds > n:
-        raise ConfigError(
-            f"k_folds={cfg.k_folds} exceeds the sample count {n}")
     return kfold_split(n, cfg.k_folds, cfg.seed)
 
 

@@ -19,7 +19,7 @@ from .pipeline import ComparisonBlock, EvaluationReport, FoldOutcome
 from .textio import read_ascii
 
 __all__ = ["emit_report", "report_to_json", "report_from_json",
-           "save_report_json", "load_report_json", "REPORT_FORMATS"]
+           "load_report_json", "REPORT_FORMATS"]
 
 REPORT_FORMATS = ("text-table", "comma-separated", "plot-data", "json")
 
@@ -237,12 +237,6 @@ def report_from_json(text: str) -> EvaluationReport:
     if missing:
         raise DataFormatError(f"report JSON is missing {sorted(missing)}")
     return _from_dict(EvaluationReport, payload)
-
-
-def save_report_json(path, report: EvaluationReport) -> Path:
-    path = Path(path)
-    path.write_text(report_to_json(report))
-    return path
 
 
 def load_report_json(path) -> EvaluationReport:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .data import validate_feature_matrix, validate_labels
 from .errors import ConfigError, ContractError, DimensionError
-from .textio import read_blocks, write_blocks
+from .textio import write_blocks
 
 _GRAM_COLUMN_LIMIT = 1024
 
@@ -237,10 +237,3 @@ def select_support(result, min_magnitude: float = 0.0) -> np.ndarray:
 
 def save_coefficients(path, beta):
     write_blocks(path, {"coefficients": np.asarray(beta, dtype=np.float64)})
-
-
-def load_coefficients(path) -> np.ndarray:
-    blocks = read_blocks(path)
-    if "coefficients" not in blocks:
-        raise ConfigError(f"no coefficients block in {path}")
-    return blocks["coefficients"]

@@ -3,8 +3,8 @@
 A file is a sequence of blocks.  Each block starts with a header line
 ``name: d1 [d2 ...]`` giving the array shape, followed by the values in
 row-major order: vectors on one line, higher-rank arrays one line per
-leading index.  Lines starting with ``#`` before a header are ignored,
-as are blank lines between blocks.
+leading index.  Lines starting with ``#`` and blank lines outside a block
+are skipped; any other line that is not a header is a ``DataFormatError``.
 
 Numbers are written by ``np.savetxt`` in :data:`FLOAT_FORMAT` (17
 significant digits, so doubles round-trip exactly) and each block's lines
@@ -23,10 +23,6 @@ from .errors import DataFormatError
 # The one number format of every text file the package writes: 17
 # significant digits, so doubles round-trip exactly.
 FLOAT_FORMAT = "%.17g"
-
-
-def format_value(v: float) -> str:
-    return FLOAT_FORMAT % v
 
 
 def read_ascii(path) -> str:
@@ -52,10 +48,8 @@ def load_matrix(source, context: str, **kwargs) -> np.ndarray:
         raise DataFormatError(f"{context}: {exc}") from None
 
 
-def write_blocks(path, blocks: dict, preamble: list | None = None):
+def write_blocks(path, blocks: dict):
     with open(path, "w", encoding="ascii") as fh:
-        for line in preamble or []:
-            fh.write(line.rstrip("\n") + "\n")
         for name, array in blocks.items():
             arr = np.asarray(array, dtype=np.float64)
             shape = arr.shape if arr.ndim > 0 else (1,)
@@ -67,18 +61,10 @@ def write_blocks(path, blocks: dict, preamble: list | None = None):
 def read_blocks(path):
     """Parse a block file; returns a dict of name -> ndarray.
 
-    Use :func:`read_blocks_with_preamble` when leading non-block lines
-    carry metadata.
+    ``#`` lines and blank lines between blocks are skipped; any other
+    line that is not a block header is a DataFormatError.
     """
-    blocks, _ = read_blocks_with_preamble(path, allow_preamble=False)
-    return blocks
-
-
-def read_blocks_with_preamble(path, allow_preamble: bool = True):
-    """Parse a block file; returns ``(blocks, preamble)``, the dict of
-    name -> ndarray and the non-block lines before the first header."""
     lines = read_ascii(path).splitlines()
-    preamble = []
     blocks = {}
     i = 0
     while i < len(lines):
@@ -88,11 +74,7 @@ def read_blocks_with_preamble(path, allow_preamble: bool = True):
             continue
         header = _try_parse_header(line)
         if header is None:
-            if not allow_preamble or blocks:
-                raise DataFormatError(f"malformed block header at line {i + 1}: {line!r}")
-            preamble.append(lines[i])
-            i += 1
-            continue
+            raise DataFormatError(f"malformed block header at line {i + 1}: {line!r}")
         name, shape = header
         n_lines = shape[0] if len(shape) > 1 else 1
         per_line = int(np.prod(shape[1:], dtype=np.int64)) if len(shape) > 1 else shape[0]
@@ -108,7 +90,7 @@ def read_blocks_with_preamble(path, allow_preamble: bool = True):
             )
         blocks[name] = values.reshape(shape)
         i += n_lines
-    return blocks, preamble
+    return blocks
 
 
 def _try_parse_header(line):

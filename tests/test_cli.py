@@ -116,6 +116,15 @@ class TestReport:
         assert (nested / "report.txt").read_text() == \
             (workdir / "report.txt").read_text()
 
+    def test_json_format_rewrites_the_same_bytes(self, workdir):
+        features = _generate(workdir)
+        assert main(["evaluate", "--features", str(features),
+                     "--k-folds", "3"]) == 0
+        source = workdir / "r.json"
+        (workdir / "report.json").rename(source)
+        assert main(["report", str(source), "--format", "json"]) == 0
+        assert (workdir / "report.json").read_bytes() == source.read_bytes()
+
     def test_all_formats_by_default(self, workdir):
         features = _generate(workdir)
         assert main(["evaluate", "--features", str(features),

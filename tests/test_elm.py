@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from enetpipe import (PortableRng, elm_predict, elm_train, load_elm,
-                      median_heuristic_gamma, predicted_labels, rbf_gram,
-                      rbf_kernel, save_elm)
+from enetpipe import (PortableRng, elm_predict, elm_train,
+                      median_heuristic_gamma, predicted_labels, rbf_gram)
 from enetpipe.errors import ConfigError, DimensionError
 
 
@@ -18,14 +17,6 @@ def _blobs(seed: int, n_per: int = 40, separation: float = 3.0):
     X = np.vstack([a, b])
     y = np.concatenate([np.zeros(n_per), np.ones(n_per)])
     return X, y
-
-
-def test_rbf_kernel_hand_values():
-    a = np.array([1.0, 2.0])
-    b = np.array([2.0, 0.0])
-    assert rbf_kernel(a, a, gamma=0.7) == 1.0
-    # squared distance 1 + 4 = 5
-    assert rbf_kernel(a, b, gamma=0.5) == pytest.approx(np.exp(-2.5), rel=1e-15)
 
 
 def test_rbf_gram_shape_and_symmetry():
@@ -104,20 +95,6 @@ def test_predict_dimension_mismatch():
     model = elm_train(X, y)
     with pytest.raises(DimensionError):
         elm_predict(model, np.zeros((2, 7)))
-
-
-def test_persistence_round_trip(tmp_path):
-    X, y = _blobs(10)
-    model = elm_train(X, y, gamma=0.25, ridge_c=50.0)
-    path = tmp_path / "elm.txt"
-    save_elm(path, model)
-    loaded = load_elm(path)
-    assert loaded.gamma == model.gamma
-    assert loaded.ridge_c == model.ridge_c
-    np.testing.assert_array_equal(loaded.classes, model.classes)
-    X_test, _ = _blobs(11, n_per=8)
-    np.testing.assert_array_equal(elm_predict(loaded, X_test).scores,
-                                  elm_predict(model, X_test).scores)
 
 
 def test_model_keeps_a_row_ordered_copy_of_its_inputs():

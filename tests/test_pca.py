@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from enetpipe import (PipelineConfig, PortableRng, load_pca, pca_fit,
-                      pca_inverse, pca_transform, run_pipeline, save_pca)
+from enetpipe import (PipelineConfig, PortableRng, pca_fit, pca_inverse,
+                      pca_transform, run_pipeline)
 from enetpipe.errors import (DimensionError, EnetPipeError,
                              InsufficientDataError, NumericalError)
 
@@ -82,17 +82,6 @@ def test_transform_centers_before_projection():
     np.testing.assert_allclose(Z.mean(axis=0), 0.0, atol=1e-10)
     np.testing.assert_allclose(Z, (X - model.mean) @ model.components.T,
                                atol=1e-12)
-
-
-def test_round_trip_persistence(tmp_path):
-    model = pca_fit(_blobs(8), retain=4)
-    path = tmp_path / "pca.txt"
-    save_pca(path, model)
-    loaded = load_pca(path)
-    np.testing.assert_array_equal(loaded.mean, model.mean)
-    np.testing.assert_array_equal(loaded.components, model.components)
-    np.testing.assert_array_equal(loaded.explained_variance,
-                                  model.explained_variance)
 
 
 @pytest.mark.parametrize("retain", [0, -1, 0.0, 1.5, -0.2])

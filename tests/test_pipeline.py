@@ -207,6 +207,26 @@ class TestRunPipeline:
         # aggregates come from the three completed folds
         assert report.mean_accuracy is not None
 
+    def test_unconverged_selector_warns_with_its_sweep_count(
+            self, monkeypatch):
+        import enetpipe.pipeline as pl
+        real = pl.fit_selector
+        sweeps = []
+
+        def unconverged(*args, **kwargs):
+            result = replace(real(*args, **kwargs), converged=False)
+            sweeps.append(result.sweeps_used)
+            return result
+
+        monkeypatch.setattr(pl, "fit_selector", unconverged)
+        X, labels, _ = _dataset(seed=12, n=60)
+        report = run_pipeline(PipelineConfig(seed=5, k_folds=4, lambda1=0.05),
+                              X, labels)
+        assert [w for w in report.warnings if "converge" in w] == [
+            f"fold {i}: selector did not converge in {n} sweeps"
+            for i, n in enumerate(sweeps)]
+        assert len(sweeps) == 4
+
     def test_all_folds_failing_raises(self):
         X, labels, _ = _dataset(seed=13, n=40)
         cfg = PipelineConfig(selector="elastic_net_svm", lambda1=0.1,

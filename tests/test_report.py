@@ -7,8 +7,7 @@ import pytest
 from enetpipe.errors import ConfigError, DataFormatError
 from enetpipe.pipeline import ComparisonBlock, EvaluationReport, FoldOutcome
 from enetpipe.report import (REPORT_FORMATS, emit_report, load_report_json,
-                             report_from_json, report_to_json,
-                             save_report_json)
+                             report_from_json, report_to_json)
 
 
 def _fold(i, acc, t, support=(0, 3, 5)):
@@ -161,8 +160,7 @@ class TestJsonRoundTrip:
         assert back.folds[1].accuracy is None
 
     def test_save_and_load_file(self, plain_report, tmp_path):
-        path = tmp_path / "r.json"
-        save_report_json(path, plain_report)
+        path = emit_report(plain_report, "json", tmp_path)
         back = load_report_json(path)
         assert back.mean_accuracy == 0.75
 

@@ -4,10 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from enetpipe import (PenaltyConfig, elastic_net_fit_cd,
                       elastic_net_objective, kkt_violation, lasso_fit,
-                      load_coefficients, save_coefficients, select_support,
-                      soft_threshold)
+                      save_coefficients, select_support, soft_threshold)
 from enetpipe.errors import ConfigError, ContractError
 from enetpipe.solvers import _GRAM_COLUMN_LIMIT, _coordinate_descent
+from enetpipe.textio import read_blocks
 from helpers import grid_search_lasso_objective, regression_instance, \
     duplicated_instance, reference_coordinate_descent, sweep_objectives
 
@@ -201,7 +201,7 @@ class TestSupportAndPersistence:
         result = lasso_fit(X, y, PenaltyConfig(lambda1=0.02))
         path = tmp_path / "coef.txt"
         save_coefficients(path, result.coefficients)
-        np.testing.assert_array_equal(load_coefficients(path),
+        np.testing.assert_array_equal(read_blocks(path)["coefficients"],
                                       result.coefficients)
 
 

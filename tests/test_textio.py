@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from enetpipe.errors import DataFormatError
-from enetpipe.textio import (format_value, read_blocks,
-                             read_blocks_with_preamble, write_blocks)
+from enetpipe.textio import FLOAT_FORMAT, read_blocks, write_blocks
 
 
 def test_vector_and_matrix_round_trip_exact(tmp_path):
@@ -24,13 +23,21 @@ def test_conv_tensor_round_trip(tmp_path):
     np.testing.assert_array_equal(read_blocks(path)["w"], w)
 
 
-def test_preamble_round_trip(tmp_path):
-    path = tmp_path / "p.txt"
-    write_blocks(path, {"v": np.array([1.0])},
-                 preamble=["kernel: rbf gamma=0.5", "note: fixture"])
-    blocks, preamble = read_blocks_with_preamble(path)
-    assert preamble == ["kernel: rbf gamma=0.5", "note: fixture"]
-    np.testing.assert_array_equal(blocks["v"], np.array([1.0]))
+def test_comment_and_blank_lines_between_blocks_are_skipped(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text("# written by hand\n\nv: 2\n1 2\n\n# next\n"
+                    "m: 2 1\n3\n4\n\n")
+    blocks = read_blocks(path)
+    assert list(blocks) == ["v", "m"]
+    np.testing.assert_array_equal(blocks["v"], [1.0, 2.0])
+    np.testing.assert_array_equal(blocks["m"], [[3.0], [4.0]])
+
+
+def test_text_before_the_first_block_raises(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("kernel: rbf gamma=0.5\nv: 1\n1\n")
+    with pytest.raises(DataFormatError, match="at line 1:"):
+        read_blocks(path)
 
 
 def test_malformed_header_raises(tmp_path):
@@ -71,12 +78,11 @@ def test_non_ascii_byte_raises(tmp_path):
 def test_written_bytes(tmp_path):
     path = tmp_path / "w.txt"
     write_blocks(path, {"v": np.array([0.1, -2.0]),
-                        "m": np.array([[1.0, 1e-300], [-0.0, 3.0]])},
-                 preamble=["# note"])
-    assert path.read_text() == ("# note\nv: 2\n0.10000000000000001 -2\n"
+                        "m": np.array([[1.0, 1e-300], [-0.0, 3.0]])})
+    assert path.read_text() == ("v: 2\n0.10000000000000001 -2\n"
                                 "m: 2 2\n1 1e-300\n-0 3\n")
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_format_value_round_trips_doubles(v):
-    assert float(format_value(v)) == v
+    assert float(FLOAT_FORMAT % v) == v
