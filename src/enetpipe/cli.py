@@ -24,9 +24,9 @@ from .data import (SyntheticSpec, generate_synthetic, load_feature_csv,
 from .errors import (ConfigError, ContractError, DataError, EnetPipeError,
                      NumericalError)
 from .patches import default_patch_centers, extract_patch_2_5d
-from .pipeline import (PipelineConfig, choose_lambda1, compare_selectors,
-                       fit_selector, resolve_lambda2, run_pipeline,
-                       signed_targets)
+from .pipeline import (SELECTORS, PipelineConfig, choose_lambda1,
+                       compare_selectors, fit_selector, resolve_lambda2,
+                       run_pipeline, signed_targets)
 from .report import REPORT_FORMATS, emit_report, load_report_json
 from .solvers import save_coefficients, select_support
 
@@ -131,9 +131,7 @@ def _add_global_flags(parser):
                         help="key = value settings file; flags override it")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--k-folds", dest="k_folds", type=int, default=None)
-    parser.add_argument("--selector", default=None,
-                        choices=["lasso", "elastic_net_cd",
-                                 "elastic_net_svm", "none"])
+    parser.add_argument("--selector", default=None, choices=SELECTORS)
     parser.add_argument("--lambda1", type=float, default=None)
     parser.add_argument("--lambda2", type=float, default=None)
     parser.add_argument("--no-pca", dest="no_pca", action="store_const",
@@ -201,9 +199,7 @@ def build_parser() -> _Parser:
     p.add_argument("--features", required=True)
     p.add_argument("--label-column", type=int, default=-1)
     p.add_argument("--group", default="synthetic")
-    p.add_argument("--baseline", default="lasso",
-                   choices=["lasso", "elastic_net_cd", "elastic_net_svm",
-                            "none"])
+    p.add_argument("--baseline", default="lasso", choices=SELECTORS)
 
     p = sub.add_parser("report", help="re-emit formats from a report JSON")
     _add_global_flags(p)
@@ -356,20 +352,13 @@ def _emit_all(report, out: Path, formats=None) -> None:
 
 
 def _cmd_evaluate(args, settings) -> int:
+    """The evaluate command, and compare, which adds its --baseline arm."""
     X, labels = _load_features(args, settings)
     cfg = _pipeline_config(settings, args.group)
-    report = run_pipeline(cfg, X, labels)
-    out = _out_dir(settings)
-    _emit_all(report, out)
-    print()
-    print((out / "report.txt").read_text(), end="")
-    return 0
-
-
-def _cmd_compare(args, settings) -> int:
-    X, labels = _load_features(args, settings)
-    cfg = _pipeline_config(settings, args.group)
-    report = compare_selectors(cfg, X, labels, baseline=args.baseline)
+    if args.command == "compare":
+        report = compare_selectors(cfg, X, labels, baseline=args.baseline)
+    else:
+        report = run_pipeline(cfg, X, labels)
     out = _out_dir(settings)
     _emit_all(report, out)
     print()
@@ -390,7 +379,7 @@ _COMMANDS = {
     "train-cnn": _cmd_train_cnn,
     "select": _cmd_select,
     "evaluate": _cmd_evaluate,
-    "compare": _cmd_compare,
+    "compare": _cmd_evaluate,
     "report": _cmd_report,
 }
 

@@ -245,7 +245,7 @@ def _forward_batch(net: CnnNetwork, x, want_cache: bool = False):
     shift = logits - logits.max(axis=1, keepdims=True)
     log_probs = shift - np.log(np.exp(shift).sum(axis=1, keepdims=True))
     probs = np.exp(log_probs)
-    return features, logits, log_probs, probs, caches
+    return features, log_probs, probs, caches
 
 
 def _as_plane_array(patch) -> np.ndarray:
@@ -258,14 +258,14 @@ def cnn_forward(net: CnnNetwork, patch):
     """Single-patch forward pass; returns (feature vector, class probs)."""
     _check_finite_parameters(net)
     x = _as_plane_array(patch)[None]
-    features, _, _, probs, _ = _forward_batch(net, x)
+    features, _, probs, _ = _forward_batch(net, x)
     return features[0], probs[0]
 
 
 def cnn_forward_batch(net: CnnNetwork, batch):
     """Batched forward; returns (features (B,F), class probs (B,C))."""
     _check_finite_parameters(net)
-    features, _, _, probs, _ = _forward_batch(net, np.asarray(batch, dtype=np.float64))
+    features, _, probs, _ = _forward_batch(net, np.asarray(batch, dtype=np.float64))
     return features, probs
 
 
@@ -276,7 +276,7 @@ def cnn_loss_grad(net: CnnNetwork, batch, labels):
     x = np.stack([_as_plane_array(p) for p in batch])
     labels = np.asarray(labels, dtype=np.int64)
     n = x.shape[0]
-    features, _, log_probs, probs, caches = _forward_batch(net, x, want_cache=True)
+    features, log_probs, probs, caches = _forward_batch(net, x, want_cache=True)
     loss = float(-log_probs[np.arange(n), labels].mean())
 
     dlogits = probs.copy()
@@ -364,7 +364,7 @@ def extract_image_features(net: CnnNetwork, vol: Volume3D, centers,
         block = centers[start:start + batch_size]
         planes = np.stack(
             [extract_patch_2_5d(vol, c).planes for c in block])
-        features, _, _, _, _ = _forward_batch(net, planes)
+        features, _, _, _ = _forward_batch(net, planes)
         pieces.append(features.reshape(-1))
     return np.concatenate(pieces)
 

@@ -18,7 +18,7 @@ each component is made positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,6 @@ class PcaModel:
     mean: np.ndarray                 # (M,)
     components: np.ndarray           # (K, M), rows orthonormal
     explained_variance: np.ndarray   # (K,), non-increasing
-    notes: tuple = field(default=(), compare=False)
 
     @property
     def n_components(self) -> int:
@@ -60,15 +59,14 @@ def pca_fit(X, retain=0.95) -> PcaModel:
 
     A float of exactly 1.0 keeps the numerical rank of the centered data.
     With N >= M that rank counts singular values ``s_k > s_0 * max(N, M) *
-    eps``, and integer counts above min(N-1, M) are clamped, with a note
-    recorded on the model. With N < M it counts Gram eigenvalues
-    ``lambda_k > lambda_0 * max(N, M) * eps``, that is ``s_k > s_0 *
-    sqrt(max(N, M) * eps)``; no component is built from an eigenvalue at or
-    below that tolerance, so an integer count above the rank is reduced to
-    it, with a note. A kept component carries a relative error of about
-    ``eps * (s_0 / s_k)**2`` on that route, at most about 1/max(N, M) at
-    the cut, and a Gram matrix that overflows or an ``eigh`` that fails
-    raises NumericalError.
+    eps``, and integer counts above min(N-1, M) are clamped to it. With
+    N < M it counts Gram eigenvalues ``lambda_k > lambda_0 * max(N, M) *
+    eps``, that is ``s_k > s_0 * sqrt(max(N, M) * eps)``; no component is
+    built from an eigenvalue at or below that tolerance, so an integer count
+    above the rank is reduced to it. A kept component carries a relative
+    error of about ``eps * (s_0 / s_k)**2`` on that route, at most about
+    1/max(N, M) at the cut, and a Gram matrix that overflows or an ``eigh``
+    that fails raises NumericalError.
     """
     X = validate_feature_matrix(X)
     n, m = X.shape
@@ -94,23 +92,18 @@ def pca_fit(X, retain=0.95) -> PcaModel:
         tol = gram_eigenvalues[0] * max(n, m) * np.finfo(np.float64).eps
         rank = min(int(np.sum(gram_eigenvalues > tol)), max_rank)
         eigenvalues = gram_eigenvalues / (n - 1)
-        max_rank, limit = rank, "the numerical rank"
+        max_rank = rank
     else:
         _, sing, vt = np.linalg.svd(centered, full_matrices=False)
         eigenvalues = sing ** 2 / (n - 1)
         rank_tol = sing[0] * max(n, m) * np.finfo(np.float64).eps
         rank = int(np.sum(sing > rank_tol))
-        limit = "min(N-1, M)"
 
-    notes = []
     if isinstance(retain, (int, np.integer)) and not isinstance(retain, bool):
         k = int(retain)
         if k < 1:
             raise DimensionError(f"component count must be >= 1, got {k}")
-        if k > max_rank:
-            notes.append(
-                f"requested {k} components reduced to {limit} = {max_rank}")
-            k = max_rank
+        k = min(k, max_rank)
     else:
         fraction = float(retain)
         if not 0.0 < fraction <= 1.0:
@@ -133,8 +126,7 @@ def pca_fit(X, retain=0.95) -> PcaModel:
     _apply_sign_convention(components)
     return PcaModel(mean=mean,
                     components=components,
-                    explained_variance=eigenvalues[:k].copy(),
-                    notes=tuple(notes))
+                    explained_variance=eigenvalues[:k].copy())
 
 
 def pca_transform(model: PcaModel, X) -> np.ndarray:

@@ -10,10 +10,11 @@ module calls (standardize_columns, pca_fit, elm_train). A FoldOutcome keeps
 none of those models: they are dropped once the fold is scored, so a k-fold
 run holds one fold's working set, not k folds' fitted models.
 
-A fold's design (its standardization, PCA and re-standardization, fitted on
-its training rows only) does not depend on the selector, so with PCA the two
-arms of compare_selectors share it: each fold's design is fitted once and
-both arms read the same two read-only matrices.
+A fold's design (its standardization, optional PCA and re-standardization,
+fitted on its training rows only) does not depend on the selector, so
+run_pipeline is the one fold loop for both arms of a comparison: it fits each
+fold's design once, every arm reads the same two read-only matrices, and the
+design is dropped before the next fold.
 
 Determinism: all randomness flows from config.seed through the portable
 generator. The only nondeterministic report content is wall-clock timing.
@@ -240,15 +241,9 @@ def choose_lambda1(X, y, cfg: PipelineConfig, seed: int):
     return float(best_lam)
 
 
-@dataclass(frozen=True)
-class _FoldDesign:
-    """A fold's data after the preprocessing fitted on its training rows;
-    the matrices are read-only, so selector arms can share it."""
-    X_train: np.ndarray
-    X_test: np.ndarray
-
-
-def _prepare_fold(cfg: PipelineConfig, X, train_idx, test_idx) -> _FoldDesign:
+def _prepare_fold(cfg: PipelineConfig, X, train_idx, test_idx):
+    """A fold's training and test matrices after the preprocessing fitted
+    on its training rows; both are read-only, so selector arms share them."""
     X_train, record = standardize_columns(X[train_idx])
     X_test = apply_standardization(record, X[test_idx])
 
@@ -262,13 +257,12 @@ def _prepare_fold(cfg: PipelineConfig, X, train_idx, test_idx) -> _FoldDesign:
     X_train, record = standardize_columns(X_train)
     X_test = apply_standardization(record, X_test)
     X_train.flags.writeable = X_test.flags.writeable = False
-    return _FoldDesign(X_train, X_test)
+    return X_train, X_test
 
 
-def _evaluate_fold(cfg: PipelineConfig, design: _FoldDesign, labels,
+def _evaluate_fold(cfg: PipelineConfig, X_train, X_test, labels,
                    train_idx, test_idx, fold_index: int) -> FoldOutcome:
     warnings = []
-    X_train, X_test = design.X_train, design.X_test
     y_train_labels = labels[train_idx]
     y_test_labels = labels[test_idx]
 
@@ -325,49 +319,14 @@ def _folds_for(cfg: PipelineConfig, n: int):
     return kfold_split(n, cfg.k_folds, cfg.seed)
 
 
-def run_pipeline(cfg: PipelineConfig, features, labels, *,
-                 designs: dict | None = None) -> EvaluationReport:
-    """Evaluate cfg's pipeline on every fold of features and labels.
+def _failed_fold(fold_index: int, test_idx, exc) -> FoldOutcome:
+    return FoldOutcome(
+        fold_index=fold_index, test_indices=np.asarray(test_idx),
+        accuracy=None, time_ms=None, support=None, n_candidate_features=0,
+        lambda1=None, lambda2=None, failure=f"{type(exc).__name__}: {exc}")
 
-    designs, when given, is shared by calls on the same data whose configs
-    differ only in selector and lambda2 (see compare_selectors): the first
-    call stores each fold's design, or the error its preparation raised,
-    under the fold index, and later calls reuse it.
-    """
-    X = validate_feature_matrix(features)
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.shape[0] != X.shape[0]:
-        raise DimensionError(
-            f"labels have shape {labels.shape}, expected ({X.shape[0]},)")
 
-    folds = _folds_for(cfg, X.shape[0])
-    all_indices = np.arange(X.shape[0])
-    outcomes = []
-    for fold_index, test_idx in enumerate(folds):
-        train_mask = np.ones(X.shape[0], dtype=bool)
-        train_mask[test_idx] = False
-        train_idx = all_indices[train_mask]
-        design = None if designs is None else designs.get(fold_index)
-        if design is None:
-            try:
-                design = _prepare_fold(cfg, X, train_idx, test_idx)
-            except _FOLD_ERRORS as exc:
-                design = exc          # every sharing arm records this failure
-            if designs is not None:
-                designs[fold_index] = design
-        try:
-            if isinstance(design, Exception):
-                raise design
-            outcome = _evaluate_fold(cfg, design, labels, train_idx, test_idx,
-                                     fold_index)
-        except _FOLD_ERRORS as exc:
-            outcome = FoldOutcome(
-                fold_index=fold_index, test_indices=np.asarray(test_idx),
-                accuracy=None, time_ms=None, support=None,
-                n_candidate_features=0, lambda1=None, lambda2=None,
-                failure=f"{type(exc).__name__}: {exc}")
-        outcomes.append(outcome)
-
+def _arm_report(cfg: PipelineConfig, folds, outcomes) -> EvaluationReport:
     completed = [o for o in outcomes if o.failure is None]
     if not completed:
         raise EnetPipeError(
@@ -391,25 +350,53 @@ def run_pipeline(cfg: PipelineConfig, features, labels, *,
     )
 
 
-def compare_selectors(cfg: PipelineConfig, features, labels,
-                      baseline: str = "lasso",
-                      proposed: str | None = None) -> EvaluationReport:
-    """Run two selector arms on identical folds and attach paired deltas."""
-    proposed = proposed if proposed is not None else cfg.selector
-    # an explicit ridge weight belongs to the elastic-net arm only
-    base_cfg = replace(cfg, selector=baseline,
-                       lambda2=None if baseline == "lasso" else cfg.lambda2)
-    # Both arms see each fold's standardization and PCA, fitted once.
-    # Without PCA a design is as large as the fold's rows and cheap to
-    # rebuild, so each arm builds its own instead of holding all k of them.
-    designs = {} if cfg.use_pca else None
-    base_report = run_pipeline(base_cfg, features, labels, designs=designs)
-    prop_report = run_pipeline(replace(cfg, selector=proposed), features,
-                               labels, designs=designs)
-    if base_report.fold_hash != prop_report.fold_hash:
-        raise EnetPipeError(
-            "comparison arms received different fold assignments")
+def run_pipeline(cfg: PipelineConfig, features, labels, *,
+                 baseline: str | None = None) -> EvaluationReport:
+    """Evaluate cfg's pipeline on every fold of features and labels.
 
+    With baseline, that selector's arm is scored first, on the same folds
+    and the same design of each fold, and cfg's report carries the paired
+    ComparisonBlock and the baseline's warnings before its own; a lasso
+    baseline ignores cfg.lambda2.
+    """
+    X = validate_feature_matrix(features)
+    labels = np.asarray(labels)
+    if labels.ndim != 1 or labels.shape[0] != X.shape[0]:
+        raise DimensionError(
+            f"labels have shape {labels.shape}, expected ({X.shape[0]},)")
+
+    arms = [cfg]
+    if baseline is not None:
+        arms.insert(0, replace(
+            cfg, selector=baseline,
+            lambda2=None if baseline == "lasso" else cfg.lambda2))
+    folds = _folds_for(cfg, X.shape[0])
+    all_indices = np.arange(X.shape[0])
+    outcomes = [[] for _ in arms]
+    for fold_index, test_idx in enumerate(folds):
+        train_mask = np.ones(X.shape[0], dtype=bool)
+        train_mask[test_idx] = False
+        train_idx = all_indices[train_mask]
+        try:
+            design = _prepare_fold(cfg, X, train_idx, test_idx)
+        except _FOLD_ERRORS as exc:
+            for arm_outcomes in outcomes:
+                arm_outcomes.append(_failed_fold(fold_index, test_idx, exc))
+            continue
+        for arm, arm_outcomes in zip(arms, outcomes):
+            try:
+                outcome = _evaluate_fold(arm, *design, labels, train_idx,
+                                         test_idx, fold_index)
+            except _FOLD_ERRORS as exc:
+                outcome = _failed_fold(fold_index, test_idx, exc)
+            arm_outcomes.append(outcome)
+        del design
+
+    reports = [_arm_report(arm, folds, arm_outcomes)
+               for arm, arm_outcomes in zip(arms, outcomes)]
+    if baseline is None:
+        return reports[0]
+    base_report, prop_report = reports
     acc_deltas, time_deltas = [], []
     for b, p in zip(base_report.folds, prop_report.folds):
         if b.failure is None and p.failure is None:
@@ -417,7 +404,7 @@ def compare_selectors(cfg: PipelineConfig, features, labels,
             time_deltas.append(p.time_ms - b.time_ms)
     comparison = ComparisonBlock(
         baseline_selector=baseline,
-        proposed_selector=proposed,
+        proposed_selector=cfg.selector,
         baseline_mean_accuracy=base_report.mean_accuracy,
         proposed_mean_accuracy=prop_report.mean_accuracy,
         baseline_mean_time_ms=base_report.mean_time_ms,
@@ -430,3 +417,10 @@ def compare_selectors(cfg: PipelineConfig, features, labels,
     )
     return replace(prop_report, comparison=comparison,
                    warnings=base_report.warnings + prop_report.warnings)
+
+
+def compare_selectors(cfg: PipelineConfig, features, labels,
+                      baseline: str = "lasso") -> EvaluationReport:
+    """Run the baseline and cfg's selector on identical folds and attach
+    paired deltas: run_pipeline with baseline."""
+    return run_pipeline(cfg, features, labels, baseline=baseline)

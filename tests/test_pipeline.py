@@ -366,11 +366,17 @@ def _masked(report):
 class TestSharedFoldDesign:
     """compare_selectors fits each fold's preprocessing once for both arms."""
 
-    @pytest.mark.parametrize("baseline", ["none", "lasso"])
+    # A fixed lambda1 without PCA: lasso's lambda search on wide no-PCA
+    # folds is slow.
+    @pytest.mark.parametrize("baseline,settings", [
+        ("none", {}), ("lasso", {}),
+        ("none", dict(use_pca=False, lambda1=0.1)),
+        ("lasso", dict(use_pca=False, lambda1=0.1)),
+    ], ids=["none", "lasso", "none-no_pca", "lasso-no_pca"])
     def test_shared_design_matches_independent_runs(self, monkeypatch,
-                                                    baseline):
+                                                    baseline, settings):
         X, labels = _wide_dataset()
-        cfg = PipelineConfig(seed=5, k_folds=4)
+        cfg = PipelineConfig(seed=5, k_folds=4, **settings)
         fits = capture_fold_fits(monkeypatch)
         base = run_pipeline(replace(cfg, selector=baseline), X, labels)
         base_fits = _preprocessing(fits)
@@ -380,11 +386,13 @@ class TestSharedFoldDesign:
         fits.clear()
         report = compare_selectors(cfg, X, labels, baseline=baseline)
         shared_fits = _preprocessing(fits)
-        # one full-width standardization and one PCA per fold serve both
-        # arms, bit-identical to each arm's own
+        # one full-width standardization and one PCA (without PCA, the
+        # re-standardization) per fold serve both arms, bit-identical to
+        # each arm's own
         assert [name for name, _ in shared_fits] == [
-            "standardize_columns", "pca_fit"] * 4
-        # each PCA fits a wide (n < p) standardized training matrix
+            "standardize_columns",
+            "pca_fit" if cfg.use_pca else "standardize_columns"] * 4
+        # each design is fitted on a wide (n < p) training matrix
         assert all(r[0].shape[0] < r[0].shape[1] for name, r in shared_fits
                    if name == "standardize_columns")
         assert fit_bytes(shared_fits) == fit_bytes(base_fits)
@@ -399,23 +407,23 @@ class TestSharedFoldDesign:
         # the JSON holds each fold's support, lambda1, lambda2 and accuracy
         assert got == want
 
-    @pytest.mark.parametrize("use_pca,preparations", [(True, 4), (False, 8)])
-    def test_designs_are_shared_only_with_pca(self, monkeypatch, use_pca,
-                                              preparations):
-        # a no-PCA design is as large as the fold's rows, so it is not held
+    @pytest.mark.parametrize("use_pca", [True, False])
+    def test_one_loop_prepares_each_fold_once(self, monkeypatch, use_pca):
+        # one run_pipeline call splits the folds once and fits each fold's
+        # design once for both arms
         import enetpipe.pipeline as pl
         X, labels = _wide_dataset()
-        real, calls = pl._prepare_fold, []
-
-        def counting(*args, **kwargs):
-            calls.append(None)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(pl, "_prepare_fold", counting)
+        calls = []
+        for name in ("run_pipeline", "kfold_split", "_prepare_fold"):
+            def counting(*args, _name=name, _real=getattr(pl, name),
+                         **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(pl, name, counting)
         cfg = PipelineConfig(seed=5, k_folds=4, use_pca=use_pca,
                              lambda1=0.1)
         compare_selectors(cfg, X, labels, baseline="none")
-        assert len(calls) == preparations
+        assert calls == ["run_pipeline", "kfold_split"] + ["_prepare_fold"] * 4
 
     def test_failed_preparation_fails_the_fold_in_both_arms(self,
                                                             monkeypatch):
@@ -504,12 +512,12 @@ class TestFoldMemory:
         assert held < X.nbytes
 
     @staticmethod
-    def _pca_peak(X, labels, k_folds):
-        cfg = PipelineConfig(lambda1=0.1, k_folds=k_folds, seed=3)
+    def _peak(X, labels, k_folds, baseline="lasso", **settings):
+        cfg = PipelineConfig(k_folds=k_folds, seed=3, **settings)
         gc.collect()
         tracemalloc.start()
         try:
-            compare_selectors(cfg, X, labels, baseline="lasso")
+            compare_selectors(cfg, X, labels, baseline=baseline)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -518,5 +526,13 @@ class TestFoldMemory:
         # 32 and 36 training rows; holding each fold's 4000-wide PCA
         # basis would add about 0.7 of X per fold
         X, labels = self._data(40, 4000, seed=4)
-        five, ten = (self._pca_peak(X, labels, k) for k in (5, 10))
+        five, ten = (self._peak(X, labels, k, lambda1=0.1) for k in (5, 10))
+        assert ten < 1.2 * five
+
+    def test_no_pca_peak_does_not_grow_with_fold_count(self):
+        # holding each fold's no-PCA design would add about one X per fold
+        X, labels = self._data(40, 4000, seed=4)
+        five, ten = (self._peak(X, labels, k, baseline="none",
+                                selector="none", use_pca=False)
+                     for k in (5, 10))
         assert ten < 1.2 * five
