@@ -20,12 +20,14 @@ __all__ = ["ElmModel", "ClassScores", "rbf_gram", "median_heuristic_gamma",
            "elm_train", "elm_predict"]
 
 DEFAULT_RIDGE_C = 100.0
+_NORM_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
 class ElmModel:
-    training_inputs: np.ndarray    # (N, K)
-    output_weights: np.ndarray     # (N, C)
+    training_inputs: np.ndarray    # (N, K) row-ordered copy
+    row_norms: np.ndarray          # (N,) squared norms of training_inputs
+    output_weights: np.ndarray     # (N, C) C-ordered
     classes: np.ndarray            # (C,) sorted distinct label values
     gamma: float
     ridge_c: float
@@ -50,28 +52,55 @@ def rbf_gram(A, B, gamma: float) -> np.ndarray:
         raise ConfigError(f"gamma must be positive, got {gamma}")
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
-    sq = (np.sum(A * A, axis=1)[:, None]
-          + np.sum(B * B, axis=1)[None, :]
-          - 2.0 * A @ B.T)
-    np.maximum(sq, 0.0, out=sq)     # clip the rounding negatives
-    return np.exp(-gamma * sq)
+    return _gram(_squared_distances(A, _row_norms(A), B, _row_norms(B)),
+                 gamma)
 
 
 def median_heuristic_gamma(X) -> float:
     """1 / (n_features * median pairwise squared distance); falls back to
     1.0 when the median is not positive (e.g. heavily duplicated rows)."""
     X = np.asarray(X, dtype=np.float64)
-    n = X.shape[0]
+    norms = _row_norms(X)
+    return _median_gamma(_squared_distances(X, norms, X, norms), X.shape[1])
+
+
+def _row_norms(A: np.ndarray) -> np.ndarray:
+    return np.sum(A * A, axis=1)
+
+
+def _stored_row_norms(X: np.ndarray) -> np.ndarray:
+    """``_row_norms(X.copy())``, the norms of the row-ordered copy a model
+    keeps, which differ in the last bits from those of a column-ordered X.
+    Rows are copied and summed in blocks of about ``_NORM_BLOCK`` elements,
+    each row the same contiguous reduction, so no X-sized temporary is made
+    next to the copy."""
+    rows = max(1, _NORM_BLOCK // X.shape[1])
+    return np.concatenate([_row_norms(np.ascontiguousarray(X[i:i + rows]))
+                           for i in range(0, X.shape[0], rows)])
+
+
+def _squared_distances(A, a_norms, B, b_norms) -> np.ndarray:
+    """||a_i - b_j||^2 from the row norms, rounding negatives kept."""
+    return a_norms[:, None] + b_norms[None, :] - 2.0 * A @ B.T
+
+
+def _gram(sq: np.ndarray, gamma: float) -> np.ndarray:
+    """The RBF kernel of squared distances; clips ``sq`` in place."""
+    np.maximum(sq, 0.0, out=sq)     # clip the rounding negatives
+    return np.exp(-gamma * sq)
+
+
+def _median_gamma(sq: np.ndarray, n_features: int) -> float:
+    n = sq.shape[0]
     if n < 2:
         return 1.0
-    sq = (np.sum(X * X, axis=1)[:, None]
-          + np.sum(X * X, axis=1)[None, :]
-          - 2.0 * X @ X.T)
-    upper = sq[np.triu_indices(n, k=1)]
-    med = float(np.median(upper))
+    # the median depends only on the values of the strict upper triangle,
+    # so a boolean mask gathers them, cheaper than triu_indices' arrays
+    upper = sq[~np.tri(n, dtype=bool)]
+    med = float(np.median(upper, overwrite_input=True))
     if med <= 0.0:
         return 1.0
-    return 1.0 / (X.shape[1] * med)
+    return 1.0 / (n_features * med)
 
 
 def elm_train(X, labels, gamma: float | None = None,
@@ -79,7 +108,8 @@ def elm_train(X, labels, gamma: float | None = None,
     """Solve (Omega + I/ridge_c) W = T with one-hot targets (+1/0).
 
     gamma=None selects the median heuristic. Duplicate samples with
-    conflicting labels are allowed; the ridge term absorbs them.
+    conflicting labels are allowed; the ridge term absorbs them. The
+    system is solved by its upper-triangle Cholesky factorization.
     """
     X = validate_feature_matrix(X)
     labels = np.asarray(labels)
@@ -88,23 +118,41 @@ def elm_train(X, labels, gamma: float | None = None,
             f"labels have shape {labels.shape}, expected ({X.shape[0]},)")
     if ridge_c <= 0:
         raise ConfigError(f"ridge_c must be positive, got {ridge_c}")
-    if gamma is None:
-        gamma = median_heuristic_gamma(X)
-    elif gamma <= 0:
+    if gamma is not None and gamma <= 0:
         raise ConfigError(f"gamma must be positive, got {gamma}")
 
     classes, class_idx = np.unique(labels, return_inverse=True)
     targets = np.zeros((X.shape[0], classes.shape[0]))
     targets[np.arange(X.shape[0]), class_idx] = 1.0
 
-    system = rbf_gram(X, X, gamma)
+    # the median heuristic and the Gram matrix share one distance matrix
+    norms = _row_norms(X)
+    sq = _squared_distances(X, norms, X, norms)
+    if gamma is None:
+        gamma = _median_gamma(sq, X.shape[1])
+        if gamma <= 0:      # an infinite median distance
+            raise ConfigError(f"gamma must be positive, got {gamma}")
+    system = _gram(sq, gamma)
     system[np.diag_indices_from(system)] += 1.0 / ridge_c
-    try:
-        weights = scipy.linalg.solve(system, targets, assume_a="pos")
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"ridge system could not be solved: {exc}") from exc
-    return ElmModel(training_inputs=X.copy(), output_weights=weights,
-                    classes=classes, gamma=float(gamma), ridge_c=float(ridge_c))
+    if system.shape == (1, 1):
+        # one training row: divide, as scipy's solve does; a Cholesky
+        # factor and solve give other bits
+        weights = targets / system
+    else:
+        try:
+            factor = scipy.linalg.cho_factor(system, lower=False,
+                                             overwrite_a=True)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"ridge system could not be solved: {exc}") from exc
+        # cho_solve returns Fortran order; predict's product takes its last
+        # bits from the weights' layout, so they are stored C-ordered
+        weights = np.ascontiguousarray(
+            scipy.linalg.cho_solve(factor, targets, overwrite_b=True))
+    row_norms = _stored_row_norms(X)
+    return ElmModel(training_inputs=X.copy(), row_norms=row_norms,
+                    output_weights=weights, classes=classes,
+                    gamma=float(gamma), ridge_c=float(ridge_c))
 
 
 def elm_predict(model: ElmModel, X) -> ClassScores:
@@ -112,7 +160,9 @@ def elm_predict(model: ElmModel, X) -> ClassScores:
     if X.shape[1] != model.n_features:
         raise DimensionError(
             f"query has {X.shape[1]} features, model expects {model.n_features}")
-    scores = rbf_gram(X, model.training_inputs, model.gamma) @ model.output_weights
+    sq = _squared_distances(X, _row_norms(X), model.training_inputs,
+                            model.row_norms)
+    scores = _gram(sq, model.gamma) @ model.output_weights
     return ClassScores(scores=scores, predicted_class=np.argmax(scores, axis=1))
 
 

@@ -1,8 +1,8 @@
 """Shared fixtures-by-hand for the test suite: instance generators, the
 independent grid-search oracle, the reference normal draws, the reference
 coordinate-descent sweep and per-sweep objectives, the reference CNN
-extraction forward, a probe that captures each fold's fitted models, and
-timing-field masking for golden files.
+extraction forward, the reference ELM solve, a probe that captures each
+fold's fitted models, and timing-field masking for golden files.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import re
 from dataclasses import fields, is_dataclass
 
 import numpy as np
+import scipy.linalg
 
 from enetpipe import (PortableRng, elastic_net_objective, soft_threshold,
                       standardize_columns)
@@ -234,3 +235,43 @@ def reference_forward_features(net, x):
         out, _ = _conv_same(x, w, b)
         x, _ = _maxpool(out * (out > 0.0))
     return x.reshape(x.shape[0], -1)
+
+
+def reference_rbf_gram(A, B, gamma: float) -> np.ndarray:
+    """The RBF kernel with both row norms and the product formed in place;
+    ``rbf_gram`` and ``elm_predict``'s kernel must return the same bytes."""
+    sq = (np.sum(A * A, axis=1)[:, None]
+          + np.sum(B * B, axis=1)[None, :]
+          - 2.0 * A @ B.T)
+    np.maximum(sq, 0.0, out=sq)
+    return np.exp(-gamma * sq)
+
+
+def reference_median_gamma(X) -> float:
+    """The median heuristic over ``np.triu_indices``' fancy-index copy."""
+    n, k = X.shape
+    if n < 2:
+        return 1.0
+    sq = (np.sum(X * X, axis=1)[:, None]
+          + np.sum(X * X, axis=1)[None, :]
+          - 2.0 * X @ X.T)
+    med = float(np.median(sq[np.triu_indices(n, k=1)]))
+    return 1.0 if med <= 0.0 else 1.0 / (k * med)
+
+
+def reference_elm_weights(X, labels, gamma=None, ridge_c=100.0):
+    """``(output_weights, gamma)`` of ``elm_train`` the plain way: the
+    median heuristic and the Gram matrix each from scratch, and the ridge
+    system through ``scipy.linalg.solve(..., assume_a="pos")``.
+
+    ``elm_train`` must return the same weight bytes, C-ordered as ``solve``
+    returns them, and the same gamma.
+    """
+    if gamma is None:
+        gamma = reference_median_gamma(X)
+    classes, class_idx = np.unique(labels, return_inverse=True)
+    targets = np.zeros((X.shape[0], classes.shape[0]))
+    targets[np.arange(X.shape[0]), class_idx] = 1.0
+    system = reference_rbf_gram(X, X, gamma)
+    system[np.diag_indices_from(system)] += 1.0 / ridge_c
+    return scipy.linalg.solve(system, targets, assume_a="pos"), float(gamma)

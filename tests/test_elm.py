@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from enetpipe import (PortableRng, elm_predict, elm_train,
-                      median_heuristic_gamma, predicted_labels, rbf_gram)
-from enetpipe.errors import ConfigError, DimensionError
+from enetpipe import (PipelineConfig, PortableRng, elm_predict, elm_train,
+                      median_heuristic_gamma, predicted_labels, rbf_gram,
+                      run_pipeline)
+from enetpipe.errors import (ConfigError, DimensionError, EnetPipeError,
+                             NumericalError)
+
+from helpers import (reference_elm_weights, reference_median_gamma,
+                     reference_rbf_gram)
 
 
 XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
@@ -90,6 +96,14 @@ def test_invalid_settings():
         rbf_gram(X, X, gamma=0.0)
 
 
+def test_infinite_median_distance_is_a_config_error():
+    # a squared norm overflows, the median distance is inf and gamma 0
+    X = np.array([[1e160, 0.0], [0.0, 1.0], [2.0, 3.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ConfigError, match="gamma must be positive"):
+            elm_train(X, np.array([0.0, 1.0, 0.0]))
+
+
 def test_predict_dimension_mismatch():
     X, y = _blobs(9, n_per=5)
     model = elm_train(X, y)
@@ -106,3 +120,83 @@ def test_model_keeps_a_row_ordered_copy_of_its_inputs():
     model = elm_train(rows, y)
     assert model.training_inputs.flags.c_contiguous
     assert not np.shares_memory(model.training_inputs, rows)
+
+
+class TestSolveBits:
+    """The Cholesky solve, the shared distance matrix, the masked median
+    and the stored row norms give the bytes of the plain route."""
+
+    @staticmethod
+    def _instance(seed, n, k, n_classes, column_ordered):
+        rng = PortableRng(seed)
+        wide = rng.normal_matrix(n + 3, k + 2)
+        # the pipeline passes X[:, support], which numpy lays out by column
+        support = np.arange(1, k + 1)
+        X = wide[:n, support] if column_ordered else wide[:n, 1:k + 1].copy()
+        queries = wide[n:, support]
+        labels = np.arange(n) % n_classes * 1.5
+        return X, labels, queries
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 2**16),
+           n=st.integers(1, 60),
+           k=st.sampled_from([1, 2, 7, 12, 29, 300, 1100, 2500]),
+           n_classes=st.sampled_from([2, 3]),
+           column_ordered=st.booleans(),
+           median=st.booleans())
+    @example(seed=1, n=10, k=40, n_classes=2, column_ordered=True,
+             median=True)                                       # n < k
+    @example(seed=2, n=30, k=1, n_classes=2, column_ordered=False,
+             median=True)                                       # k = 1
+    @example(seed=5, n=1, k=12, n_classes=2, column_ordered=True,
+             median=True)                       # a 1 x 1 ridge system
+    @example(seed=3, n=45, k=12, n_classes=3, column_ordered=True,
+             median=False)                                      # 3 classes
+    @example(seed=4, n=54, k=2500, n_classes=2, column_ordered=True,
+             median=True)                       # norms in blocks of rows
+    def test_train_and_predict_match_the_solve_route(
+            self, seed, n, k, n_classes, column_ordered, median):
+        X, labels, queries = self._instance(seed, n, k, n_classes,
+                                            column_ordered)
+        assert X.flags.c_contiguous == (not column_ordered or 1 in (n, k))
+        gamma = None if median else 0.7 / k
+        model = elm_train(X, labels, gamma=gamma)
+        weights, ref_gamma = reference_elm_weights(X, labels, gamma)
+
+        assert model.gamma == ref_gamma
+        assert model.output_weights.flags.c_contiguous
+        assert model.output_weights.tobytes() == weights.tobytes()
+        stored = model.training_inputs
+        assert model.row_norms.tobytes() == np.sum(stored * stored,
+                                                   axis=1).tobytes()
+        # the pipeline scores one test row at a time; direct callers, blocks
+        for rows in (queries[:1], queries[1:2], queries):
+            scores = elm_predict(model, rows).scores
+            expected = reference_rbf_gram(rows, stored, ref_gamma) @ weights
+            assert scores.tobytes() == expected.tobytes()
+        assert median_heuristic_gamma(X) == reference_median_gamma(X)
+        assert (rbf_gram(queries, X, 0.3).tobytes()
+                == reference_rbf_gram(queries, X, 0.3).tobytes())
+
+
+class TestNonPositiveDefinite:
+    """Repeated rows with a vanishing ridge term leave the system singular."""
+
+    @staticmethod
+    def _repeated_rows():
+        X = np.repeat(PortableRng(4).normal_matrix(5, 3), 4, axis=0)
+        return X, np.tile([0.0, 1.0], 10)
+
+    def test_train_raises_numerical_error(self):
+        X, labels = self._repeated_rows()
+        with pytest.raises(NumericalError,
+                           match="^ridge system could not be solved: "):
+            elm_train(X, labels, ridge_c=1e16)
+
+    def test_every_fold_fails_in_the_pipeline(self):
+        X, labels = self._repeated_rows()
+        cfg = PipelineConfig(selector="none", k_folds=4, elm_ridge=1e16)
+        with pytest.raises(EnetPipeError, match=(
+                "^every fold failed; first failure: NumericalError: "
+                "ridge system could not be solved")):
+            run_pipeline(cfg, X, labels)
