@@ -3,6 +3,9 @@
 Subcommands: generate, extract, train-cnn, select, evaluate, compare,
 report. Settings resolve in three layers: built-in defaults, then a
 line-based ``key = value`` config file (--config), then explicit flags.
+``_SETTINGS`` is the one list of settings: each key's flag, config-file
+parser and default come from it, and the defaults of the pipeline's keys
+from PipelineConfig.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 3 numerical failure.
@@ -24,33 +27,12 @@ from .data import (SyntheticSpec, generate_synthetic, load_feature_csv,
 from .errors import (ConfigError, ContractError, DataError, EnetPipeError,
                      NumericalError)
 from .patches import default_patch_centers, extract_patch_2_5d
-from .pipeline import (SELECTORS, PipelineConfig, choose_lambda1,
-                       compare_selectors, fit_selector, resolve_lambda2,
-                       run_pipeline, signed_targets)
+from .pipeline import (SELECTORS, PipelineConfig, compare_selectors,
+                       fit_penalized, run_pipeline, signed_targets)
 from .report import REPORT_FORMATS, emit_report, load_report_json
 from .solvers import save_coefficients, select_support
 
 __all__ = ["main", "build_parser"]
-
-_DEFAULTS = {
-    "seed": 0,
-    "k_folds": 10,
-    "selector": "elastic_net_cd",
-    "lambda1": None,
-    "lambda2": None,
-    "no_pca": False,
-    "pca_retain": 0.95,
-    "elm_gamma": None,
-    "elm_ridge": 100.0,
-    "holdout": None,
-    "header": False,
-    "out_dir": ".",
-}
-
-_BOOL_KEYS = {"no_pca", "header"}
-_INT_KEYS = {"seed", "k_folds"}
-_FLOAT_KEYS = {"lambda1", "lambda2", "elm_gamma", "elm_ridge", "holdout"}
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with code 2 on usage errors; the contract says 1."""
@@ -71,13 +53,35 @@ def _retain_value(text: str):
         raise argparse.ArgumentTypeError(f"bad retain value {text!r}") from None
 
 
-def _parse_bool(text: str, key: str) -> bool:
+def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"config key {key}: expected a boolean, got {text!r}")
+    raise ValueError(f"expected a boolean, got {text!r}")
+
+
+_PIPELINE_DEFAULTS = PipelineConfig()
+
+# Every setting, in flag order: config key -> (value parser, default, help).
+# The flag is the key with '-' for '_'; a boolean setting's flag takes no
+# value and sets it. The keys PipelineConfig has pass to it by name.
+_SETTINGS = {
+    "seed": (int, _PIPELINE_DEFAULTS.seed, None),
+    "k_folds": (int, _PIPELINE_DEFAULTS.k_folds, None),
+    "selector": (str, _PIPELINE_DEFAULTS.selector, None),
+    "lambda1": (float, _PIPELINE_DEFAULTS.lambda1, None),
+    "lambda2": (float, _PIPELINE_DEFAULTS.lambda2, None),
+    "no_pca": (_parse_bool, not _PIPELINE_DEFAULTS.use_pca, None),
+    "pca_retain": (_retain_value, _PIPELINE_DEFAULTS.pca_retain, None),
+    "elm_gamma": (float, _PIPELINE_DEFAULTS.elm_gamma, None),
+    "elm_ridge": (float, _PIPELINE_DEFAULTS.elm_ridge, None),
+    "holdout": (float, _PIPELINE_DEFAULTS.holdout,
+                "test fraction for a fixed split instead of k-fold"),
+    "header": (_parse_bool, False, "input CSV has a header row"),
+    "out_dir": (str, ".", None),
+}
 
 
 def load_config_file(path) -> dict:
@@ -97,56 +101,37 @@ def load_config_file(path) -> dict:
         key, _, raw = stripped.partition("=")
         key = key.strip().replace("-", "_")
         raw = raw.strip()
-        if key not in _DEFAULTS:
+        if key not in _SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            if key in _BOOL_KEYS:
-                values[key] = _parse_bool(raw, key)
-            elif key in _INT_KEYS:
-                values[key] = int(raw)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(raw)
-            elif key == "pca_retain":
-                values[key] = _retain_value(raw)
-            else:
-                values[key] = raw
+            values[key] = _SETTINGS[key][0](raw)
         except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     return values
 
 
 def _resolve_settings(args) -> dict:
-    settings = dict(_DEFAULTS)
-    if getattr(args, "config", None):
+    settings = {key: default for key, (_, default, _) in _SETTINGS.items()}
+    if args.config:
         settings.update(load_config_file(args.config))
-    for key in _DEFAULTS:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            settings[key] = flag_value
+    for key in _SETTINGS:
+        if getattr(args, key) is not None:
+            settings[key] = getattr(args, key)
     return settings
 
 
 def _add_global_flags(parser):
     parser.add_argument("--config", metavar="FILE",
                         help="key = value settings file; flags override it")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--k-folds", dest="k_folds", type=int, default=None)
-    parser.add_argument("--selector", default=None, choices=SELECTORS)
-    parser.add_argument("--lambda1", type=float, default=None)
-    parser.add_argument("--lambda2", type=float, default=None)
-    parser.add_argument("--no-pca", dest="no_pca", action="store_const",
-                        const=True, default=None)
-    parser.add_argument("--pca-retain", dest="pca_retain",
-                        type=_retain_value, default=None)
-    parser.add_argument("--elm-gamma", dest="elm_gamma", type=float,
-                        default=None)
-    parser.add_argument("--elm-ridge", dest="elm_ridge", type=float,
-                        default=None)
-    parser.add_argument("--holdout", type=float, default=None,
-                        help="test fraction for a fixed split instead of k-fold")
-    parser.add_argument("--header", action="store_const", const=True,
-                        default=None, help="input CSV has a header row")
-    parser.add_argument("--out-dir", dest="out_dir", default=None)
+    for key, (parse, _, help_text) in _SETTINGS.items():
+        flag = "--" + key.replace("_", "-")
+        if parse is _parse_bool:
+            parser.add_argument(flag, dest=key, action="store_const",
+                                const=True, help=help_text)
+        else:
+            parser.add_argument(
+                flag, dest=key, type=parse, help=help_text,
+                choices=SELECTORS if key == "selector" else None)
 
 
 def build_parser() -> _Parser:
@@ -211,18 +196,9 @@ def build_parser() -> _Parser:
 
 def _pipeline_config(settings, group: str) -> PipelineConfig:
     return PipelineConfig(
-        selector=settings["selector"],
-        use_pca=not settings["no_pca"],
-        pca_retain=settings["pca_retain"],
-        lambda1=settings["lambda1"],
-        lambda2=settings["lambda2"],
-        elm_gamma=settings["elm_gamma"],
-        elm_ridge=settings["elm_ridge"],
-        k_folds=settings["k_folds"],
-        seed=settings["seed"],
-        holdout=settings["holdout"],
-        group_name=group,
-    )
+        use_pca=not settings["no_pca"], group_name=group,
+        **{key: value for key, value in settings.items()
+           if hasattr(_PIPELINE_DEFAULTS, key)})
 
 
 def _out_dir(settings) -> Path:
@@ -321,18 +297,12 @@ def _cmd_train_cnn(args, settings) -> int:
 
 def _cmd_select(args, settings) -> int:
     cfg = _pipeline_config(settings, "select")
-    if cfg.selector == "none":
-        raise ConfigError("selector 'none' fits no coefficients; "
-                          "pick lasso, elastic_net_cd, or elastic_net_svm")
     X, labels = _load_features(args, settings)
     X_std, _ = standardize_columns(X)
-    y = signed_targets(labels)
-    lambda1 = cfg.lambda1
-    if lambda1 is None:
-        lambda1 = choose_lambda1(X_std, y, cfg, seed=cfg.seed)
+    result, lambda1, _ = fit_penalized(X_std, signed_targets(labels), cfg,
+                                       seed=cfg.seed)
+    if cfg.lambda1 is None:
         print(f"lambda1 = {lambda1:.6g} (validation grid)")
-    lambda2 = resolve_lambda2(cfg.selector, lambda1, cfg.lambda2)
-    result = fit_selector(X_std, y, cfg.selector, lambda1, lambda2)
     out = _out_dir(settings)
     save_coefficients(out / "coefficients.txt", result.coefficients)
     support = select_support(result)
@@ -353,8 +323,8 @@ def _emit_all(report, out: Path, formats=None) -> None:
 
 def _cmd_evaluate(args, settings) -> int:
     """The evaluate command, and compare, which adds its --baseline arm."""
-    X, labels = _load_features(args, settings)
     cfg = _pipeline_config(settings, args.group)
+    X, labels = _load_features(args, settings)
     if args.command == "compare":
         report = compare_selectors(cfg, X, labels, baseline=args.baseline)
     else:

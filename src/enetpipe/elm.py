@@ -48,8 +48,7 @@ class ClassScores:
 
 def rbf_gram(A, B, gamma: float) -> np.ndarray:
     """exp(-gamma * ||a_i - b_j||^2) for all row pairs."""
-    if gamma <= 0:
-        raise ConfigError(f"gamma must be positive, got {gamma}")
+    _check_gamma(gamma)
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
     return _gram(_squared_distances(A, _row_norms(A), B, _row_norms(B)),
@@ -62,6 +61,11 @@ def median_heuristic_gamma(X) -> float:
     X = np.asarray(X, dtype=np.float64)
     norms = _row_norms(X)
     return _median_gamma(_squared_distances(X, norms, X, norms), X.shape[1])
+
+
+def _check_gamma(gamma) -> None:
+    if not 0.0 < gamma < np.inf:
+        raise ConfigError(f"gamma must be positive and finite, got {gamma}")
 
 
 def _row_norms(A: np.ndarray) -> np.ndarray:
@@ -116,10 +120,8 @@ def elm_train(X, labels, gamma: float | None = None,
     if labels.ndim != 1 or labels.shape[0] != X.shape[0]:
         raise DimensionError(
             f"labels have shape {labels.shape}, expected ({X.shape[0]},)")
-    if ridge_c <= 0:
+    if not ridge_c > 0:         # inf: no ridge term
         raise ConfigError(f"ridge_c must be positive, got {ridge_c}")
-    if gamma is not None and gamma <= 0:
-        raise ConfigError(f"gamma must be positive, got {gamma}")
 
     classes, class_idx = np.unique(labels, return_inverse=True)
     targets = np.zeros((X.shape[0], classes.shape[0]))
@@ -129,11 +131,14 @@ def elm_train(X, labels, gamma: float | None = None,
     norms = _row_norms(X)
     sq = _squared_distances(X, norms, X, norms)
     if gamma is None:
-        gamma = _median_gamma(sq, X.shape[1])
-        if gamma <= 0:      # an infinite median distance
-            raise ConfigError(f"gamma must be positive, got {gamma}")
+        gamma = _median_gamma(sq, X.shape[1])  # 0: an infinite median
+    _check_gamma(gamma)
     system = _gram(sq, gamma)
     system[np.diag_indices_from(system)] += 1.0 / ridge_c
+    # overflowing squared norms leave NaN distances; this one check covers
+    # both solve paths, so scipy is told not to scan the matrix again
+    if not np.isfinite(system).all():
+        raise NumericalError("ridge system has a non-finite entry")
     if system.shape == (1, 1):
         # one training row: divide, as scipy's solve does; a Cholesky
         # factor and solve give other bits
@@ -141,14 +146,16 @@ def elm_train(X, labels, gamma: float | None = None,
     else:
         try:
             factor = scipy.linalg.cho_factor(system, lower=False,
-                                             overwrite_a=True)
+                                             overwrite_a=True,
+                                             check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 f"ridge system could not be solved: {exc}") from exc
         # cho_solve returns Fortran order; predict's product takes its last
         # bits from the weights' layout, so they are stored C-ordered
         weights = np.ascontiguousarray(
-            scipy.linalg.cho_solve(factor, targets, overwrite_b=True))
+            scipy.linalg.cho_solve(factor, targets, overwrite_b=True,
+                                   check_finite=False))
     row_norms = _stored_row_norms(X)
     return ElmModel(training_inputs=X.copy(), row_norms=row_norms,
                     output_weights=weights, classes=classes,

@@ -42,8 +42,8 @@ from .sven import elastic_net_fit_svm_reduction
 __all__ = ["PipelineConfig", "FoldOutcome", "EvaluationReport",
            "ComparisonBlock", "kfold_split", "holdout_split", "accuracy",
            "stddev_population", "signed_targets", "resolve_lambda2",
-           "fit_selector", "choose_lambda1", "run_pipeline",
-           "compare_selectors"]
+           "fit_selector", "choose_lambda1", "fit_penalized",
+           "run_pipeline", "compare_selectors"]
 
 SELECTORS = ("lasso", "elastic_net_cd", "elastic_net_svm", "none")
 
@@ -79,10 +79,22 @@ class PipelineConfig:
         if self.holdout is not None and not 0.0 < self.holdout < 1.0:
             raise ConfigError(
                 f"holdout fraction must be in (0, 1), got {self.holdout}")
-        if self.lambda1 is not None and self.lambda1 < 0:
-            raise ConfigError(f"lambda1 must be >= 0, got {self.lambda1}")
-        if self.lambda2 is not None and self.lambda2 < 0:
-            raise ConfigError(f"lambda2 must be >= 0, got {self.lambda2}")
+        for name in ("lambda1", "lambda2"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 <= value < np.inf:
+                raise ConfigError(
+                    f"{name} must be finite and >= 0, got {value}")
+        if self.elm_gamma is not None and not 0.0 < self.elm_gamma < np.inf:
+            raise ConfigError(
+                f"elm_gamma must be finite and > 0, got {self.elm_gamma}")
+        if not self.elm_ridge > 0.0:        # inf: no ridge term
+            raise ConfigError(f"elm_ridge must be > 0, got {self.elm_ridge}")
+        retain = self.pca_retain        # a count or a variance fraction
+        is_count = (isinstance(retain, (int, np.integer))
+                    and not isinstance(retain, bool))
+        if not (retain >= 1 if is_count else 0.0 < retain <= 1.0):
+            raise ConfigError("pca_retain must be an int >= 1 or a float "
+                              f"in (0, 1], got {retain}")
         if self.selector == "lasso" and self.lambda2:
             raise ConfigError(
                 f"selector lasso has no ridge term; got lambda2={self.lambda2}")
@@ -208,7 +220,8 @@ def fit_selector(X, y, selector: str, lambda1: float, lambda2: float):
         return elastic_net_fit_cd(X, y, pen)
     if selector == "elastic_net_svm":
         return elastic_net_fit_svm_reduction(X, y, pen)
-    raise ConfigError(f"selector {selector!r} does not fit coefficients")
+    raise ConfigError(f"selector {selector!r} fits no coefficients; pick "
+                      "lasso, elastic_net_cd, or elastic_net_svm")
 
 
 def choose_lambda1(X, y, cfg: PipelineConfig, seed: int):
@@ -241,6 +254,17 @@ def choose_lambda1(X, y, cfg: PipelineConfig, seed: int):
     return float(best_lam)
 
 
+def fit_penalized(X, y, cfg: PipelineConfig, seed: int):
+    """Fit cfg's selector: lambda1 is cfg.lambda1, or choose_lambda1's
+    validation-grid choice seeded by seed when that is unset, and lambda2
+    is resolve_lambda2's. Returns (result, lambda1, lambda2)."""
+    lambda1 = cfg.lambda1
+    if lambda1 is None:
+        lambda1 = choose_lambda1(X, y, cfg, seed=seed)
+    lambda2 = resolve_lambda2(cfg.selector, lambda1, cfg.lambda2)
+    return fit_selector(X, y, cfg.selector, lambda1, lambda2), lambda1, lambda2
+
+
 def _prepare_fold(cfg: PipelineConfig, X, train_idx, test_idx):
     """A fold's training and test matrices after the preprocessing fitted
     on its training rows; both are read-only, so selector arms share them."""
@@ -266,17 +290,12 @@ def _evaluate_fold(cfg: PipelineConfig, X_train, X_test, labels,
     y_train_labels = labels[train_idx]
     y_test_labels = labels[test_idx]
 
-    lambda1 = cfg.lambda1
-    lambda2 = cfg.lambda2
+    lambda1, lambda2 = cfg.lambda1, cfg.lambda2
     support = np.arange(X_train.shape[1])
     if cfg.selector != "none":
-        y_signed = signed_targets(labels)[train_idx]
-        if lambda1 is None:
-            lambda1 = choose_lambda1(X_train, y_signed, cfg,
-                                     seed=cfg.seed + 9973 * (fold_index + 1))
-        lambda2 = resolve_lambda2(cfg.selector, lambda1, lambda2)
-        result = fit_selector(X_train, y_signed, cfg.selector,
-                              lambda1, lambda2)
+        result, lambda1, lambda2 = fit_penalized(
+            X_train, signed_targets(labels)[train_idx], cfg,
+            seed=cfg.seed + 9973 * (fold_index + 1))
         if not result.converged:
             warnings.append(
                 f"fold {fold_index}: selector did not converge in "

@@ -45,10 +45,23 @@ def _sec(time_ms) -> str:
 def _fold_rows(folds):
     for o in folds:
         if o.failure is not None:
-            yield (str(o.fold_index), "failed", "failed", o.failure)
+            row = (str(o.fold_index), "failed", "failed", o.failure)
         else:
-            yield (str(o.fold_index), _pct(o.accuracy), _sec(o.time_ms),
+            row = (str(o.fold_index), _pct(o.accuracy), _sec(o.time_ms),
                    str(int(o.support.size)))
+        yield f"{row[0]:<8}{row[1]:<16}{row[2]:<24}{row[3]:<10}"
+
+
+def _arms(report: EvaluationReport) -> list:
+    """(selector, mean accuracy, mean time in ms, folds) of each arm, the
+    baseline's first when the report compares; the report's own is last."""
+    arms = [(report.selector, report.mean_accuracy, report.mean_time_ms,
+             report.folds)]
+    comp = report.comparison
+    if comp is not None:
+        arms.insert(0, (comp.baseline_selector, comp.baseline_mean_accuracy,
+                        comp.baseline_mean_time_ms, comp.baseline_folds))
+    return arms
 
 
 def _text_table(report: EvaluationReport) -> str:
@@ -62,20 +75,15 @@ def _text_table(report: EvaluationReport) -> str:
     header = f"{'Variant':<24}{'Accuracy (%)':<16}{'Processing time (sec)':<24}"
     lines.append(header)
     lines.append("-" * len(header))
+    arms = _arms(report)
+    for selector, mean_acc, mean_time_ms, _ in arms:
+        lines.append(f"{selector:<24}{_pct(mean_acc):<16}"
+                     f"{_sec(mean_time_ms):<24}")
     comp = report.comparison
     if comp is not None:
-        lines.append(f"{comp.baseline_selector:<24}"
-                     f"{_pct(comp.baseline_mean_accuracy):<16}"
-                     f"{_sec(comp.baseline_mean_time_ms):<24}")
-        lines.append(f"{comp.proposed_selector:<24}"
-                     f"{_pct(comp.proposed_mean_accuracy):<16}"
-                     f"{_sec(comp.proposed_mean_time_ms):<24}")
         delta_pct = f"{100.0 * comp.mean_accuracy_delta:+.2f}%"
         delta_sec = f"{comp.mean_time_delta_ms / 1000.0:+.3f}s"
         lines.append(f"{'delta':<24}{delta_pct:<16}{delta_sec:<24}")
-    else:
-        lines.append(f"{report.selector:<24}{_pct(report.mean_accuracy):<16}"
-                     f"{_sec(report.mean_time_ms):<24}")
     lines.append("")
     lines.append(f"Fold accuracy sigma (population): {_pct(report.accuracy_sigma)}")
     lines.append(f"Mean selected features: {report.mean_support_size:.1f} "
@@ -84,13 +92,10 @@ def _text_table(report: EvaluationReport) -> str:
 
     lines.append(f"{'Fold':<8}{'Accuracy (%)':<16}"
                  f"{'Processing time (sec)':<24}{'Selected':<10}")
-    for row in _fold_rows(report.folds):
-        lines.append(f"{row[0]:<8}{row[1]:<16}{row[2]:<24}{row[3]:<10}")
-    if comp is not None and comp.baseline_folds:
-        lines.append("")
-        lines.append(f"Baseline folds ({comp.baseline_selector}):")
-        for row in _fold_rows(comp.baseline_folds):
-            lines.append(f"{row[0]:<8}{row[1]:<16}{row[2]:<24}{row[3]:<10}")
+    lines.extend(_fold_rows(report.folds))
+    for selector, _, _, folds in arms[:-1]:
+        if folds:
+            lines += ["", f"Baseline folds ({selector}):", *_fold_rows(folds)]
     if report.warnings:
         lines.append("")
         lines.append("Warnings:")
@@ -112,17 +117,13 @@ def _csv_fold_lines(group, selector, folds):
 
 def _comma_separated(report: EvaluationReport) -> str:
     lines = ["group,selector,fold,accuracy,time_ms,support_size,note"]
-    comp = report.comparison
-    if comp is not None:
-        lines.extend(_csv_fold_lines(report.group, comp.baseline_selector,
-                                     comp.baseline_folds))
-        lines.append(f"{report.group},{comp.baseline_selector},mean,"
-                     f"{comp.baseline_mean_accuracy:.4f},"
-                     f"{comp.baseline_mean_time_ms:.3f},,")
-    lines.extend(_csv_fold_lines(report.group, report.selector, report.folds))
-    lines.append(f"{report.group},{report.selector},mean,"
-                 f"{report.mean_accuracy:.4f},{report.mean_time_ms:.3f},"
-                 f"{report.mean_support_size:.1f},")
+    arms = _arms(report)
+    for i, (selector, mean_acc, mean_time_ms, folds) in enumerate(arms, 1):
+        # only the report's own arm carries a mean support size
+        support = f"{report.mean_support_size:.1f}" if i == len(arms) else ""
+        lines.extend(_csv_fold_lines(report.group, selector, folds))
+        lines.append(f"{report.group},{selector},mean,{mean_acc:.4f},"
+                     f"{mean_time_ms:.3f},{support},")
     lines.append(f"{report.group},{report.selector},sigma,"
                  f"{report.accuracy_sigma:.4f},,,")
     return "\n".join(lines) + "\n"
@@ -130,21 +131,11 @@ def _comma_separated(report: EvaluationReport) -> str:
 
 def _plot_data(report: EvaluationReport) -> str:
     lines = ["group,variant,metric,value"]
-
-    def emit(variant, mean_acc, mean_time_ms):
-        lines.append(f"{report.group},{variant},accuracy_percent,"
+    for selector, mean_acc, mean_time_ms, _ in _arms(report):
+        lines.append(f"{report.group},{selector},accuracy_percent,"
                      f"{100.0 * mean_acc:.2f}")
-        lines.append(f"{report.group},{variant},time_ms,"
+        lines.append(f"{report.group},{selector},time_ms,"
                      f"{int(round(mean_time_ms))}")
-
-    comp = report.comparison
-    if comp is not None:
-        emit(comp.baseline_selector, comp.baseline_mean_accuracy,
-             comp.baseline_mean_time_ms)
-        emit(comp.proposed_selector, comp.proposed_mean_accuracy,
-             comp.proposed_mean_time_ms)
-    else:
-        emit(report.selector, report.mean_accuracy, report.mean_time_ms)
     lines.append("# time_ms values are milliseconds")
     return "\n".join(lines) + "\n"
 

@@ -1,15 +1,20 @@
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import enetpipe.cli
 import enetpipe.pipeline
 from enetpipe.cli import load_config_file, main
 from enetpipe.cnn import CnnConfig, cnn_init, save_cnn
 from enetpipe.data import (Volume3D, load_feature_csv, save_feature_csv,
                            save_volume_raw3d)
 from enetpipe.errors import ConfigError
+from enetpipe.pipeline import PipelineConfig
+from enetpipe.report import emit_report
 from enetpipe.rng import PortableRng
 
 REPORT_FILES = ("report.txt", "report.csv", "plot_data.csv", "report.json")
@@ -57,6 +62,130 @@ class TestSelect:
         assert (workdir / "coefficients.txt").exists()
         support_text = (workdir / "support.txt").read_text()
         assert "support" in support_text
+
+
+class TestSelectPins:
+    """`select` outputs pinned byte for byte: fixed and searched lambda1."""
+
+    SUPPORT_8 = ("7da32e307d3889f9a4ca358256714b51"
+                 "90114a0454aa3a913647dd9997900e07")
+
+    @pytest.mark.parametrize("selector, coefficients, support", [
+        ("lasso", "61403c26b1d6442777d820d75e51b3c2"
+                  "db1d0451bbcb78a48d77ae2ff48246cb", SUPPORT_8),
+        ("elastic_net_svm", "4ff1dbbe0dbab108e64ab1787c4a91be"
+                            "b7b229bb6d3c54e333db618b8ddb168b", SUPPORT_8),
+    ])
+    def test_fixed_lambda1(self, workdir, selector, coefficients, support):
+        features = _generate(workdir)
+        assert main(["select", "--features", str(features),
+                     "--selector", selector, "--lambda1", "0.05"]) == 0
+        assert _sha256(workdir / "coefficients.txt") == coefficients
+        assert _sha256(workdir / "support.txt") == support
+
+    @pytest.mark.parametrize("seed, lambda1, coefficients, support", [
+        ("0", "0.01872", "44d2f15ca10a27f63961f6d3bff5491d"
+                         "6e301eeff3c0676f06d2921caeac7432",
+         "ae5fa2d1e3792b7f08a8c84e157baf6f415ee4f25acd3774a1bb012f3d1117d6"),
+        ("5", "0.0195794", "f331c4adc399bc43bb6f92f6fa67c3da"
+                           "e470a45338d08a6b1ddb17e4f63401af",
+         "239fe8f4cf39fba5c11d8128d60def40aa325e6e5eb07eae806213b7256d0664"),
+    ])
+    def test_searched_lambda1(self, workdir, capsys, seed, lambda1,
+                              coefficients, support):
+        features = _generate(workdir)
+        capsys.readouterr()
+        assert main(["select", "--features", str(features),
+                     "--selector", "elastic_net_cd", "--seed", seed]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == f"lambda1 = {lambda1} (validation grid)"
+        assert _sha256(workdir / "coefficients.txt") == coefficients
+        assert _sha256(workdir / "support.txt") == support
+
+    def test_selector_none_is_one_before_any_fit(self, workdir, monkeypatch):
+        features = _generate(workdir)
+        fits = _record_fits(monkeypatch)
+        assert main(["select", "--features", str(features),
+                     "--selector", "none", "--lambda1", "0.05"]) == 1
+        assert main(["select", "--features", str(features),
+                     "--selector", "none"]) == 1
+        assert fits == []
+        assert not (workdir / "coefficients.txt").exists()
+
+
+def _record_fits(monkeypatch):
+    """Replace the pipeline's fits with recorders; returns the calls."""
+    fits = []
+    for name in ("lasso_fit", "elastic_net_fit_cd",
+                 "elastic_net_fit_svm_reduction", "pca_fit", "elm_train"):
+        monkeypatch.setattr(enetpipe.pipeline, name,
+                            lambda *a, _name=name, **k: fits.append(_name))
+    return fits
+
+
+# (config key, its flag tokens, its config-file value, another file value)
+SETTINGS_CASES = [
+    ("seed", ["--seed", "7"], "7", "42"),
+    ("k_folds", ["--k-folds", "4"], "4", "5"),
+    ("selector", ["--selector", "elastic_net_svm"], "elastic_net_svm",
+     "lasso"),
+    ("lambda1", ["--lambda1", "0.125"], "0.125", "0.05"),
+    ("lambda2", ["--lambda2", "0.5"], "0.5", "0.25"),
+    ("no_pca", ["--no-pca"], "true", "false"),
+    ("pca_retain", ["--pca-retain", "7"], "7", "0.9"),
+    ("elm_gamma", ["--elm-gamma", "0.25"], "0.25", "0.5"),
+    ("elm_ridge", ["--elm-ridge", "20"], "20", "10"),
+    ("holdout", ["--holdout", "0.3"], "0.3", "0.25"),
+    ("header", ["--header"], "yes", "no"),
+    ("out_dir", ["--out-dir", "flagged"], "flagged", "filed"),
+]
+
+
+class TestSettingsSources:
+    """Each setting given as a flag or as a config-file line reaches the
+    run the same way, and the flag wins over the file."""
+
+    @pytest.mark.parametrize("key, flag, value, other", SETTINGS_CASES,
+                             ids=[case[0] for case in SETTINGS_CASES])
+    def test_flag_and_file_agree_and_flag_wins(
+            self, workdir, monkeypatch, key, flag, value, other):
+        features = _generate(workdir)
+        report = enetpipe.pipeline.run_pipeline(
+            PipelineConfig(selector="none", k_folds=3),
+            *load_feature_csv(features, label_column=-1))
+        seen = {}
+
+        def load(path, **kwargs):
+            seen["skip_header"] = kwargs["skip_header"]
+            return load_feature_csv(path, **kwargs)
+
+        def run(cfg, X, labels):
+            seen["config"] = cfg
+            return report
+
+        def emit(report, fmt, out_dir):
+            seen["out_dir"] = Path(out_dir).resolve()
+            return emit_report(report, fmt, out_dir)
+
+        monkeypatch.setattr(enetpipe.cli, "load_feature_csv", load)
+        monkeypatch.setattr(enetpipe.cli, "run_pipeline", run)
+        monkeypatch.setattr(enetpipe.cli, "emit_report", emit)
+
+        def observe(*argv):
+            seen.clear()
+            assert main(["evaluate", "--features", str(features),
+                         *argv]) == 0
+            return dict(seen)
+
+        same = workdir / "same.conf"
+        same.write_text(f"{key} = {value}\n")
+        differ = workdir / "differ.conf"
+        differ.write_text(f"{key} = {other}\n")
+        by_flag = observe(*flag)
+        assert observe("--config", str(same)) == by_flag
+        assert observe("--config", str(differ), *flag) == by_flag
+        assert observe("--config", str(differ)) != by_flag
+        assert observe() != by_flag
 
 
 class TestEvaluate:
@@ -224,6 +353,36 @@ class TestExitCodes:
                    "lasso", "--lambda2", "0.3", "--k-folds", "3"])
         assert rc == 1
         assert fits == []
+
+    @pytest.mark.parametrize("setting", [
+        ("--pca-retain", "1.5"), ("--pca-retain", "0"), ("--elm-ridge", "0"),
+        ("--elm-ridge", "nan"), ("--elm-gamma", "-1"),
+        ("--elm-gamma", "nan"), ("--elm-gamma", "inf"),
+        ("--lambda1", "nan"), ("--lambda1", "inf"), ("--lambda2", "nan"),
+    ], ids="=".join)
+    @pytest.mark.parametrize("command", ["select", "evaluate", "compare"])
+    def test_out_of_range_setting_is_one_before_any_fit(
+            self, workdir, monkeypatch, capsys, command, setting):
+        features = _generate(workdir)
+        fits = _record_fits(monkeypatch)
+        capsys.readouterr()
+        rc = main([command, "--features", str(features), "--k-folds", "3",
+                   "--lambda1", "0.05", *setting])
+        assert rc == 1
+        assert fits == []
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (workdir / "report.json").exists()
+
+    def test_bad_boolean_in_config_names_file_and_line(self, workdir, capsys):
+        cfg = workdir / "bad.conf"
+        cfg.write_text("seed = 4\nno_pca = maybe\n")
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"{cfg}:2: expected a boolean")):
+            load_config_file(cfg)
+        capsys.readouterr()
+        assert main(["generate", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:2: expected a boolean, got 'maybe'\n")
 
     def test_non_ascii_config_is_one(self, workdir):
         features = _generate(workdir)

@@ -96,6 +96,28 @@ def test_invalid_settings():
         rbf_gram(X, X, gamma=0.0)
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(gamma=np.inf), dict(gamma=np.nan), dict(ridge_c=np.nan)])
+def test_non_finite_settings_are_config_errors(kwargs):
+    X, y = _blobs(8, n_per=5)
+    with pytest.raises(ConfigError):
+        elm_train(X, y, **kwargs)
+    if "gamma" in kwargs:
+        with pytest.raises(ConfigError, match="gamma must be positive"):
+            rbf_gram(X, X, kwargs["gamma"])
+
+
+@pytest.mark.parametrize("rows", [3, 1], ids=["3x3", "1x1"])
+def test_overflowing_rows_are_a_numerical_error(rows):
+    # a squared norm near 1e310 overflows, and inf - inf leaves a NaN
+    # distance in the ridge system
+    X = np.array([[1e155, 0.0], [0.0, 1.0], [2.0, 3.0]])[:rows]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError,
+                           match="^ridge system has a non-finite entry$"):
+            elm_train(X, np.array([0.0, 1.0, 0.0])[:rows], gamma=1.0)
+
+
 def test_infinite_median_distance_is_a_config_error():
     # a squared norm overflows, the median distance is inf and gamma 0
     X = np.array([[1e160, 0.0], [0.0, 1.0], [2.0, 3.0]])

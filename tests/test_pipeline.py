@@ -119,10 +119,28 @@ class TestPipelineConfig:
         dict(lambda1=-1.0),
         dict(lambda2=-0.5),
         dict(selector="lasso", lambda2=0.3),
+        dict(lambda1=math.nan),
+        dict(lambda1=math.inf),
+        dict(lambda2=math.nan),
+        dict(lambda2=math.inf),
+        dict(elm_gamma=-1.0),
+        dict(elm_gamma=0.0),
+        dict(elm_gamma=math.nan),
+        dict(elm_gamma=math.inf),
+        dict(elm_ridge=0.0),
+        dict(elm_ridge=math.nan),
+        dict(pca_retain=0),
+        dict(pca_retain=1.5),
+        dict(pca_retain=0.0),
+        dict(pca_retain=math.nan),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
             PipelineConfig(**kwargs)
+
+    def test_edge_values_that_stay_valid(self):
+        PipelineConfig(elm_ridge=math.inf, pca_retain=1, lambda1=0.0)
+        PipelineConfig(pca_retain=1.0, elm_gamma=1e-300)
 
     def test_lasso_accepts_a_zero_ridge_weight(self):
         assert PipelineConfig(selector="lasso", lambda2=0.0).lambda2 == 0.0
@@ -226,6 +244,16 @@ class TestRunPipeline:
             f"fold {i}: selector did not converge in {n} sweeps"
             for i, n in enumerate(sweeps)]
         assert len(sweeps) == 4
+
+    def test_searched_lambda_pins(self):
+        # each fold seeds its lambda1 grid's split with seed + 9973 * (i + 1)
+        X, labels, _ = _dataset(seed=12, n=60)
+        report = run_pipeline(PipelineConfig(seed=5, k_folds=4), X, labels)
+        assert [o.lambda1 for o in report.folds] == [
+            0.0943357964858817, 0.11405025068025186, 0.11947732766230906,
+            0.01801027154198061]
+        assert [o.lambda2 for o in report.folds] == [
+            0.5 * o.lambda1 for o in report.folds]
 
     def test_all_folds_failing_raises(self):
         X, labels, _ = _dataset(seed=13, n=40)
