@@ -17,20 +17,23 @@ to the first occurrence in row-major window order, and training uses plain
 minibatch SGD on mean cross-entropy with a seeded portable shuffle, so runs
 are reproducible bit-for-bit.
 
-Training keeps the ReLU mask and the pool's argmax indices for the
-backward pass. Extraction (``cnn_forward``, ``cnn_forward_batch``,
-``extract_image_features``) needs neither: it takes the maximum ``m`` of
-the raw conv map over the four strided views v0..v3 of each 2x2 window
-(row-major order), then rectifies, ``where(m > 0, m, v0 * 0.0)``. This
-returns the same bits as ReLU followed by the first-occurrence pool. If
-``m > 0``, both give the window's largest value. If ``m <= 0``, ReLU
-turns each entry e into ``e * 0``, a zero with e's sign; the four zeros
-tie, so the pool keeps the first, ``v0 * 0.0``. The shorter
-``m * (m > 0)`` is not exact: ``np.maximum`` may return either zero on a
-+0/-0 tie, and ``%.17g`` prints -0.0 as ``-0``. Because the pool would
-hide an overflow in a window's smaller entries, extraction raises
-NumericalError when a stage's conv output is not finite; numpy's own
-overflow warning is silenced there, so that error is the one signal.
+Training and extraction pool the same way, in ``_pool_then_rectify``.
+A stage takes the maximum ``m`` of the raw conv map over the four strided
+views v0..v3 of each 2x2 window (row-major order), then rectifies,
+``where(m > 0, m, v0 * 0.0)``. This returns the same bits as ReLU
+followed by the first-occurrence pool. If ``m > 0``, both give the
+window's largest value. If ``m <= 0``, ReLU turns each entry e into
+``e * 0``, a zero with e's sign; the four zeros tie, so the pool keeps
+the first, ``v0 * 0.0``. The shorter ``m * (m > 0)`` is not exact:
+``np.maximum`` may return either zero on a +0/-0 tie, and ``%.17g``
+prints -0.0 as ``-0``. For the backward pass training keeps one int8
+index per window instead of a ReLU mask: the first k with ``v_k == m``,
+where ReLU-then-pool routes the gradient, or ``_NO_GRADIENT`` where
+``m <= 0`` and ReLU passes none. Because the pool would hide an overflow
+in a window's smaller entries, both passes raise NumericalError when a
+stage's conv output is not finite; numpy's own overflow warning is
+silenced there, so that error is the one signal. SGD treats it as a
+non-finite loss.
 """
 
 from __future__ import annotations
@@ -53,6 +56,9 @@ __all__ = ["CnnConfig", "CnnNetwork", "CnnGradients", "CnnTrainResult",
 DEFAULT_INPUT_SIZE = 32
 DEFAULT_CHANNELS = (32, 64, 64)
 DEFAULT_CENTER_COUNT = 151
+# (row, column) of the strided views v0..v3 in a 2x2 window, row-major
+_WINDOW_OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
+_NO_GRADIENT = 4
 
 
 @dataclass(frozen=True)
@@ -182,57 +188,51 @@ def _conv_input_grad(dout, x_pad, w):
     return dx_pad[:, :, 1:-1, 1:-1]
 
 
-def _maxpool(x):
-    """2x2 max-pool; ties go to the first entry in row-major window order."""
-    b, c, h, w = x.shape
-    tiles = x.reshape(b, c, h // 2, 2, w // 2, 2)
-    tiles = tiles.transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h // 2, w // 2, 4)
-    idx = np.argmax(tiles, axis=-1)
-    out = np.take_along_axis(tiles, idx[..., None], axis=-1)[..., 0]
-    return out, idx
-
-
-def _pool_then_rectify(x):
+def _pool_then_rectify(x, want_index: bool = False):
     """2x2 max-pool of the raw conv map, then ReLU: the same bits as ReLU
-    then ``_maxpool``, the sign of zero included (see the module docstring)."""
-    v0, v1 = x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2]
-    v2, v3 = x[:, :, 1::2, 0::2], x[:, :, 1::2, 1::2]
-    m = np.maximum(np.maximum(v0, v1), np.maximum(v2, v3))
-    return np.where(m > 0.0, m, v0 * 0.0)
+    then a first-occurrence pool, the sign of zero included (see the module
+    docstring). Returns (pooled, index), the index None unless wanted."""
+    views = [x[:, :, i::2, j::2] for i, j in _WINDOW_OFFSETS]
+    m = np.maximum(np.maximum(views[0], views[1]),
+                   np.maximum(views[2], views[3]))
+    alive = m > 0.0
+    pooled = np.where(alive, m, views[0] * 0.0)
+    if not want_index:
+        return pooled, None
+    idx = np.full(m.shape, _NO_GRADIENT, dtype=np.int8)
+    for k in (3, 2, 1, 0):        # the lowest k holding the max wins
+        idx[alive & (views[k] == m)] = k
+    return pooled, idx
 
 
-def _unpool(dout, idx, pooled_from_shape):
-    b, c, h, w = pooled_from_shape
-    tiles = np.zeros((b, c, h // 2, w // 2, 4))
-    np.put_along_axis(tiles, idx[..., None], dout[..., None], axis=-1)
-    tiles = tiles.reshape(b, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    return tiles.reshape(b, c, h, w)
+def _unpool(dout, idx):
+    """Route each pooled gradient to the entry ``idx`` names."""
+    b, c, h, w = idx.shape
+    dx = np.empty((b, c, 2 * h, 2 * w))
+    for k, (i, j) in enumerate(_WINDOW_OFFSETS):
+        dx[:, :, i::2, j::2] = np.where(idx == k, dout, 0.0)
+    return dx
 
 
 def _forward_batch(net: CnnNetwork, x, want_cache: bool = False):
     cfg = net.config
     expected = cfg.stage_trace()
     caches = []
-    # extraction's finite check below is its one overflow signal
-    quiet = None if want_cache else "ignore"
     for stage in range(3):
-        with np.errstate(over=quiet, invalid=quiet):
+        # the finite check below is the one overflow signal
+        with np.errstate(over="ignore", invalid="ignore"):
             out, x_pad = _conv_same(x, net.conv_weights[stage],
                                     net.conv_biases[stage])
         if out.shape[1:] != expected[2 * stage]:
             raise ContractError(
                 f"stage {stage + 1} conv produced {out.shape[1:]}, "
                 f"expected {expected[2 * stage]}")
+        if not np.isfinite(out).all():
+            raise NumericalError(
+                f"stage {stage + 1} convolution output is not finite")
+        pooled, idx = _pool_then_rectify(out, want_cache)
         if want_cache:
-            relu_mask = out > 0.0
-            out *= relu_mask            # the bits of out * relu_mask
-            pooled, idx = _maxpool(out)
-            caches.append((x_pad, relu_mask, idx, out.shape))
-        else:
-            if not np.isfinite(out).all():
-                raise NumericalError(
-                    f"stage {stage + 1} convolution output is not finite")
-            pooled = _pool_then_rectify(out)
+            caches.append((x_pad, idx))
         # free this stage's conv map before the next stage's convolution
         del out, x_pad
         if pooled.shape[1:] != expected[2 * stage + 1]:
@@ -256,9 +256,7 @@ def _as_plane_array(patch) -> np.ndarray:
 
 def cnn_forward(net: CnnNetwork, patch):
     """Single-patch forward pass; returns (feature vector, class probs)."""
-    _check_finite_parameters(net)
-    x = _as_plane_array(patch)[None]
-    features, _, probs, _ = _forward_batch(net, x)
+    features, probs = cnn_forward_batch(net, _as_plane_array(patch)[None])
     return features[0], probs[0]
 
 
@@ -286,15 +284,12 @@ def cnn_loss_grad(net: CnnNetwork, batch, labels):
     dfc_b = dlogits.sum(axis=0)
     dflat = dlogits @ net.fc_weights
 
-    last_pool_shape = caches[-1][3]
-    grad = dflat.reshape(last_pool_shape[0], last_pool_shape[1],
-                         last_pool_shape[2] // 2, last_pool_shape[3] // 2)
+    grad = dflat.reshape(caches[-1][1].shape)
     dconv_w = [None, None, None]
     dconv_b = [None, None, None]
     for stage in (2, 1, 0):
-        x_pad, relu_mask, idx, act_shape = caches[stage]
-        dact = _unpool(grad, idx, act_shape)
-        dact *= relu_mask
+        x_pad, idx = caches[stage]
+        dact = _unpool(grad, idx)
         dconv_w[stage], dconv_b[stage] = _conv_param_grad(dact, x_pad)
         if stage > 0:  # the input patch needs no gradient
             grad = _conv_input_grad(dact, x_pad, net.conv_weights[stage])
@@ -306,10 +301,10 @@ def cnn_train_sgd(net: CnnNetwork, batch, labels, epochs: int,
                   batch_size: int = 16) -> CnnTrainResult:
     """Plain minibatch SGD, seeded shuffle each epoch.
 
-    A non-finite loss, gradient, or parameter after an update aborts
-    training and returns the parameters from the last batch whose loss
-    was still finite. Saturated ReLU stages can keep the loss bounded
-    while weights overflow, so the loss alone is not a safe check.
+    A non-finite loss, conv output, gradient, or parameter after an
+    update aborts training and returns the parameters from the last batch
+    whose loss was still finite. Saturated ReLU stages can keep the loss
+    bounded while weights overflow, so the loss alone is not a safe check.
     """
     if learning_rate < 0:
         raise NumericalError(f"learning rate must be >= 0, got {learning_rate}")
@@ -325,7 +320,10 @@ def cnn_train_sgd(net: CnnNetwork, batch, labels, epochs: int,
         batch_losses = []
         for start in range(0, x.shape[0], batch_size):
             take = order[start:start + batch_size]
-            loss, grads = cnn_loss_grad(net, x[take], labels[take])
+            try:
+                loss, grads = cnn_loss_grad(net, x[take], labels[take])
+            except NumericalError:     # a stage's conv output overflowed
+                loss = float("nan")
             if not np.isfinite(loss):
                 return CnnTrainResult(network=checkpoint,
                                       epoch_losses=epoch_losses,

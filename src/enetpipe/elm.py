@@ -16,8 +16,9 @@ import scipy.linalg
 from .data import validate_feature_matrix
 from .errors import ConfigError, DimensionError, NumericalError
 
-__all__ = ["ElmModel", "ClassScores", "rbf_gram", "median_heuristic_gamma",
-           "elm_train", "elm_predict"]
+__all__ = ["DEFAULT_RIDGE_C", "ElmModel", "ClassScores", "rbf_gram",
+           "median_heuristic_gamma", "elm_train", "elm_predict",
+           "predicted_labels"]
 
 DEFAULT_RIDGE_C = 100.0
 _NORM_BLOCK = 1 << 16

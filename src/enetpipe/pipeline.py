@@ -30,7 +30,7 @@ import numpy as np
 
 from .data import (apply_standardization, standardize_columns,
                    validate_feature_matrix)
-from .elm import elm_predict, elm_train
+from .elm import elm_predict, elm_train, predicted_labels
 from .errors import (ConfigError, DimensionError, EnetPipeError,
                      UndefinedMetricError)
 from .pca import pca_fit, pca_transform
@@ -316,7 +316,7 @@ def _evaluate_fold(cfg: PipelineConfig, X_train, X_test, labels,
         started = time.perf_counter()
         scored = elm_predict(model, X_test_sel[i:i + 1])
         latencies[i] = time.perf_counter() - started
-        predictions[i] = model.classes[scored.predicted_class[0]]
+        predictions[i] = predicted_labels(model, scored)[0]
 
     return FoldOutcome(
         fold_index=fold_index,

@@ -139,9 +139,6 @@ class PortableRng:
         """Uniform double in [0, 1) with 53 bits of precision."""
         return (self.next_uint64() >> 11) * 2.0 ** -53
 
-    def uniforms(self, n: int) -> np.ndarray:
-        return np.array([self.random() for _ in range(n)], dtype=np.float64)
-
     def integer_below(self, n: int) -> int:
         """Unbiased integer in [0, n) via rejection sampling."""
         if n <= 0:
@@ -232,7 +229,3 @@ class PortableRng:
         idx = np.arange(n)
         self.shuffle(idx)
         return idx
-
-    def spawn(self) -> "PortableRng":
-        """Derive an independent child generator from this stream."""
-        return PortableRng(self.next_uint64())

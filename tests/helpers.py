@@ -1,8 +1,9 @@
 """Shared fixtures-by-hand for the test suite: instance generators, the
 independent grid-search oracle, the reference normal draws, the reference
-coordinate-descent sweep and per-sweep objectives, the reference CNN
-extraction forward, the reference ELM solve, a probe that captures each
-fold's fitted models, and timing-field masking for golden files.
+coordinate-descent sweep and per-sweep objectives, the reference argmax
+pool and unpool and the CNN forward built on them, the reference ELM
+solve, a probe that captures each fold's fitted models, and timing-field
+masking for golden files.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import scipy.linalg
 
 from enetpipe import (PortableRng, elastic_net_objective, soft_threshold,
                       standardize_columns)
-from enetpipe.cnn import _conv_same, _maxpool
+from enetpipe.cnn import _conv_same
 from enetpipe.solvers import _GRAM_COLUMN_LIMIT, _coordinate_descent
 
 
@@ -224,16 +225,36 @@ def fit_bytes(value):
     return value
 
 
+def reference_maxpool(x):
+    """2x2 max-pool by ``argmax`` over each window in row-major order, so
+    ties go to the first entry. Returns (pooled, window index)."""
+    b, c, h, w = x.shape
+    tiles = x.reshape(b, c, h // 2, 2, w // 2, 2)
+    tiles = tiles.transpose(0, 1, 2, 4, 3, 5).reshape(b, c, h // 2, w // 2, 4)
+    idx = np.argmax(tiles, axis=-1)
+    out = np.take_along_axis(tiles, idx[..., None], axis=-1)[..., 0]
+    return out, idx
+
+
+def reference_unpool(dout, idx, pooled_from_shape):
+    """Scatter each pooled gradient to the entry ``reference_maxpool`` took."""
+    b, c, h, w = pooled_from_shape
+    tiles = np.zeros((b, c, h // 2, w // 2, 4))
+    np.put_along_axis(tiles, idx[..., None], dout[..., None], axis=-1)
+    tiles = tiles.reshape(b, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    return tiles.reshape(b, c, h, w)
+
+
 def reference_forward_features(net, x):
     """Per-patch CNN features the plain way: each stage rectifies the conv
     output with its ReLU mask, then takes the first-occurrence argmax pool.
 
-    The forward-only branch of ``enetpipe.cnn._forward_batch`` must return
-    the same bytes, the sign of every zero included.
+    ``enetpipe.cnn._forward_batch`` must return the same bytes, the sign of
+    every zero included.
     """
     for w, b in zip(net.conv_weights, net.conv_biases):
         out, _ = _conv_same(x, w, b)
-        x, _ = _maxpool(out * (out > 0.0))
+        x, _ = reference_maxpool(out * (out > 0.0))
     return x.reshape(x.shape[0], -1)
 
 

@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,11 +11,12 @@ from enetpipe import (CnnConfig, PortableRng, Volume3D, cnn_forward,
                       cnn_train_sgd, default_patch_centers,
                       extract_image_features, extract_patch_2_5d, load_cnn,
                       save_cnn)
-from enetpipe.cnn import (_forward_batch, _maxpool, _pool_then_rectify,
+from enetpipe.cnn import (_NO_GRADIENT, _forward_batch, _pool_then_rectify,
                           _unpool)
 from enetpipe.errors import ConfigError, DataError, NumericalError
 
-from helpers import reference_forward_features
+from helpers import (reference_forward_features, reference_maxpool,
+                     reference_unpool)
 
 # small configuration for everything gradient- or training-related;
 # the full-size network is exercised by the acceptance suite
@@ -90,10 +94,10 @@ def test_gradient_check_against_central_differences():
 
 def test_maxpool_tie_routes_to_first_window_entry():
     x = np.ones((1, 1, 2, 2))
-    pooled, idx = _maxpool(x)
+    pooled, idx = _pool_then_rectify(x, want_index=True)
     assert pooled[0, 0, 0, 0] == 1.0
     assert idx[0, 0, 0, 0] == 0    # row-major first entry wins ties
-    grad = _unpool(np.full((1, 1, 1, 1), 2.0), idx, x.shape)
+    grad = _unpool(np.full((1, 1, 1, 1), 2.0), idx)
     np.testing.assert_array_equal(grad[0, 0], [[2.0, 0.0], [0.0, 0.0]])
 
 
@@ -131,6 +135,29 @@ def test_divergent_learning_rate_returns_last_finite_checkpoint():
     # the checkpoint is the pre-explosion net, so its loss is still sane
     loss, _ = cnn_loss_grad(result.network, batch, labels)
     assert np.isfinite(loss)
+
+
+# Both rates overflow stage 2 of the next forward pass; the expected values
+# are those of the argmax pool that turned that overflow into a NaN loss.
+@pytest.mark.parametrize("learning_rate, digest, final_loss, epoch_losses", [
+    (1e300, "b38c3eab72dff2448b07776ae4338eb205201014dc2dd24c87543a03250bc84c",
+     1.1604158723501878, []),
+    (1e50, "1712c314fff2e987037478bc74692cfe530a633f2580d3b8e18bdd06eddcea70",
+     1.7419193336530066e+202, [8.709596668265033e+201]),
+])
+def test_diverging_sgd_keeps_pinned_checkpoint(learning_rate, digest,
+                                               final_loss, epoch_losses):
+    batch = PortableRng(10).normals(8 * 3 * 8 * 8).reshape(8, 3, 8, 8)
+    labels = np.array([0, 1] * 4)
+    with np.errstate(invalid="ignore", over="ignore"):
+        result = cnn_train_sgd(cnn_init(TINY, seed=11), batch, labels,
+                               epochs=2, learning_rate=learning_rate, seed=12,
+                               batch_size=4)
+    assert result.diverged
+    params = b"".join(p.tobytes() for p in result.network.parameters())
+    assert hashlib.sha256(params).hexdigest() == digest
+    assert result.final_loss == final_loss
+    assert result.epoch_losses == epoch_losses
 
 
 def test_sgd_is_deterministic():
@@ -205,8 +232,21 @@ def test_pool_then_rectify_matches_relu_then_pool_on_every_window():
     windows = np.array(list(itertools.product(_WINDOW_VALUES, repeat=4)))
     x = windows.reshape(-1, 1, 2, 2)                # row-major window order
     assert x.shape[0] == 8 ** 4
-    expected, _ = _maxpool(x * (x > 0.0))
-    assert _pool_then_rectify(x).tobytes() == expected.tobytes()
+    mask = x > 0.0
+    expected, ref_idx = reference_maxpool(x * mask)
+    assert _pool_then_rectify(x)[0].tobytes() == expected.tobytes()
+    pooled, idx = _pool_then_rectify(x, want_index=True)
+    assert pooled.tobytes() == expected.tobytes()
+    assert idx.dtype == np.int8
+    # the index is the argmax where ReLU passes a gradient there
+    live = np.take_along_axis(mask.reshape(-1, 4), ref_idx.reshape(-1, 1),
+                              axis=1).reshape(idx.shape)
+    np.testing.assert_array_equal(idx, np.where(live, ref_idx, _NO_GRADIENT))
+    # distinct gradients of both signs; only a zero's sign may differ
+    dout = np.arange(1.0, x.shape[0] + 1).reshape(pooled.shape)
+    dout[::2] *= -1.0
+    np.testing.assert_array_equal(
+        _unpool(dout, idx), reference_unpool(dout, ref_idx, x.shape) * mask)
 
 
 def _bias_variant(net, kind):
@@ -281,3 +321,27 @@ def test_overflowing_network_raises_numerical_error():
     with pytest.raises(NumericalError, match="stage 2"):
         extract_image_features(_overflowing_net(), vol, centers,
                                expected_count=3)
+
+
+def test_loss_grad_on_overflowing_network_raises_numerical_error():
+    planes = np.ones((2, 3, 32, 32))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="stage 2"):
+            cnn_loss_grad(_overflowing_net(), planes, [0, 1])
+
+
+def test_loss_grad_peak_memory_has_no_full_size_mask_cache():
+    # Under numpy 2.4 the argmax pool with its cached ReLU mask peaked at
+    # 19.8 MiB. The strided-view pool peaks at 17.5 MiB; caching a full-size
+    # bool mask per stage again would add 0.8 MiB and cross this bound.
+    net = cnn_init()
+    batch = PortableRng(2).normals(16 * 3 * 32 * 32).reshape(16, 3, 32, 32)
+    labels = np.arange(16) % 2
+    tracemalloc.start()
+    try:
+        cnn_loss_grad(net, batch, labels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 18.0 * 2 ** 20
