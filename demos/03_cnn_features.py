@@ -27,15 +27,14 @@ def main():
     print(f"\n{len(centers)} patch centers on a {vol.voxels.shape} volume")
 
     patch = extract_patch_2_5d(vol, centers[0])
-    print(f"one patch: planes array {patch.planes.shape} "
-          f"around center {patch.center}")
+    print(f"one patch: a {patch.dtype} array of shape {patch.shape} "
+          f"around center {centers[0]}")
 
     # toy task: separate bright patches from dark ones
     patches, labels = [], []
     for i, c in enumerate(centers):
-        p = extract_patch_2_5d(vol, c).planes.copy()
         shift = 1.0 if i % 2 == 0 else -1.0
-        patches.append(p + shift)
+        patches.append(extract_patch_2_5d(vol, c) + shift)
         labels.append(i % 2)
     net = cnn_init(cfg, seed=3)
     result = cnn_train_sgd(net, patches, labels, epochs=3,
@@ -43,8 +42,7 @@ def main():
     print(f"\ntrained 3 epochs: loss {result.epoch_losses[0]:.3f} "
           f"-> {result.epoch_losses[-1]:.3f}, diverged={result.diverged}")
 
-    features = extract_image_features(result.network, vol, centers,
-                                      expected_count=len(centers))
+    features = extract_image_features(result.network, vol, centers)
     print(f"per-volume feature vector: {features.shape} "
           f"({len(centers)} centers x {cfg.feature_length})")
 

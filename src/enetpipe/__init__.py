@@ -8,9 +8,9 @@ comparisons; the `enetpipe` console script exposes the batch workflow.
 """
 
 from .cnn import (DEFAULT_CENTER_COUNT, DEFAULT_CHANNELS, DEFAULT_INPUT_SIZE,
-                  CnnConfig, CnnGradients, CnnNetwork, CnnTrainResult,
-                  cnn_forward, cnn_forward_batch, cnn_init, cnn_loss_grad,
-                  cnn_train_sgd, extract_image_features, load_cnn, save_cnn)
+                  CnnConfig, CnnNetwork, CnnTrainResult, cnn_forward_batch,
+                  cnn_init, cnn_loss_grad, cnn_train_sgd,
+                  extract_image_features, load_cnn, save_cnn)
 from .data import (StandardizationRecord, SyntheticSpec, Volume3D,
                    apply_standardization, duplicate_columns,
                    generate_synthetic, load_feature_csv, load_volume_raw3d,
@@ -22,8 +22,7 @@ from .elm import (DEFAULT_RIDGE_C, ClassScores, ElmModel, elm_predict,
 from .errors import (ConfigError, ContractError, DataError, DataFormatError,
                      DimensionError, EnetPipeError, InsufficientDataError,
                      NumericalError, UndefinedMetricError)
-from .patches import (PATCH_SIZE, Patch2_5D, default_patch_centers,
-                      extract_patch_2_5d)
+from .patches import PATCH_SIZE, default_patch_centers, extract_patch_2_5d
 from .pca import PcaModel, pca_fit, pca_inverse, pca_transform
 from .pipeline import (ComparisonBlock, EvaluationReport, FoldOutcome,
                        PipelineConfig, accuracy, compare_selectors,
@@ -41,9 +40,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_CENTER_COUNT", "DEFAULT_CHANNELS", "DEFAULT_INPUT_SIZE",
-    "CnnConfig", "CnnGradients", "CnnNetwork", "CnnTrainResult",
-    "cnn_forward", "cnn_forward_batch", "cnn_init", "cnn_loss_grad",
-    "cnn_train_sgd", "extract_image_features", "load_cnn", "save_cnn",
+    "CnnConfig", "CnnNetwork", "CnnTrainResult", "cnn_forward_batch",
+    "cnn_init", "cnn_loss_grad", "cnn_train_sgd", "extract_image_features",
+    "load_cnn", "save_cnn",
     "StandardizationRecord", "SyntheticSpec", "Volume3D",
     "apply_standardization", "duplicate_columns", "generate_synthetic",
     "load_feature_csv", "load_volume_raw3d", "save_feature_csv",
@@ -54,7 +53,7 @@ __all__ = [
     "ConfigError", "ContractError", "DataError", "DataFormatError",
     "DimensionError", "EnetPipeError", "InsufficientDataError",
     "NumericalError", "UndefinedMetricError",
-    "PATCH_SIZE", "Patch2_5D", "default_patch_centers", "extract_patch_2_5d",
+    "PATCH_SIZE", "default_patch_centers", "extract_patch_2_5d",
     "PcaModel", "pca_fit", "pca_inverse", "pca_transform",
     "ComparisonBlock", "EvaluationReport", "FoldOutcome", "PipelineConfig",
     "accuracy", "compare_selectors", "holdout_split", "kfold_split",

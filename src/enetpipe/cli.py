@@ -240,8 +240,7 @@ def _cmd_extract(args, settings) -> int:
     for path in args.volumes:
         vol = load_volume_raw3d(path)
         centers = default_patch_centers(vol.voxels.shape, count=args.centers)
-        rows.append(extract_image_features(net, vol, centers,
-                                           expected_count=args.centers))
+        rows.append(extract_image_features(net, vol, centers))
     X = np.vstack(rows)
     labels = None
     if args.labels:
@@ -274,7 +273,7 @@ def _cmd_train_cnn(args, settings) -> int:
         vol = load_volume_raw3d(path.strip())
         centers = default_patch_centers(vol.voxels.shape, count=args.centers)
         for center in centers:
-            patches.append(extract_patch_2_5d(vol, center).planes)
+            patches.append(extract_patch_2_5d(vol, center))
             labels.append(value)
     if not patches:
         raise DataError(f"manifest {args.manifest} lists no volumes")

@@ -38,20 +38,22 @@ non-finite loss.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import textio
 from .data import Volume3D
-from .errors import ConfigError, ContractError, DataError, NumericalError
-from .patches import Patch2_5D, extract_patch_2_5d
+from .errors import (ConfigError, ContractError, DataError, DataFormatError,
+                     DimensionError, NumericalError)
+from .patches import extract_patch_2_5d
 from .rng import PortableRng
 
-__all__ = ["CnnConfig", "CnnNetwork", "CnnGradients", "CnnTrainResult",
-           "cnn_init", "cnn_forward", "cnn_forward_batch", "cnn_loss_grad",
-           "cnn_train_sgd", "extract_image_features", "save_cnn", "load_cnn"]
+__all__ = ["CnnConfig", "CnnNetwork", "CnnTrainResult", "cnn_init",
+           "cnn_forward_batch", "cnn_loss_grad", "cnn_train_sgd",
+           "extract_image_features", "save_cnn", "load_cnn"]
 
 DEFAULT_INPUT_SIZE = 32
 DEFAULT_CHANNELS = (32, 64, 64)
@@ -92,13 +94,36 @@ class CnnConfig:
         return trace
 
 
+def _parameter_shapes(config: CnnConfig) -> list:
+    """(block name, shape) of each of ``CnnNetwork.parameters()``, in order."""
+    widths = list(enumerate(zip((config.in_channels, *config.channels),
+                                config.channels), start=1))
+    return ([(f"conv{i}_weights", (c_out, c_in, 3, 3))
+             for i, (c_in, c_out) in widths]
+            + [(f"conv{i}_bias", (c_out,)) for i, (_, c_out) in widths]
+            + [("fc_weights", (config.n_classes, config.feature_length)),
+               ("fc_bias", (config.n_classes,))])
+
+
 @dataclass
 class CnnNetwork:
+    """The parameters of a network, or their gradients; every shape is
+    checked against ``config`` once, here."""
+
     conv_weights: list               # three (c_out, c_in, 3, 3) tensors
     conv_biases: list                # three (c_out,) vectors
     fc_weights: np.ndarray           # (n_classes, feature_length)
     fc_bias: np.ndarray              # (n_classes,)
     config: CnnConfig
+
+    def __post_init__(self):
+        if len(self.conv_weights) != 3 or len(self.conv_biases) != 3:
+            raise DimensionError("a network has 3 conv weights and 3 biases")
+        for p, (name, shape) in zip(self.parameters(),
+                                    _parameter_shapes(self.config)):
+            if np.shape(p) != shape:
+                raise DimensionError(
+                    f"{name} has shape {np.shape(p)}, expected {shape}")
 
     def parameters(self) -> list:
         return [*self.conv_weights, *self.conv_biases,
@@ -114,18 +139,6 @@ class CnnNetwork:
         )
 
 
-@dataclass
-class CnnGradients:
-    conv_weights: list
-    conv_biases: list
-    fc_weights: np.ndarray
-    fc_bias: np.ndarray
-
-    def parameters(self) -> list:
-        return [*self.conv_weights, *self.conv_biases,
-                self.fc_weights, self.fc_bias]
-
-
 @dataclass(frozen=True)
 class CnnTrainResult:
     network: CnnNetwork
@@ -135,24 +148,20 @@ class CnnTrainResult:
 
 
 def cnn_init(config: CnnConfig = CnnConfig(), seed: int = 0) -> CnnNetwork:
-    """He-style normal initialization from the portable generator."""
-    widths = list(zip((config.in_channels, *config.channels),
-                      config.channels))
-    fc_size = config.n_classes * config.feature_length
-    draws = PortableRng(seed).normals(
-        sum(c_out * c_in * 9 for c_in, c_out in widths) + fc_size)
-    conv_w, conv_b = [], []
-    start = 0
-    for c_in, c_out in widths:
-        scale = np.sqrt(2.0 / (c_in * 9))
-        w = draws[start:start + c_out * c_in * 9].reshape(c_out, c_in, 3, 3)
-        conv_w.append(w * scale)
-        conv_b.append(np.zeros(c_out))
-        start += c_out * c_in * 9
-    fc_scale = np.sqrt(2.0 / config.feature_length)
-    fc_w = draws[start:].reshape(config.n_classes, config.feature_length)
-    fc_w = fc_w * fc_scale
-    return CnnNetwork(conv_w, conv_b, fc_w, np.zeros(config.n_classes), config)
+    """He-style normal initialization from the portable generator: one
+    draw for the weights in parameter order; the biases start at zero."""
+    shapes = [shape for _, shape in _parameter_shapes(config)]
+    weight_shapes = (*shapes[:3], shapes[6])
+    draws = PortableRng(seed).normals(sum(prod(s) for s in weight_shapes))
+    weights, start = [], 0
+    for shape in weight_shapes:
+        size = prod(shape)
+        fan_in = size // shape[0]
+        weights.append(draws[start:start + size].reshape(shape)
+                       * np.sqrt(2.0 / fan_in))
+        start += size
+    return CnnNetwork(weights[:3], [np.zeros(s) for s in shapes[3:6]],
+                      weights[3], np.zeros(shapes[7]), config)
 
 
 def _check_finite_parameters(net: CnnNetwork) -> None:
@@ -216,17 +225,17 @@ def _unpool(dout, idx):
 
 def _forward_batch(net: CnnNetwork, x, want_cache: bool = False):
     cfg = net.config
-    expected = cfg.stage_trace()
+    size = cfg.input_size
+    if x.ndim != 4 or x.shape[1:] != (cfg.in_channels, size, size):
+        raise ContractError(
+            f"input batch has shape {x.shape}, expected "
+            f"(batch, {cfg.in_channels}, {size}, {size})")
     caches = []
     for stage in range(3):
         # the finite check below is the one overflow signal
         with np.errstate(over="ignore", invalid="ignore"):
             out, x_pad = _conv_same(x, net.conv_weights[stage],
                                     net.conv_biases[stage])
-        if out.shape[1:] != expected[2 * stage]:
-            raise ContractError(
-                f"stage {stage + 1} conv produced {out.shape[1:]}, "
-                f"expected {expected[2 * stage]}")
         if not np.isfinite(out).all():
             raise NumericalError(
                 f"stage {stage + 1} convolution output is not finite")
@@ -235,10 +244,6 @@ def _forward_batch(net: CnnNetwork, x, want_cache: bool = False):
             caches.append((x_pad, idx))
         # free this stage's conv map before the next stage's convolution
         del out, x_pad
-        if pooled.shape[1:] != expected[2 * stage + 1]:
-            raise ContractError(
-                f"stage {stage + 1} pool produced {pooled.shape[1:]}, "
-                f"expected {expected[2 * stage + 1]}")
         x = pooled
     features = x.reshape(x.shape[0], -1)
     logits = features @ net.fc_weights.T + net.fc_bias
@@ -248,18 +253,6 @@ def _forward_batch(net: CnnNetwork, x, want_cache: bool = False):
     return features, log_probs, probs, caches
 
 
-def _as_plane_array(patch) -> np.ndarray:
-    if isinstance(patch, Patch2_5D):
-        return patch.planes
-    return np.asarray(patch, dtype=np.float64)
-
-
-def cnn_forward(net: CnnNetwork, patch):
-    """Single-patch forward pass; returns (feature vector, class probs)."""
-    features, probs = cnn_forward_batch(net, _as_plane_array(patch)[None])
-    return features[0], probs[0]
-
-
 def cnn_forward_batch(net: CnnNetwork, batch):
     """Batched forward; returns (features (B,F), class probs (B,C))."""
     _check_finite_parameters(net)
@@ -267,12 +260,25 @@ def cnn_forward_batch(net: CnnNetwork, batch):
     return features, probs
 
 
-def cnn_loss_grad(net: CnnNetwork, batch, labels):
-    """Mean cross-entropy loss and its gradient for a labeled patch batch."""
-    if len(batch) == 0:
+def _labeled_batch(batch, labels, n_classes: int):
+    """The patches as float64 and the labels as int64 class indices;
+    DataError unless each patch has one integer label in [0, n_classes)."""
+    x = np.asarray(batch, dtype=np.float64)
+    if len(x) == 0:
         raise DataError("batch must be non-empty")
-    x = np.stack([_as_plane_array(p) for p in batch])
-    labels = np.asarray(labels, dtype=np.int64)
+    y = np.asarray(labels)
+    if y.shape != (len(x),):
+        raise DimensionError(f"{y.size} labels for {len(x)} patches")
+    if (not np.all((y >= 0) & (y < n_classes))
+            or np.any(y.astype(np.int64) != y)):
+        raise DataError(f"labels must be integers in [0, {n_classes})")
+    return x, y.astype(np.int64)
+
+
+def cnn_loss_grad(net: CnnNetwork, batch, labels):
+    """Mean cross-entropy loss and its gradient for a labeled patch batch;
+    the gradient comes as a CnnNetwork of the same shapes."""
+    x, labels = _labeled_batch(batch, labels, net.config.n_classes)
     n = x.shape[0]
     features, log_probs, probs, caches = _forward_batch(net, x, want_cache=True)
     loss = float(-log_probs[np.arange(n), labels].mean())
@@ -293,7 +299,7 @@ def cnn_loss_grad(net: CnnNetwork, batch, labels):
         dconv_w[stage], dconv_b[stage] = _conv_param_grad(dact, x_pad)
         if stage > 0:  # the input patch needs no gradient
             grad = _conv_input_grad(dact, x_pad, net.conv_weights[stage])
-    return loss, CnnGradients(dconv_w, dconv_b, dfc_w, dfc_b)
+    return loss, CnnNetwork(dconv_w, dconv_b, dfc_w, dfc_b, net.config)
 
 
 def cnn_train_sgd(net: CnnNetwork, batch, labels, epochs: int,
@@ -308,8 +314,9 @@ def cnn_train_sgd(net: CnnNetwork, batch, labels, epochs: int,
     """
     if learning_rate < 0:
         raise NumericalError(f"learning rate must be >= 0, got {learning_rate}")
-    x = np.stack([_as_plane_array(p) for p in batch])
-    labels = np.asarray(labels, dtype=np.int64)
+    if batch_size < 1:
+        raise ConfigError(f"batch size must be >= 1, got {batch_size}")
+    x, labels = _labeled_batch(batch, labels, net.config.n_classes)
     net = net.copy()
     checkpoint = net.copy()
     rng = PortableRng(seed)
@@ -344,24 +351,20 @@ def cnn_train_sgd(net: CnnNetwork, batch, labels, epochs: int,
 
 
 def extract_image_features(net: CnnNetwork, vol: Volume3D, centers,
-                           expected_count: int | None = DEFAULT_CENTER_COUNT,
                            batch_size: int = 16) -> np.ndarray:
     """Concatenated per-patch features over `centers`, in order.
 
     With the standard census of 151 centers and the default
-    geometry the result has length 1024 * 151 = 154624. Pass
-    expected_count=None (or the actual count) for desk-scale volumes.
+    geometry the result has length 1024 * 151 = 154624.
     """
+    if batch_size < 1:
+        raise ConfigError(f"batch size must be >= 1, got {batch_size}")
     centers = list(centers)
-    if expected_count is not None and len(centers) != expected_count:
-        raise DataError(
-            f"expected exactly {expected_count} patch centers, got {len(centers)}")
     _check_finite_parameters(net)
     pieces = []
     for start in range(0, len(centers), batch_size):
         block = centers[start:start + batch_size]
-        planes = np.stack(
-            [extract_patch_2_5d(vol, c).planes for c in block])
+        planes = np.stack([extract_patch_2_5d(vol, c) for c in block])
         features, _, _, _ = _forward_batch(net, planes)
         pieces.append(features.reshape(-1))
     return np.concatenate(pieces)
@@ -382,12 +385,18 @@ def save_cnn(path, net: CnnNetwork) -> None:
 
 
 def load_cnn(path) -> CnnNetwork:
+    """Read a network file; a missing block or a config block that is not
+    6 values is a DataFormatError, a wrong shape a DimensionError."""
     blocks = textio.read_blocks(path)
-    raw = blocks["config"].astype(int)
-    cfg = CnnConfig(input_size=int(raw[0]), in_channels=int(raw[1]),
-                    channels=tuple(int(c) for c in raw[2:5]),
-                    n_classes=int(raw[5]))
-    conv_w = [np.asarray(blocks[f"conv{i + 1}_weights"]) for i in range(3)]
-    conv_b = [np.atleast_1d(blocks[f"conv{i + 1}_bias"]) for i in range(3)]
-    return CnnNetwork(conv_w, conv_b, np.atleast_2d(blocks["fc_weights"]),
-                      np.atleast_1d(blocks["fc_bias"]), cfg)
+    try:
+        raw = blocks["config"].astype(int)
+        if raw.shape != (6,):
+            raise DataFormatError(
+                f"{path}: config block holds {raw.size} values, expected 6")
+        cfg = CnnConfig(input_size=int(raw[0]), in_channels=int(raw[1]),
+                        channels=tuple(int(c) for c in raw[2:5]),
+                        n_classes=int(raw[5]))
+        params = [blocks[name] for name, _ in _parameter_shapes(cfg)]
+    except KeyError as exc:
+        raise DataFormatError(f"{path}: no {exc.args[0]} block") from None
+    return CnnNetwork(params[:3], params[3:6], params[6], params[7], cfg)

@@ -2,13 +2,13 @@
 
 A patch is three orthogonal 32x32 slices through one voxel: the transverse
 plane (fixed z), coronal plane (fixed y), and sagittal plane (fixed x),
-stacked as a 3-channel image. Windows that would leave the volume are
-clamped to the edge, so every in-bounds center yields a full patch.
+stacked in that order as one (3, 32, 32) float64 array. Windows that would
+leave the volume are clamped to the edge, so every in-bounds center yields a
+full patch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import ceil
 
 import numpy as np
@@ -19,21 +19,14 @@ from .errors import DimensionError
 PATCH_SIZE = 32
 _HALF = PATCH_SIZE // 2
 
-__all__ = ["Patch2_5D", "extract_patch_2_5d", "default_patch_centers",
-           "PATCH_SIZE"]
-
-
-@dataclass(frozen=True)
-class Patch2_5D:
-    planes: np.ndarray          # (3, 32, 32): transverse, coronal, sagittal
-    center: tuple               # (x, y, z) voxel index
+__all__ = ["extract_patch_2_5d", "default_patch_centers", "PATCH_SIZE"]
 
 
 def _clamped(lo: int, n: int, size: int) -> np.ndarray:
     return np.clip(np.arange(lo, lo + size), 0, n - 1)
 
 
-def extract_patch_2_5d(vol: Volume3D, center) -> Patch2_5D:
+def extract_patch_2_5d(vol: Volume3D, center) -> np.ndarray:
     cx, cy, cz = (int(c) for c in center)
     dx, dy, dz = vol.dims
     if not (0 <= cx < dx and 0 <= cy < dy and 0 <= cz < dz):
@@ -46,8 +39,7 @@ def extract_patch_2_5d(vol: Volume3D, center) -> Patch2_5D:
     transverse = v[np.ix_(xs, ys, [cz])][:, :, 0]
     coronal = v[np.ix_(xs, [cy], zs)][:, 0, :]
     sagittal = v[np.ix_([cx], ys, zs)][0, :, :]
-    return Patch2_5D(planes=np.stack([transverse, coronal, sagittal]),
-                     center=(cx, cy, cz))
+    return np.stack([transverse, coronal, sagittal])
 
 
 def default_patch_centers(dims, count: int = 151) -> list:

@@ -222,11 +222,6 @@ def report_from_json(text: str) -> EvaluationReport:
         raise DataFormatError(f"report is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise DataFormatError("report JSON must be an object at top level")
-    required = {"group", "selector", "k_folds", "seed", "folds",
-                "mean_accuracy", "accuracy_sigma", "mean_time_ms"}
-    missing = required - payload.keys()
-    if missing:
-        raise DataFormatError(f"report JSON is missing {sorted(missing)}")
     return _from_dict(EvaluationReport, payload)
 
 

@@ -53,10 +53,11 @@ class PenaltyConfig:
     max_sweeps: int = 10_000
 
     def __post_init__(self):
-        if self.lambda1 < 0.0:
-            raise ConfigError("lambda1 must be >= 0")
-        if self.lambda2 < 0.0:
-            raise ConfigError("lambda2 must be >= 0")
+        for name in ("lambda1", "lambda2"):
+            value = getattr(self, name)
+            if not 0.0 <= value < np.inf:
+                raise ConfigError(
+                    f"{name} must be finite and >= 0, got {value}")
         if not self.stop_thr > 0.0:
             raise ConfigError("stop_thr must be > 0")
         if self.max_sweeps < 1:

@@ -31,6 +31,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import brentq, nnls
 
+from .data import validate_labels
 from .errors import ConfigError
 from .solvers import (
     PenaltyConfig,
@@ -119,11 +120,9 @@ def elastic_net_fit_svm_reduction(X, y, cfg: PenaltyConfig) -> SolverResult:
             "the margin route needs lambda2 > 0; use elastic_net_fit_cd "
             "for the pure L1 problem")
     X = np.ascontiguousarray(X, dtype=np.float64)
-    y = np.ascontiguousarray(y, dtype=np.float64)
     check_standardized(X)
     n, p = X.shape
-    if y.shape != (n,):
-        raise ConfigError(f"label vector has shape {y.shape}, expected ({n},)")
+    y = validate_labels(y, n)
 
     # Quadratic weight of the unnormalized objective ||y-Xb||^2 + w||b||^2,
     # matching 2N times the per-sample penalized objective.

@@ -2,8 +2,8 @@
 independent grid-search oracle, the reference normal draws, the reference
 coordinate-descent sweep and per-sweep objectives, the reference argmax
 pool and unpool and the CNN forward built on them, the reference ELM
-solve, a probe that captures each fold's fitted models, and timing-field
-masking for golden files.
+solve, a probe that captures each fold's fitted models, timing-field
+masking for golden files, and edits that break a network file.
 """
 
 from __future__ import annotations
@@ -15,8 +15,10 @@ from dataclasses import fields, is_dataclass
 import numpy as np
 import scipy.linalg
 
-from enetpipe import (PortableRng, elastic_net_objective, soft_threshold,
-                      standardize_columns)
+from enetpipe import (PortableRng, elastic_net_objective, save_cnn,
+                      soft_threshold, standardize_columns)
+from enetpipe.errors import DataFormatError, DimensionError
+from enetpipe.textio import read_blocks, write_blocks
 from enetpipe.cnn import _conv_same
 from enetpipe.solvers import _GRAM_COLUMN_LIMIT, _coordinate_descent
 
@@ -296,3 +298,29 @@ def reference_elm_weights(X, labels, gamma=None, ridge_c=100.0):
     system = reference_rbf_gram(X, X, gamma)
     system[np.diag_indices_from(system)] += 1.0 / ridge_c
     return scipy.linalg.solve(system, targets, assume_a="pos"), float(gamma)
+
+
+
+# name -> (edit of a network file's blocks, the error load_cnn raises, a
+# word its message holds); each is a data error, exit 2 in the CLI
+MALFORMED_NETWORK_EDITS = {
+    "missing-block": (lambda b: b.pop("conv3_bias"), DataFormatError,
+                      "conv3_bias"),
+    "short-config": (lambda b: b.update(config=b["config"][:5]),
+                     DataFormatError, "config"),
+    "conv2-shape": (lambda b: b.update(conv2_weights=b["conv2_weights"][1:]),
+                    DimensionError, "conv2_weights"),
+    "fc-shape": (lambda b: b.update(fc_weights=b["fc_weights"].T),
+                 DimensionError, "fc_weights"),
+}
+
+
+def save_malformed_network(path, net, edit: str):
+    """Save `net` to `path` with the named edit applied; returns the error
+    ``load_cnn`` raises on the file and a word of its message."""
+    save_cnn(path, net)
+    change, error, word = MALFORMED_NETWORK_EDITS[edit]
+    blocks = read_blocks(path)
+    change(blocks)
+    write_blocks(path, blocks)
+    return error, word

@@ -17,6 +17,8 @@ from enetpipe.pipeline import PipelineConfig
 from enetpipe.report import emit_report
 from enetpipe.rng import PortableRng
 
+from helpers import MALFORMED_NETWORK_EDITS, save_malformed_network
+
 REPORT_FILES = ("report.txt", "report.csv", "plot_data.csv", "report.json")
 
 
@@ -539,6 +541,31 @@ class TestImageCommands:
         assert capsys.readouterr().err == (
             "numerical failure: stage 2 convolution output is not finite\n")
         assert not (workdir / "features.csv").exists()
+
+    @pytest.mark.parametrize("edit", sorted(MALFORMED_NETWORK_EDITS))
+    def test_malformed_network_file_is_two(self, workdir, capsys, edit):
+        paths = _volumes(workdir, n=1)
+        net = workdir / "cnn.txt"
+        save_malformed_network(net, cnn_init(CnnConfig(), seed=0), edit)
+        capsys.readouterr()
+        rc = main(["extract", str(paths[0]), "--net", str(net),
+                   "--centers", "3"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert not (workdir / "features.csv").exists()
+
+    def test_zero_batch_size_is_one(self, workdir, capsys):
+        manifest = workdir / "manifest.csv"
+        manifest.write_text("".join(f"{p},{i}\n"
+                                    for i, p in enumerate(_volumes(workdir))))
+        capsys.readouterr()
+        rc = main(["train-cnn", "--manifest", str(manifest), "--centers", "3",
+                   "--epochs", "1", "--batch-size", "0"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: batch size must be >= 1, got 0\n")
+        assert not (workdir / "cnn.txt").exists()
 
     def test_extract_with_labels(self, workdir):
         paths = _volumes(workdir)

@@ -6,17 +6,19 @@ import warnings
 import numpy as np
 import pytest
 
-from enetpipe import (CnnConfig, PortableRng, Volume3D, cnn_forward,
+from enetpipe import (CnnConfig, CnnNetwork, PortableRng, Volume3D,
                       cnn_forward_batch, cnn_init, cnn_loss_grad,
                       cnn_train_sgd, default_patch_centers,
                       extract_image_features, extract_patch_2_5d, load_cnn,
                       save_cnn)
 from enetpipe.cnn import (_NO_GRADIENT, _forward_batch, _pool_then_rectify,
                           _unpool)
-from enetpipe.errors import ConfigError, DataError, NumericalError
+from enetpipe.errors import (ConfigError, ContractError, DataError,
+                             DimensionError, NumericalError)
 
-from helpers import (reference_forward_features, reference_maxpool,
-                     reference_unpool)
+from helpers import (MALFORMED_NETWORK_EDITS, reference_forward_features,
+                     reference_maxpool, reference_unpool,
+                     save_malformed_network)
 
 # small configuration for everything gradient- or training-related;
 # the full-size network is exercised by the acceptance suite
@@ -39,8 +41,8 @@ def test_config_validation():
 
 def test_forward_shapes_probabilities_and_nonnegative_features():
     net = cnn_init(TINY, seed=1)
-    x = PortableRng(2).normals(3 * 8 * 8).reshape(3, 8, 8)
-    features, probs = cnn_forward(net, x)
+    x = PortableRng(2).normals(3 * 8 * 8).reshape(1, 3, 8, 8)
+    (features,), (probs,) = cnn_forward_batch(net, x)
     assert features.shape == (TINY.feature_length,)
     assert np.all(features >= 0.0)         # post-ReLU activations
     assert probs.shape == (2,)
@@ -51,8 +53,7 @@ def test_zero_network_gives_uniform_probabilities():
     net = cnn_init(TINY, seed=0)
     for p in net.parameters():
         p[...] = 0.0
-    x = np.zeros((3, 8, 8))
-    features, probs = cnn_forward(net, x)
+    features, probs = cnn_forward_batch(net, np.zeros((1, 3, 8, 8)))
     np.testing.assert_array_equal(features, 0.0)
     np.testing.assert_allclose(probs, 0.5, atol=1e-15)
 
@@ -61,7 +62,7 @@ def test_batch_forward_matches_single():
     net = cnn_init(TINY, seed=3)
     batch = PortableRng(4).normals(5 * 3 * 8 * 8).reshape(5, 3, 8, 8)
     feats, probs = cnn_forward_batch(net, batch)
-    f0, p0 = cnn_forward(net, batch[0])
+    (f0,), (p0,) = cnn_forward_batch(net, batch[:1])
     np.testing.assert_allclose(feats[0], f0, atol=1e-14)
     np.testing.assert_allclose(probs[0], p0, atol=1e-14)
 
@@ -187,15 +188,66 @@ def test_negative_learning_rate_rejected():
                       learning_rate=-0.1)
 
 
+@pytest.mark.parametrize("labels", [[0, -1], [0, 5], [0, 0.5], [0, 1, 1]])
+def test_labels_outside_the_classes_are_rejected(labels):
+    # unchecked, -1 would index the last class and 5 no class at all
+    net = cnn_init(TINY, seed=17)
+    batch = np.ones((2, 3, 8, 8))
+    with pytest.raises(DataError):
+        cnn_loss_grad(net, batch, labels)
+    with pytest.raises(DataError):
+        cnn_train_sgd(net, batch, labels, epochs=1, learning_rate=0.1)
+
+
+def test_batch_size_below_one_rejected():
+    net = cnn_init(TINY, seed=17)
+    with pytest.raises(ConfigError):
+        cnn_train_sgd(net, np.zeros((2, 3, 8, 8)), [0, 1], epochs=1,
+                      learning_rate=0.1, batch_size=0)
+    vol = Volume3D(voxels=np.zeros((40, 40, 40)))
+    with pytest.raises(ConfigError):
+        extract_image_features(cnn_init(seed=17), vol, [(20, 20, 20)],
+                               batch_size=0)
+
+
+def test_input_batch_of_the_wrong_shape_is_a_contract_error():
+    net = cnn_init(TINY, seed=17)
+    for shape in [(3, 8, 8), (1, 2, 8, 8), (1, 3, 16, 16)]:
+        with pytest.raises(ContractError, match="input batch has shape"):
+            cnn_forward_batch(net, np.zeros(shape))
+
+
+def test_network_checks_every_parameter_shape():
+    net = cnn_init(TINY, seed=17)
+    parts = dict(conv_weights=net.conv_weights, conv_biases=net.conv_biases,
+                 fc_weights=net.fc_weights, fc_bias=net.fc_bias,
+                 config=TINY)
+    CnnNetwork(**parts)
+    for name, bad in [("conv_weights", net.conv_weights[:2]),
+                      ("conv_biases", [net.conv_biases[0]] * 3),
+                      ("fc_weights", net.fc_weights.T),
+                      ("fc_bias", np.zeros(3))]:
+        with pytest.raises(DimensionError):
+            CnnNetwork(**{**parts, name: bad})
+
+
+@pytest.mark.parametrize("edit", sorted(MALFORMED_NETWORK_EDITS))
+def test_malformed_network_file_is_a_data_error(tmp_path, edit):
+    path = tmp_path / "net.txt"
+    error, word = save_malformed_network(path, cnn_init(TINY, seed=17), edit)
+    with pytest.raises(error, match=word):
+        load_cnn(path)
+
+
 def test_persistence_round_trip(tmp_path):
     net = cnn_init(TINY, seed=18)
     path = tmp_path / "net.txt"
     save_cnn(path, net)
     loaded = load_cnn(path)
     assert loaded.config == net.config
-    x = PortableRng(19).normals(3 * 8 * 8).reshape(3, 8, 8)
-    f1, p1 = cnn_forward(net, x)
-    f2, p2 = cnn_forward(loaded, x)
+    x = PortableRng(19).normals(3 * 8 * 8).reshape(1, 3, 8, 8)
+    f1, p1 = cnn_forward_batch(net, x)
+    f2, p2 = cnn_forward_batch(loaded, x)
     np.testing.assert_array_equal(f1, f2)
     np.testing.assert_array_equal(p1, p2)
 
@@ -206,19 +258,12 @@ def test_extract_image_features_concatenates_in_center_order():
     vox = PortableRng(21).normals(40 * 40 * 40).reshape(40, 40, 40)
     vol = Volume3D(voxels=vox)
     centers = default_patch_centers(vol.voxels.shape, count=3)
-    vec = extract_image_features(net, vol, centers, expected_count=3)
+    vec = extract_image_features(net, vol, centers)
     assert vec.shape == (3 * net.config.feature_length,)
-    f0, _ = cnn_forward(net, extract_patch_2_5d(vol, centers[0]))
+    patch = extract_patch_2_5d(vol, centers[0])
+    (f0,), _ = cnn_forward_batch(net, patch[None])
     np.testing.assert_allclose(vec[:net.config.feature_length], f0,
                                atol=1e-12)
-
-
-def test_extract_image_features_count_contract():
-    net = cnn_init(seed=22)
-    vol = Volume3D(voxels=np.zeros((40, 40, 40)))
-    centers = default_patch_centers(vol.voxels.shape, count=3)
-    with pytest.raises(DataError):
-        extract_image_features(net, vol, centers, expected_count=5)
 
 
 # Forward-only extraction: pool the raw conv map, then rectify. It must give
@@ -286,7 +331,7 @@ def test_forward_only_features_match_reference_bytes(config, bias, zero_rows):
     assert features.tobytes() == expected
     cached = _forward_batch(net, batch, want_cache=True)[0]
     assert cached.tobytes() == expected
-    single, _ = cnn_forward(net, batch[1])
+    (single,), _ = cnn_forward_batch(net, batch[1:2])
     assert single.tobytes() == reference_forward_features(
         net, batch[1:2])[0].tobytes()
 
@@ -300,10 +345,9 @@ def test_extract_image_features_matches_reference_bytes(bias):
     vox[:, 12:] = 0.0
     vol = Volume3D(voxels=vox)
     centers = default_patch_centers(vol.voxels.shape, count=5)
-    planes = np.stack([extract_patch_2_5d(vol, c).planes for c in centers])
+    planes = np.stack([extract_patch_2_5d(vol, c) for c in centers])
     expected = reference_forward_features(net, planes).reshape(-1)
-    vec = extract_image_features(net, vol, centers, expected_count=5,
-                                 batch_size=2)
+    vec = extract_image_features(net, vol, centers, batch_size=2)
     assert vec.tobytes() == expected.tobytes()
 
 
@@ -319,8 +363,7 @@ def test_overflowing_network_raises_numerical_error():
     centers = default_patch_centers(vol.voxels.shape, count=3)
     # the typed error is the only signal: warnings are errors in this suite
     with pytest.raises(NumericalError, match="stage 2"):
-        extract_image_features(_overflowing_net(), vol, centers,
-                               expected_count=3)
+        extract_image_features(_overflowing_net(), vol, centers)
 
 
 def test_loss_grad_on_overflowing_network_raises_numerical_error():

@@ -13,8 +13,8 @@ def _arange_volume(dx=48, dy=52, dz=44):
 def test_patch_shape_and_channel_order():
     vol = _arange_volume()
     patch = extract_patch_2_5d(vol, (24, 26, 22))
-    assert patch.planes.shape == (3, 32, 32)
-    assert patch.center == (24, 26, 22)
+    assert patch.shape == (3, 32, 32)
+    assert patch.dtype == np.float64
 
 
 def test_planes_match_manual_slices():
@@ -24,21 +24,21 @@ def test_planes_match_manual_slices():
     xs = np.arange(cx - 16, cx + 16)
     ys = np.arange(cy - 16, cy + 16)
     zs = np.arange(cz - 16, cz + 16)
-    np.testing.assert_array_equal(patch.planes[0], vol.voxels[xs][:, ys, cz])
-    np.testing.assert_array_equal(patch.planes[1], vol.voxels[xs][:, cy, zs])
-    np.testing.assert_array_equal(patch.planes[2], vol.voxels[cx][np.ix_(ys, zs)])
+    np.testing.assert_array_equal(patch[0], vol.voxels[xs][:, ys, cz])
+    np.testing.assert_array_equal(patch[1], vol.voxels[xs][:, cy, zs])
+    np.testing.assert_array_equal(patch[2], vol.voxels[cx][np.ix_(ys, zs)])
 
 
 def test_corner_center_clamps_to_volume_edge():
     vol = _arange_volume()
     patch = extract_patch_2_5d(vol, (0, 0, 0))
     # offsets below zero clamp to row 0, so the first rows repeat
-    np.testing.assert_array_equal(patch.planes[0][0], patch.planes[0][16])
-    assert patch.planes.shape == (3, 32, 32)
+    np.testing.assert_array_equal(patch[0][0], patch[0][16])
+    assert patch.shape == (3, 32, 32)
     # clamped transverse plane equals clip-indexed manual slice
     xs = np.clip(np.arange(-16, 16), 0, 47)
     ys = np.clip(np.arange(-16, 16), 0, 51)
-    np.testing.assert_array_equal(patch.planes[0], vol.voxels[xs][:, ys, 0])
+    np.testing.assert_array_equal(patch[0], vol.voxels[xs][:, ys, 0])
 
 
 def test_out_of_bounds_center_rejected():

@@ -209,6 +209,10 @@ class TestPenaltyConfig:
     @pytest.mark.parametrize("kwargs", [
         dict(lambda1=-0.1),
         dict(lambda1=0.1, lambda2=-1.0),
+        dict(lambda1=float("nan")),      # would fit zeros with KKT 0.0
+        dict(lambda1=float("inf")),      # would give a NaN objective
+        dict(lambda1=0.1, lambda2=float("nan")),
+        dict(lambda1=0.1, lambda2=float("inf")),
         dict(lambda1=0.1, stop_thr=0.0),
         dict(lambda1=0.1, max_sweeps=0),
     ])

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from enetpipe import (PenaltyConfig, elastic_net_fit_cd,
                       elastic_net_fit_svm_reduction, elastic_net_objective)
-from enetpipe.errors import ConfigError, ContractError
+from enetpipe.errors import ConfigError, ContractError, DataFormatError
 from helpers import duplicated_instance, regression_instance
 
 
@@ -94,6 +94,16 @@ def test_requires_standardized_input():
     with pytest.raises(ContractError):
         elastic_net_fit_svm_reduction(X, np.arange(10, dtype=float),
                                       PenaltyConfig(lambda1=0.1, lambda2=0.1))
+
+
+def test_non_finite_label_is_rejected_as_in_coordinate_descent():
+    # unchecked, a NaN label gives zeros with a KKT violation of 0.0
+    X, y = regression_instance(607, 12, 3)
+    y[4] = np.nan
+    cfg = PenaltyConfig(lambda1=0.1, lambda2=0.5)
+    for fit in (elastic_net_fit_cd, elastic_net_fit_svm_reduction):
+        with pytest.raises(DataFormatError):
+            fit(X, y, cfg)
 
 
 def test_large_lambda1_zeroes_out():
