@@ -30,7 +30,7 @@ def main():
     lasso = lasso_fit(X_dup, y, cfg)
     print("\nlasso on duplicated columns (0 and 1 are identical):")
     print("  coefficients:", np.round(lasso.coefficients, 4))
-    print("  support:", select_support(lasso, min_magnitude=1e-8).tolist())
+    print("  support:", select_support(lasso.coefficients, min_magnitude=1e-8).tolist())
     print("  -> the L1 penalty picks one twin and drops the other")
 
     enet_cfg = PenaltyConfig(lambda1=0.1, lambda2=0.1, stop_thr=1e-9)

@@ -7,8 +7,7 @@ matter, compresses with PCA, and classifies the held-out rows.
 import numpy as np
 
 from enetpipe import (PortableRng, accuracy, elm_predict, elm_train,
-                      median_heuristic_gamma, pca_fit, pca_transform,
-                      predicted_labels)
+                      pca_fit, pca_transform, predicted_labels)
 
 
 def main():
@@ -30,10 +29,8 @@ def main():
     Z_train = pca_transform(model, X[train])
     Z_test = pca_transform(model, X[test])
 
-    gamma = median_heuristic_gamma(Z_train)
-    print(f"median-heuristic kernel width gamma = {gamma:.4f}")
-
-    clf = elm_train(Z_train, labels[train], gamma=gamma)
+    clf = elm_train(Z_train, labels[train])     # median-heuristic gamma
+    print(f"median-heuristic kernel width gamma = {clf.gamma:.4f}")
     predictions = predicted_labels(clf, elm_predict(clf, Z_test))
     print(f"holdout accuracy: {accuracy(predictions, labels[test]):.3f}")
 

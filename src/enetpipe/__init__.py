@@ -16,9 +16,8 @@ from .data import (StandardizationRecord, SyntheticSpec, Volume3D,
                    generate_synthetic, load_feature_csv, load_volume_raw3d,
                    save_feature_csv, save_volume_raw3d, standardize_columns,
                    validate_feature_matrix, validate_labels)
-from .elm import (DEFAULT_RIDGE_C, ClassScores, ElmModel, elm_predict,
-                  elm_train, median_heuristic_gamma, predicted_labels,
-                  rbf_gram)
+from .elm import (DEFAULT_RIDGE_C, ElmModel, elm_predict, elm_train,
+                  predicted_labels)
 from .errors import (ConfigError, ContractError, DataError, DataFormatError,
                      DimensionError, EnetPipeError, InsufficientDataError,
                      NumericalError, UndefinedMetricError)
@@ -33,7 +32,7 @@ from .report import (REPORT_FORMATS, emit_report, load_report_json,
 from .rng import PortableRng
 from .solvers import (PenaltyConfig, SolverResult, elastic_net_fit_cd,
                       elastic_net_objective, kkt_violation, lasso_fit,
-                      save_coefficients, select_support, soft_threshold)
+                      select_support, soft_threshold)
 from .sven import elastic_net_fit_svm_reduction
 
 __version__ = "0.1.0"
@@ -48,8 +47,8 @@ __all__ = [
     "load_feature_csv", "load_volume_raw3d", "save_feature_csv",
     "save_volume_raw3d", "standardize_columns", "validate_feature_matrix",
     "validate_labels",
-    "DEFAULT_RIDGE_C", "ClassScores", "ElmModel", "elm_predict", "elm_train",
-    "median_heuristic_gamma", "predicted_labels", "rbf_gram",
+    "DEFAULT_RIDGE_C", "ElmModel", "elm_predict", "elm_train",
+    "predicted_labels",
     "ConfigError", "ContractError", "DataError", "DataFormatError",
     "DimensionError", "EnetPipeError", "InsufficientDataError",
     "NumericalError", "UndefinedMetricError",
@@ -63,7 +62,7 @@ __all__ = [
     "PortableRng",
     "PenaltyConfig", "SolverResult", "elastic_net_fit_cd",
     "elastic_net_objective", "kkt_violation", "lasso_fit",
-    "save_coefficients", "select_support", "soft_threshold",
+    "select_support", "soft_threshold",
     "elastic_net_fit_svm_reduction",
     "__version__",
 ]

@@ -30,7 +30,7 @@ from .patches import default_patch_centers, extract_patch_2_5d
 from .pipeline import (SELECTORS, PipelineConfig, compare_selectors,
                        fit_penalized, run_pipeline, signed_targets)
 from .report import REPORT_FORMATS, emit_report, load_report_json
-from .solvers import save_coefficients, select_support
+from .solvers import select_support
 
 __all__ = ["main", "build_parser"]
 
@@ -303,8 +303,9 @@ def _cmd_select(args, settings) -> int:
     if cfg.lambda1 is None:
         print(f"lambda1 = {lambda1:.6g} (validation grid)")
     out = _out_dir(settings)
-    save_coefficients(out / "coefficients.txt", result.coefficients)
-    support = select_support(result)
+    textio.write_blocks(out / "coefficients.txt",
+                        {"coefficients": result.coefficients})
+    support = select_support(result.coefficients, cfg.min_support_magnitude)
     textio.write_blocks(out / "support.txt",
                         {"support": support.astype(np.float64)})
     print(f"objective {result.objective_value:.6g}, "

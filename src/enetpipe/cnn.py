@@ -312,8 +312,11 @@ def cnn_train_sgd(net: CnnNetwork, batch, labels, epochs: int,
     whose loss was still finite. Saturated ReLU stages can keep the loss
     bounded while weights overflow, so the loss alone is not a safe check.
     """
-    if learning_rate < 0:
-        raise NumericalError(f"learning rate must be >= 0, got {learning_rate}")
+    if not 0.0 <= learning_rate < np.inf:
+        raise ConfigError(
+            f"learning rate must be finite and >= 0, got {learning_rate}")
+    if epochs < 0:
+        raise ConfigError(f"epochs must be >= 0, got {epochs}")
     if batch_size < 1:
         raise ConfigError(f"batch size must be >= 1, got {batch_size}")
     x, labels = _labeled_batch(batch, labels, net.config.n_classes)
@@ -386,7 +389,7 @@ def save_cnn(path, net: CnnNetwork) -> None:
 
 def load_cnn(path) -> CnnNetwork:
     """Read a network file; a missing block or a config block that is not
-    6 values is a DataFormatError, a wrong shape a DimensionError."""
+    6 valid values is a DataFormatError, a wrong shape a DimensionError."""
     blocks = textio.read_blocks(path)
     try:
         raw = blocks["config"].astype(int)
@@ -399,4 +402,6 @@ def load_cnn(path) -> CnnNetwork:
         params = [blocks[name] for name, _ in _parameter_shapes(cfg)]
     except KeyError as exc:
         raise DataFormatError(f"{path}: no {exc.args[0]} block") from None
+    except ConfigError as exc:
+        raise DataFormatError(f"{path}: config block: {exc}") from None
     return CnnNetwork(params[:3], params[3:6], params[6], params[7], cfg)

@@ -16,8 +16,7 @@ import scipy.linalg
 from .data import validate_feature_matrix
 from .errors import ConfigError, DimensionError, NumericalError
 
-__all__ = ["DEFAULT_RIDGE_C", "ElmModel", "ClassScores", "rbf_gram",
-           "median_heuristic_gamma", "elm_train", "elm_predict",
+__all__ = ["DEFAULT_RIDGE_C", "ElmModel", "elm_train", "elm_predict",
            "predicted_labels"]
 
 DEFAULT_RIDGE_C = 100.0
@@ -30,43 +29,7 @@ class ElmModel:
     row_norms: np.ndarray          # (N,) squared norms of training_inputs
     output_weights: np.ndarray     # (N, C) C-ordered
     classes: np.ndarray            # (C,) sorted distinct label values
-    gamma: float
-    ridge_c: float
-
-    @property
-    def n_features(self) -> int:
-        return self.training_inputs.shape[1]
-
-
-@dataclass(frozen=True)
-class ClassScores:
-    """Per-sample class scores; predicted_class is the argmax index with
-    ties broken toward the lowest index."""
-
-    scores: np.ndarray             # (Q, C)
-    predicted_class: np.ndarray    # (Q,) indices into the model's classes
-
-
-def rbf_gram(A, B, gamma: float) -> np.ndarray:
-    """exp(-gamma * ||a_i - b_j||^2) for all row pairs."""
-    _check_gamma(gamma)
-    A = np.asarray(A, dtype=np.float64)
-    B = np.asarray(B, dtype=np.float64)
-    return _gram(_squared_distances(A, _row_norms(A), B, _row_norms(B)),
-                 gamma)
-
-
-def median_heuristic_gamma(X) -> float:
-    """1 / (n_features * median pairwise squared distance); falls back to
-    1.0 when the median is not positive (e.g. heavily duplicated rows)."""
-    X = np.asarray(X, dtype=np.float64)
-    norms = _row_norms(X)
-    return _median_gamma(_squared_distances(X, norms, X, norms), X.shape[1])
-
-
-def _check_gamma(gamma) -> None:
-    if not 0.0 < gamma < np.inf:
-        raise ConfigError(f"gamma must be positive and finite, got {gamma}")
+    gamma: float                   # the median heuristic's when not given
 
 
 def _row_norms(A: np.ndarray) -> np.ndarray:
@@ -96,6 +59,8 @@ def _gram(sq: np.ndarray, gamma: float) -> np.ndarray:
 
 
 def _median_gamma(sq: np.ndarray, n_features: int) -> float:
+    """1 / (n_features * median pairwise squared distance); falls back to
+    1.0 when the median is not positive (e.g. heavily duplicated rows)."""
     n = sq.shape[0]
     if n < 2:
         return 1.0
@@ -133,7 +98,8 @@ def elm_train(X, labels, gamma: float | None = None,
     sq = _squared_distances(X, norms, X, norms)
     if gamma is None:
         gamma = _median_gamma(sq, X.shape[1])  # 0: an infinite median
-    _check_gamma(gamma)
+    if not 0.0 < gamma < np.inf:
+        raise ConfigError(f"gamma must be positive and finite, got {gamma}")
     system = _gram(sq, gamma)
     system[np.diag_indices_from(system)] += 1.0 / ridge_c
     # overflowing squared norms leave NaN distances; this one check covers
@@ -160,20 +126,23 @@ def elm_train(X, labels, gamma: float | None = None,
     row_norms = _stored_row_norms(X)
     return ElmModel(training_inputs=X.copy(), row_norms=row_norms,
                     output_weights=weights, classes=classes,
-                    gamma=float(gamma), ridge_c=float(ridge_c))
+                    gamma=float(gamma))
 
 
-def elm_predict(model: ElmModel, X) -> ClassScores:
+def elm_predict(model: ElmModel, X) -> np.ndarray:
+    """The (Q, C) class scores of the query rows, columns in the order of
+    ``model.classes``."""
     X = validate_feature_matrix(X)
-    if X.shape[1] != model.n_features:
+    n_features = model.training_inputs.shape[1]
+    if X.shape[1] != n_features:
         raise DimensionError(
-            f"query has {X.shape[1]} features, model expects {model.n_features}")
+            f"query has {X.shape[1]} features, model expects {n_features}")
     sq = _squared_distances(X, _row_norms(X), model.training_inputs,
                             model.row_norms)
-    scores = _gram(sq, model.gamma) @ model.output_weights
-    return ClassScores(scores=scores, predicted_class=np.argmax(scores, axis=1))
+    return _gram(sq, model.gamma) @ model.output_weights
 
 
-def predicted_labels(model: ElmModel, result: ClassScores) -> np.ndarray:
-    """Map argmax indices back to the original label values."""
-    return model.classes[result.predicted_class]
+def predicted_labels(model: ElmModel, scores) -> np.ndarray:
+    """Each row's highest-scoring label value; a tie goes to the lowest
+    class."""
+    return model.classes[np.argmax(scores, axis=1)]

@@ -14,7 +14,7 @@ from math import ceil
 import numpy as np
 
 from .data import Volume3D
-from .errors import DimensionError
+from .errors import ConfigError, DimensionError
 
 PATCH_SIZE = 32
 _HALF = PATCH_SIZE // 2
@@ -50,7 +50,7 @@ def default_patch_centers(dims, count: int = 151) -> list:
     positions sit at fractions (i+1)/(n+1) of each dimension.
     """
     if count < 1:
-        raise DimensionError(f"center count must be >= 1, got {count}")
+        raise ConfigError(f"center count must be >= 1, got {count}")
     dx, dy, dz = dims
     n = ceil(count ** (1.0 / 3.0))
     while n ** 3 < count:        # guard the float cube root rounding down

@@ -98,6 +98,13 @@ class PipelineConfig:
         if self.selector == "lasso" and self.lambda2:
             raise ConfigError(
                 f"selector lasso has no ridge term; got lambda2={self.lambda2}")
+        # lambda2 unset is 0.5 * lambda1 (resolve_lambda2)
+        if self.selector == "elastic_net_svm" and (
+                self.lambda2 == 0.0
+                or self.lambda2 is None and self.lambda1 == 0.0):
+            raise ConfigError("selector elastic_net_svm needs lambda2 > 0; "
+                              f"got lambda1={self.lambda1}, "
+                              f"lambda2={self.lambda2}")
 
 
 @dataclass
@@ -284,8 +291,10 @@ def _prepare_fold(cfg: PipelineConfig, X, train_idx, test_idx):
     return X_train, X_test
 
 
-def _evaluate_fold(cfg: PipelineConfig, X_train, X_test, labels,
+def _evaluate_fold(cfg: PipelineConfig, X_train, X_test, labels, targets,
                    train_idx, test_idx, fold_index: int) -> FoldOutcome:
+    """Score one arm on one fold; targets are signed_targets(labels), or
+    None for selector 'none'."""
     warnings = []
     y_train_labels = labels[train_idx]
     y_test_labels = labels[test_idx]
@@ -294,13 +303,14 @@ def _evaluate_fold(cfg: PipelineConfig, X_train, X_test, labels,
     support = np.arange(X_train.shape[1])
     if cfg.selector != "none":
         result, lambda1, lambda2 = fit_penalized(
-            X_train, signed_targets(labels)[train_idx], cfg,
+            X_train, targets[train_idx], cfg,
             seed=cfg.seed + 9973 * (fold_index + 1))
         if not result.converged:
             warnings.append(
                 f"fold {fold_index}: selector did not converge in "
                 f"{result.sweeps_used} sweeps")
-        support = select_support(result, cfg.min_support_magnitude)
+        support = select_support(result.coefficients,
+                                 cfg.min_support_magnitude)
         if support.size == 0:
             warnings.append(
                 f"fold {fold_index}: empty support, falling back to all "
@@ -314,9 +324,9 @@ def _evaluate_fold(cfg: PipelineConfig, X_train, X_test, labels,
     latencies = np.empty(len(test_idx))
     for i in range(len(test_idx)):
         started = time.perf_counter()
-        scored = elm_predict(model, X_test_sel[i:i + 1])
+        scores = elm_predict(model, X_test_sel[i:i + 1])
         latencies[i] = time.perf_counter() - started
-        predictions[i] = predicted_labels(model, scored)[0]
+        predictions[i] = predicted_labels(model, scores)[0]
 
     return FoldOutcome(
         fold_index=fold_index,
@@ -389,6 +399,10 @@ def run_pipeline(cfg: PipelineConfig, features, labels, *,
         arms.insert(0, replace(
             cfg, selector=baseline,
             lambda2=None if baseline == "lasso" else cfg.lambda2))
+    # a label set the selectors cannot take fails here, not in every fold
+    targets = None
+    if any(arm.selector != "none" for arm in arms):
+        targets = signed_targets(labels)
     folds = _folds_for(cfg, X.shape[0])
     all_indices = np.arange(X.shape[0])
     outcomes = [[] for _ in arms]
@@ -404,8 +418,8 @@ def run_pipeline(cfg: PipelineConfig, features, labels, *,
             continue
         for arm, arm_outcomes in zip(arms, outcomes):
             try:
-                outcome = _evaluate_fold(arm, *design, labels, train_idx,
-                                         test_idx, fold_index)
+                outcome = _evaluate_fold(arm, *design, labels, targets,
+                                         train_idx, test_idx, fold_index)
             except _FOLD_ERRORS as exc:
                 outcome = _failed_fold(fold_index, test_idx, exc)
             arm_outcomes.append(outcome)

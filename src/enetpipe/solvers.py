@@ -28,7 +28,6 @@ import numpy as np
 
 from .data import validate_feature_matrix, validate_labels
 from .errors import ConfigError, ContractError, DimensionError
-from .textio import write_blocks
 
 _GRAM_COLUMN_LIMIT = 1024
 
@@ -227,14 +226,9 @@ def kkt_violation(X, y, cfg: PenaltyConfig, beta) -> float:
     return worst
 
 
-def select_support(result, min_magnitude: float = 0.0) -> np.ndarray:
+def select_support(beta, min_magnitude: float = 0.0) -> np.ndarray:
     """Indices with |beta_j| > min_magnitude, ascending."""
     if min_magnitude < 0.0:
         raise ConfigError("min_magnitude must be >= 0")
-    beta = result.coefficients if isinstance(result, SolverResult) else result
-    beta = np.asarray(beta, dtype=np.float64)
-    return np.flatnonzero(np.abs(beta) > min_magnitude)
-
-
-def save_coefficients(path, beta):
-    write_blocks(path, {"coefficients": np.asarray(beta, dtype=np.float64)})
+    return np.flatnonzero(np.abs(np.asarray(beta, dtype=np.float64))
+                          > min_magnitude)

@@ -262,7 +262,8 @@ def reference_forward_features(net, x):
 
 def reference_rbf_gram(A, B, gamma: float) -> np.ndarray:
     """The RBF kernel with both row norms and the product formed in place;
-    ``rbf_gram`` and ``elm_predict``'s kernel must return the same bytes."""
+    ``elm_train``'s ridge system and ``elm_predict``'s kernel must hold the
+    same bytes."""
     sq = (np.sum(A * A, axis=1)[:, None]
           + np.sum(B * B, axis=1)[None, :]
           - 2.0 * A @ B.T)
@@ -308,6 +309,8 @@ MALFORMED_NETWORK_EDITS = {
                       "conv3_bias"),
     "short-config": (lambda b: b.update(config=b["config"][:5]),
                      DataFormatError, "config"),
+    "bad-config-value": (lambda b: b["config"].__setitem__(0, 30),
+                         DataFormatError, "input size"),
     "conv2-shape": (lambda b: b.update(conv2_weights=b["conv2_weights"][1:]),
                     DimensionError, "conv2_weights"),
     "fc-shape": (lambda b: b.update(fc_weights=b["fc_weights"].T),

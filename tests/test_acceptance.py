@@ -80,7 +80,8 @@ def test_criterion_03_duplicated_columns_group_or_concentrate():
         weakest_pair = min(weakest_pair, min(abs(b[pair[0]]),
                                              abs(b[pair[1]])))
         lasso = lasso_fit(X, y, PenaltyConfig(lambda1=0.05))
-        sup = set(select_support(lasso, min_magnitude=1e-8).tolist())
+        sup = set(select_support(lasso.coefficients,
+                                 min_magnitude=1e-8).tolist())
         lasso_counts.add(len(sup & set(pair)))
     ok = worst_gap <= 1e-8 and weakest_pair > 1e-3 and lasso_counts == {1}
     _verdict(3, ok,
@@ -162,8 +163,8 @@ def test_criterion_07_kernel_classifier_reference_problems():
 
     perm = rng.permutation(len(train))
     shuffled = elm_train(X[train][perm], y[train][perm])
-    perm_gap = float(np.max(np.abs(elm_predict(blob, X[test]).scores -
-                                   elm_predict(shuffled, X[test]).scores)))
+    perm_gap = float(np.max(np.abs(elm_predict(blob, X[test]) -
+                                   elm_predict(shuffled, X[test]))))
     ok = xor_acc == 1.0 and blob_acc >= 0.95 and perm_gap <= 1e-10
     _verdict(7, ok,
              f"xor accuracy {xor_acc:.2f} (need 1.00), blob holdout accuracy "

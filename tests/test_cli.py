@@ -361,6 +361,8 @@ class TestExitCodes:
         ("--elm-ridge", "nan"), ("--elm-gamma", "-1"),
         ("--elm-gamma", "nan"), ("--elm-gamma", "inf"),
         ("--lambda1", "nan"), ("--lambda1", "inf"), ("--lambda2", "nan"),
+        ("--selector", "elastic_net_svm", "--lambda2", "0"),
+        ("--selector", "elastic_net_svm", "--lambda1", "0"),
     ], ids="=".join)
     @pytest.mark.parametrize("command", ["select", "evaluate", "compare"])
     def test_out_of_range_setting_is_one_before_any_fit(
@@ -374,6 +376,23 @@ class TestExitCodes:
         assert fits == []
         assert capsys.readouterr().err.startswith("error: ")
         assert not (workdir / "report.json").exists()
+
+    @pytest.mark.parametrize("command", ["select", "evaluate", "compare"])
+    def test_non_binary_labels_with_a_selector_is_one_before_any_fit(
+            self, workdir, monkeypatch, capsys, command):
+        X = PortableRng(3).normal_matrix(30, 4)
+        save_feature_csv(workdir / "three.csv", X,
+                         labels=np.repeat([0.0, 1.0, 2.0], 10))
+        fits = _record_fits(monkeypatch)
+        capsys.readouterr()
+        rc = main([command, "--features", str(workdir / "three.csv"),
+                   "--k-folds", "3"])
+        assert rc == 1
+        assert fits == []
+        assert capsys.readouterr().err.startswith(
+            "error: sparse selection needs exactly 2 classes, got 3")
+        assert not (workdir / "report.json").exists()
+        assert not (workdir / "coefficients.txt").exists()
 
     def test_bad_boolean_in_config_names_file_and_line(self, workdir, capsys):
         cfg = workdir / "bad.conf"
@@ -424,10 +443,16 @@ class TestExitCodes:
         assert rc == 2
 
     def test_numerical_collapse_is_three(self, workdir):
-        features = _generate(workdir)
+        # repeated rows with a vanishing ridge term: each fold's ELM
+        # system is singular
+        features = workdir / "repeated.csv"
+        save_feature_csv(features,
+                         np.repeat(PortableRng(4).normal_matrix(5, 3), 4,
+                                   axis=0),
+                         labels=np.tile([0.0, 1.0], 10))
         rc = main(["evaluate", "--features", str(features),
-                   "--selector", "elastic_net_svm", "--lambda1", "0.1",
-                   "--lambda2", "0", "--k-folds", "3"])
+                   "--lambda1", "0.1", "--elm-ridge", "1e16",
+                   "--k-folds", "4"])
         assert rc == 3
 
 
@@ -566,6 +591,35 @@ class TestImageCommands:
         assert capsys.readouterr().err == (
             "error: batch size must be >= 1, got 0\n")
         assert not (workdir / "cnn.txt").exists()
+
+    @pytest.mark.parametrize("setting, message", [
+        (("--lr", "-1"), "learning rate must be finite and >= 0, got -1.0"),
+        (("--lr", "nan"), "learning rate must be finite and >= 0, got nan"),
+        (("--epochs", "-1"), "epochs must be >= 0, got -1"),
+        (("--centers", "0"), "center count must be >= 1, got 0"),
+    ], ids=["lr=-1", "lr=nan", "epochs=-1", "centers=0"])
+    def test_bad_training_setting_is_one(self, workdir, capsys, setting,
+                                         message):
+        manifest = workdir / "manifest.csv"
+        manifest.write_text("".join(f"{p},{i}\n"
+                                    for i, p in enumerate(_volumes(workdir))))
+        capsys.readouterr()
+        rc = main(["train-cnn", "--manifest", str(manifest), "--centers", "3",
+                   "--epochs", "1", *setting])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (workdir / "cnn.txt").exists()
+
+    def test_zero_centers_extract_is_one(self, workdir, capsys):
+        paths = _volumes(workdir, n=1)
+        save_cnn(workdir / "cnn.txt", cnn_init(CnnConfig(), seed=0))
+        capsys.readouterr()
+        rc = main(["extract", str(paths[0]), "--net",
+                   str(workdir / "cnn.txt"), "--centers", "0"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: center count must be >= 1, got 0\n")
+        assert not (workdir / "features.csv").exists()
 
     def test_extract_with_labels(self, workdir):
         paths = _volumes(workdir)

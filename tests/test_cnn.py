@@ -183,9 +183,13 @@ def test_empty_batch_rejected():
 def test_negative_learning_rate_rejected():
     net = cnn_init(TINY, seed=17)
     batch = np.zeros((2, 3, 8, 8))
-    with pytest.raises(NumericalError):
-        cnn_train_sgd(net, batch, np.array([0, 1]), epochs=1,
-                      learning_rate=-0.1)
+    for rate in (-0.1, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="learning rate"):
+            cnn_train_sgd(net, batch, np.array([0, 1]), epochs=1,
+                          learning_rate=rate)
+    with pytest.raises(ConfigError, match="epochs must be >= 0, got -1"):
+        cnn_train_sgd(net, batch, np.array([0, 1]), epochs=-1,
+                      learning_rate=0.1)
 
 
 @pytest.mark.parametrize("labels", [[0, -1], [0, 5], [0, 0.5], [0, 1, 1]])

@@ -3,13 +3,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from enetpipe import (PipelineConfig, PortableRng, elm_predict, elm_train,
-                      median_heuristic_gamma, predicted_labels, rbf_gram,
-                      run_pipeline)
+                      predicted_labels, run_pipeline)
 from enetpipe.errors import (ConfigError, DimensionError, EnetPipeError,
                              NumericalError)
 
-from helpers import (reference_elm_weights, reference_median_gamma,
-                     reference_rbf_gram)
+from helpers import reference_elm_weights, reference_rbf_gram
 
 
 XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
@@ -23,14 +21,6 @@ def _blobs(seed: int, n_per: int = 40, separation: float = 3.0):
     X = np.vstack([a, b])
     y = np.concatenate([np.zeros(n_per), np.ones(n_per)])
     return X, y
-
-
-def test_rbf_gram_shape_and_symmetry():
-    X = PortableRng(0).normal_matrix(6, 3)
-    gram = rbf_gram(X, X, gamma=0.3)
-    assert gram.shape == (6, 6)
-    np.testing.assert_allclose(gram, gram.T, atol=1e-15)
-    np.testing.assert_allclose(np.diag(gram), 1.0, atol=1e-12)
 
 
 def test_xor_is_learned_exactly():
@@ -54,9 +44,9 @@ def test_training_row_permutation_leaves_predictions_unchanged():
     base = elm_predict(elm_train(X, y, gamma=0.5), X_test)
     perm = PortableRng(5).permutation(len(y))
     permuted = elm_predict(elm_train(X[perm], y[perm], gamma=0.5), X_test)
-    np.testing.assert_allclose(permuted.scores, base.scores, atol=1e-10)
-    np.testing.assert_array_equal(permuted.predicted_class,
-                                  base.predicted_class)
+    np.testing.assert_allclose(permuted, base, atol=1e-10)
+    np.testing.assert_array_equal(permuted.argmax(axis=1),
+                                  base.argmax(axis=1))
 
 
 def test_three_class_problem():
@@ -75,15 +65,15 @@ def test_score_tie_breaks_to_lowest_class_index():
     X = np.array([[1.0, 1.0], [1.0, 1.0]])
     y = np.array([0.0, 1.0])
     model = elm_train(X, y, gamma=1.0)
-    scored = elm_predict(model, np.array([[1.0, 1.0]]))
-    assert scored.scores[0, 0] == pytest.approx(scored.scores[0, 1], abs=1e-12)
-    assert scored.predicted_class[0] == 0
+    scores = elm_predict(model, np.array([[1.0, 1.0]]))
+    assert scores[0, 0] == pytest.approx(scores[0, 1], abs=1e-12)
+    assert predicted_labels(model, scores)[0] == 0.0
 
 
 def test_median_heuristic_positive_and_fallback():
     X = PortableRng(7).normal_matrix(12, 3)
-    assert median_heuristic_gamma(X) > 0
-    assert median_heuristic_gamma(np.ones((5, 2))) == 1.0
+    assert elm_train(X, np.arange(12) % 2).gamma > 0
+    assert elm_train(np.ones((5, 2)), np.arange(5) % 2).gamma == 1.0
 
 
 def test_invalid_settings():
@@ -93,18 +83,16 @@ def test_invalid_settings():
     with pytest.raises(ConfigError):
         elm_train(X, y, ridge_c=0.0)
     with pytest.raises(ConfigError):
-        rbf_gram(X, X, gamma=0.0)
+        elm_train(X, y, gamma=0.0)
 
 
 @pytest.mark.parametrize("kwargs", [
     dict(gamma=np.inf), dict(gamma=np.nan), dict(ridge_c=np.nan)])
 def test_non_finite_settings_are_config_errors(kwargs):
     X, y = _blobs(8, n_per=5)
-    with pytest.raises(ConfigError):
+    match = "gamma must be positive" if "gamma" in kwargs else "ridge_c"
+    with pytest.raises(ConfigError, match=match):
         elm_train(X, y, **kwargs)
-    if "gamma" in kwargs:
-        with pytest.raises(ConfigError, match="gamma must be positive"):
-            rbf_gram(X, X, kwargs["gamma"])
 
 
 @pytest.mark.parametrize("rows", [3, 1], ids=["3x3", "1x1"])
@@ -193,12 +181,9 @@ class TestSolveBits:
                                                    axis=1).tobytes()
         # the pipeline scores one test row at a time; direct callers, blocks
         for rows in (queries[:1], queries[1:2], queries):
-            scores = elm_predict(model, rows).scores
+            scores = elm_predict(model, rows)
             expected = reference_rbf_gram(rows, stored, ref_gamma) @ weights
             assert scores.tobytes() == expected.tobytes()
-        assert median_heuristic_gamma(X) == reference_median_gamma(X)
-        assert (rbf_gram(queries, X, 0.3).tobytes()
-                == reference_rbf_gram(queries, X, 0.3).tobytes())
 
 
 class TestNonPositiveDefinite:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from enetpipe import (Volume3D, default_patch_centers, extract_patch_2_5d)
-from enetpipe.errors import DimensionError
+from enetpipe.errors import ConfigError, DimensionError
 
 
 def _arange_volume(dx=48, dy=52, dz=44):
@@ -76,5 +76,5 @@ def test_default_centers_deterministic_and_truncated():
 
 
 def test_center_count_must_be_positive():
-    with pytest.raises(DimensionError):
+    with pytest.raises(ConfigError):
         default_patch_centers((32, 32, 32), count=0)

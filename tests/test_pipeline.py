@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import enetpipe.pipeline
 from enetpipe import (EvaluationReport, PipelineConfig, PortableRng,
                       SyntheticSpec, accuracy, compare_selectors,
                       generate_synthetic, holdout_split, kfold_split,
@@ -133,6 +134,8 @@ class TestPipelineConfig:
         dict(pca_retain=1.5),
         dict(pca_retain=0.0),
         dict(pca_retain=math.nan),
+        dict(selector="elastic_net_svm", lambda2=0.0),
+        dict(selector="elastic_net_svm", lambda1=0.0),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
@@ -256,11 +259,26 @@ class TestRunPipeline:
             0.5 * o.lambda1 for o in report.folds]
 
     def test_all_folds_failing_raises(self):
-        X, labels, _ = _dataset(seed=13, n=40)
-        cfg = PipelineConfig(selector="elastic_net_svm", lambda1=0.1,
-                             lambda2=0.0, k_folds=4, seed=6)
-        with pytest.raises(EnetPipeError):
+        # repeated rows with a vanishing ridge term: each fold's ELM
+        # system is singular
+        X = np.repeat(PortableRng(13).normal_matrix(5, 3), 4, axis=0)
+        labels = np.tile([0.0, 1.0], 10)
+        cfg = PipelineConfig(lambda1=0.1, elm_ridge=1e16, k_folds=4, seed=6)
+        with pytest.raises(EnetPipeError, match="^every fold failed"):
             run_pipeline(cfg, X, labels)
+
+    def test_signed_targets_are_made_once(self, monkeypatch):
+        X, labels, _ = _dataset(seed=13, n=40)
+        calls = []
+        made = enetpipe.pipeline.signed_targets
+        monkeypatch.setattr(enetpipe.pipeline, "signed_targets",
+                            lambda y: calls.append(1) or made(y))
+        cfg = PipelineConfig(lambda1=0.1, k_folds=4, seed=6)
+        compare_selectors(cfg, X, labels)
+        assert calls == [1]
+        calls.clear()
+        run_pipeline(replace(cfg, selector="none"), X, labels)
+        assert calls == []
 
     def test_selector_none_skips_selection(self):
         X, labels, _ = _dataset(seed=14, n=60)

@@ -4,10 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from enetpipe import (PenaltyConfig, elastic_net_fit_cd,
                       elastic_net_objective, kkt_violation, lasso_fit,
-                      save_coefficients, select_support, soft_threshold)
+                      select_support, soft_threshold)
 from enetpipe.errors import ConfigError, ContractError
 from enetpipe.solvers import _GRAM_COLUMN_LIMIT, _coordinate_descent
-from enetpipe.textio import read_blocks
+from enetpipe.textio import read_blocks, write_blocks
 from helpers import grid_search_lasso_objective, regression_instance, \
     duplicated_instance, reference_coordinate_descent, sweep_objectives
 
@@ -161,7 +161,7 @@ class TestElasticNet:
         for seed in range(10):
             X, y, (i, j) = duplicated_instance(300 + seed)
             la = lasso_fit(X, y, PenaltyConfig(lambda1=0.05))
-            hits = select_support(la, min_magnitude=1e-8)
+            hits = select_support(la.coefficients, min_magnitude=1e-8)
             assert len({i, j} & set(hits.tolist())) == 1
 
     def test_ridge_shrinks_relative_to_lasso(self):
@@ -200,7 +200,7 @@ class TestSupportAndPersistence:
         X, y = regression_instance(13, 15, 4)
         result = lasso_fit(X, y, PenaltyConfig(lambda1=0.02))
         path = tmp_path / "coef.txt"
-        save_coefficients(path, result.coefficients)
+        write_blocks(path, {"coefficients": result.coefficients})
         np.testing.assert_array_equal(read_blocks(path)["coefficients"],
                                       result.coefficients)
 
