@@ -389,13 +389,19 @@ def save_cnn(path, net: CnnNetwork) -> None:
 
 def load_cnn(path) -> CnnNetwork:
     """Read a network file; a missing block or a config block that is not
-    6 valid values is a DataFormatError, a wrong shape a DimensionError."""
+    6 valid whole numbers is a DataFormatError, a wrong shape a
+    DimensionError."""
     blocks = textio.read_blocks(path)
     try:
-        raw = blocks["config"].astype(int)
+        raw = blocks["config"]
         if raw.shape != (6,):
             raise DataFormatError(
                 f"{path}: config block holds {raw.size} values, expected 6")
+        # blocks hold floats; NaN and inf are no whole numbers either
+        bad = [v for v in raw.tolist() if not v.is_integer()]
+        if bad:
+            raise DataFormatError(
+                f"{path}: config block value {bad[0]} is not a whole number")
         cfg = CnnConfig(input_size=int(raw[0]), in_channels=int(raw[1]),
                         channels=tuple(int(c) for c in raw[2:5]),
                         n_classes=int(raw[5]))

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .data import validate_feature_matrix
 from .errors import ConfigError, DimensionError, NumericalError
@@ -111,6 +110,7 @@ def elm_train(X, labels, gamma: float | None = None,
         # factor and solve give other bits
         weights = targets / system
     else:
+        import scipy.linalg     # loaded here: only ELM training needs it
         try:
             factor = scipy.linalg.cho_factor(system, lower=False,
                                              overwrite_a=True,

@@ -29,7 +29,6 @@ unreliable small-t band.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import brentq, nnls
 
 from .data import validate_labels
 from .errors import ConfigError
@@ -80,6 +79,7 @@ def _primal_margin_solve(aug, labels, cost, tol=1e-11, max_iters=200):
 
 def _dual_margin_solve(aug, labels, cost):
     """Nonnegative minimizer of 0.5 a'(ZZ' + I/(2 cost))a - 1'a, Z = labels*aug."""
+    from scipy.optimize import nnls
     signed = labels[:, None] * aug
     normal = signed @ signed.T + np.eye(len(labels)) / (2.0 * cost)
     root = np.linalg.cholesky(normal).T          # normal = root' root
@@ -109,6 +109,18 @@ def _budget_solution(X, y, t, lambda2_unnorm):
     return t * (alpha[:p] - alpha[p:]) / total, False
 
 
+def _ridge_solution(X, y, lambda2):
+    """(X'X/N + 2 lambda2 I)^-1 X'y/N; with fewer rows than columns it is
+    solved as X'(XX'/N + 2 lambda2 I)^-1 y/N, an N x N system in place of
+    the P x P one."""
+    n, p = X.shape
+    if n < p:
+        return X.T @ np.linalg.solve(X @ X.T / n + 2.0 * lambda2 * np.eye(n),
+                                     y / n)
+    return np.linalg.solve(X.T @ X / n + 2.0 * lambda2 * np.eye(p),
+                           X.T @ y / n)
+
+
 def elastic_net_fit_svm_reduction(X, y, cfg: PenaltyConfig) -> SolverResult:
     """Fit the elastic net via the margin-problem route.
 
@@ -130,9 +142,7 @@ def elastic_net_fit_svm_reduction(X, y, cfg: PenaltyConfig) -> SolverResult:
 
     # The budget never exceeds the L1 norm of the pure ridge solution, and
     # lambda1 * t can never exceed the objective at zero.
-    ridge = np.linalg.solve(X.T @ X / n + 2.0 * cfg.lambda2 * np.eye(p),
-                            X.T @ y / n)
-    t_hi = float(np.abs(ridge).sum())
+    t_hi = float(np.abs(_ridge_solution(X, y, cfg.lambda2)).sum())
     if cfg.lambda1 > 0.0:
         t_hi = min(t_hi, float(y @ y) / (2.0 * n * cfg.lambda1))
 
@@ -189,6 +199,7 @@ def elastic_net_fit_svm_reduction(X, y, cfg: PenaltyConfig) -> SolverResult:
     # objective along the budget path has slope lambda1 - mu(t) = -h(t), so
     # its minimizer t* is where h changes sign, and t* <= t_hi gives
     # h(t_hi) <= 0: the bracket needs no solve at either end.
+    from scipy.optimize import brentq
     root = brentq(bracketed, 0.0, t_hi,
                   xtol=_ROOT_REL_WIDTH * max(1.0, t_hi), disp=False)
     if root not in cache:                    # brentq may return unsolved t_hi

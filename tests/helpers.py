@@ -311,6 +311,11 @@ MALFORMED_NETWORK_EDITS = {
                      DataFormatError, "config"),
     "bad-config-value": (lambda b: b["config"].__setitem__(0, 30),
                          DataFormatError, "input size"),
+    "nan-config-value": (lambda b: b["config"].__setitem__(0, np.nan),
+                         DataFormatError, "value nan is not a whole number"),
+    "fractional-config-value": (lambda b: b["config"].__setitem__(0, 8.7),
+                                DataFormatError,
+                                "value 8.7 is not a whole number"),
     "conv2-shape": (lambda b: b.update(conv2_weights=b["conv2_weights"][1:]),
                     DimensionError, "conv2_weights"),
     "fc-shape": (lambda b: b.update(fc_weights=b["fc_weights"].T),

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from enetpipe import (PenaltyConfig, elastic_net_fit_cd,
                       elastic_net_fit_svm_reduction, elastic_net_objective)
 from enetpipe.errors import ConfigError, ContractError, DataFormatError
+from enetpipe.sven import _ridge_solution
 from helpers import duplicated_instance, regression_instance
 
 
@@ -70,6 +71,24 @@ def test_wide_matrix_takes_the_other_internal_path():
     cfg = PenaltyConfig(lambda1=0.05, lambda2=0.3, stop_thr=1e-9)
     cd = elastic_net_fit_cd(X, y, cfg)
     sven = elastic_net_fit_svm_reduction(X, y, cfg)
+    assert _rel_gap(sven.objective_value, cd.objective_value) <= 1e-4
+    assert sven.sweeps_used <= _MAX_BUDGET_SOLVES
+
+
+@pytest.mark.parametrize("n, m", [(20, 600), (40, 3000)])
+def test_wide_bracket_end_solves_the_n_by_n_ridge_system(n, m):
+    # with fewer rows than columns the ridge solution that ends the budget
+    # bracket comes from an N x N system; it is the P x P system's solution
+    X, y = regression_instance(3, n, m)
+    lam2 = 0.1
+    full = np.linalg.solve(X.T @ X / n + 2.0 * lam2 * np.eye(m), X.T @ y / n)
+    ridge = _ridge_solution(X, y, lam2)
+    assert np.linalg.norm(ridge - full) <= 1e-9 * np.linalg.norm(full)
+    cfg = PenaltyConfig(lambda1=0.2 * np.abs(X.T @ y).max() / n,
+                        lambda2=lam2, stop_thr=1e-9)
+    sven = elastic_net_fit_svm_reduction(X, y, cfg)
+    cd = elastic_net_fit_cd(X, y, cfg)
+    assert sven.kkt_violation <= 1e-9
     assert _rel_gap(sven.objective_value, cd.objective_value) <= 1e-4
     assert sven.sweeps_used <= _MAX_BUDGET_SOLVES
 
