@@ -235,6 +235,14 @@ def _cmd_generate(args, settings) -> int:
 
 
 def _cmd_extract(args, settings) -> int:
+    # checked before any volume is read: extraction takes seconds a volume
+    labels = None
+    if args.labels:
+        labels = textio.load_matrix(args.labels, args.labels,
+                                    encoding="ascii").ravel()
+        if labels.size != len(args.volumes):
+            raise DataError(
+                f"{labels.size} labels for {len(args.volumes)} volumes")
     net = load_cnn(args.net)
     rows = []
     for path in args.volumes:
@@ -242,13 +250,6 @@ def _cmd_extract(args, settings) -> int:
         centers = default_patch_centers(vol.voxels.shape, count=args.centers)
         rows.append(extract_image_features(net, vol, centers))
     X = np.vstack(rows)
-    labels = None
-    if args.labels:
-        labels = textio.load_matrix(args.labels, args.labels,
-                                    encoding="ascii").ravel()
-        if labels.size != X.shape[0]:
-            raise DataError(
-                f"{labels.size} labels for {X.shape[0]} volumes")
     out = _out_dir(settings)
     save_feature_csv(out / "features.csv", X, labels=labels)
     print(f"wrote {out / 'features.csv'}: {X.shape[0]} volumes x "

@@ -14,7 +14,9 @@ A fold's design (its standardization, optional PCA and re-standardization,
 fitted on its training rows only) does not depend on the selector, so
 run_pipeline is the one fold loop for both arms of a comparison: it fits each
 fold's design once, every arm reads the same two read-only matrices, and the
-design is dropped before the next fold.
+design is dropped before the next fold. The classifier depends on the arm
+only through its support and ELM settings, so arms that agree on them share
+one; each arm still times its own predictions (see _evaluate_fold).
 
 Determinism: all randomness flows from config.seed through the portable
 generator. The only nondeterministic report content is wall-clock timing.
@@ -291,14 +293,12 @@ def _prepare_fold(cfg: PipelineConfig, X, train_idx, test_idx):
     return X_train, X_test
 
 
-def _evaluate_fold(cfg: PipelineConfig, X_train, X_test, labels, targets,
-                   train_idx, test_idx, fold_index: int) -> FoldOutcome:
-    """Score one arm on one fold; targets are signed_targets(labels), or
-    None for selector 'none'."""
+def _select_fold(cfg: PipelineConfig, X_train, targets, train_idx, test_idx,
+                 fold_index: int) -> FoldOutcome:
+    """One arm's support on one fold, as an outcome whose accuracy and
+    time_ms _score_fold sets; targets are signed_targets(labels), or None
+    for selector 'none'."""
     warnings = []
-    y_train_labels = labels[train_idx]
-    y_test_labels = labels[test_idx]
-
     lambda1, lambda2 = cfg.lambda1, cfg.lambda2
     support = np.arange(X_train.shape[1])
     if cfg.selector != "none":
@@ -317,28 +317,62 @@ def _evaluate_fold(cfg: PipelineConfig, X_train, X_test, labels, targets,
                 f"{X_train.shape[1]} features")
             support = np.arange(X_train.shape[1])
 
-    model = elm_train(X_train[:, support], y_train_labels,
-                      gamma=cfg.elm_gamma, ridge_c=cfg.elm_ridge)
-    X_test_sel = X_test[:, support]
-    predictions = np.empty(len(test_idx), dtype=y_test_labels.dtype)
-    latencies = np.empty(len(test_idx))
-    for i in range(len(test_idx)):
-        started = time.perf_counter()
-        scores = elm_predict(model, X_test_sel[i:i + 1])
-        latencies[i] = time.perf_counter() - started
-        predictions[i] = predicted_labels(model, scores)[0]
-
     return FoldOutcome(
         fold_index=fold_index,
         test_indices=np.asarray(test_idx),
-        accuracy=accuracy(predictions, y_test_labels),
-        time_ms=float(np.median(latencies) * 1000.0),
+        accuracy=None,
+        time_ms=None,
         support=support,
         n_candidate_features=X_train.shape[1],
         lambda1=lambda1,
         lambda2=lambda2,
         warnings=tuple(warnings),
     )
+
+
+def _score_fold(outcome: FoldOutcome, model, X_test, y_test) -> None:
+    """Set outcome's accuracy and its median single-row predict latency."""
+    X_test_sel = X_test[:, outcome.support]
+    predictions = np.empty(len(y_test), dtype=y_test.dtype)
+    latencies = np.empty(len(y_test))
+    for i in range(len(y_test)):
+        started = time.perf_counter()
+        scores = elm_predict(model, X_test_sel[i:i + 1])
+        latencies[i] = time.perf_counter() - started
+        predictions[i] = predicted_labels(model, scores)[0]
+    outcome.accuracy = accuracy(predictions, y_test)
+    outcome.time_ms = float(np.median(latencies) * 1000.0)
+
+
+def _evaluate_fold(arms, X_train, X_test, labels, targets, train_idx,
+                   test_idx, fold_index: int) -> list:
+    """Every arm's outcome on one fold. All arms select before a classifier
+    is trained, and an arm whose support and ELM settings match the arm
+    before it reuses that arm's classifier, so the fold holds one
+    classifier at a time."""
+    outcomes = []
+    for arm in arms:
+        try:
+            outcomes.append(_select_fold(arm, X_train, targets, train_idx,
+                                         test_idx, fold_index))
+        except _FOLD_ERRORS as exc:
+            outcomes.append(_failed_fold(fold_index, test_idx, exc))
+    key = model = None
+    for index, (arm, outcome) in enumerate(zip(arms, outcomes)):
+        if outcome.failure is not None:
+            continue
+        try:
+            wanted = (outcome.support.tobytes(), arm.elm_gamma, arm.elm_ridge)
+            if wanted != key:
+                key = model = None      # freed before the next one trains
+                model = elm_train(X_train[:, outcome.support],
+                                  labels[train_idx], gamma=arm.elm_gamma,
+                                  ridge_c=arm.elm_ridge)
+                key = wanted
+            _score_fold(outcome, model, X_test, labels[test_idx])
+        except _FOLD_ERRORS as exc:
+            outcomes[index] = _failed_fold(fold_index, test_idx, exc)
+    return outcomes
 
 
 def _folds_for(cfg: PipelineConfig, n: int):
@@ -416,12 +450,9 @@ def run_pipeline(cfg: PipelineConfig, features, labels, *,
             for arm_outcomes in outcomes:
                 arm_outcomes.append(_failed_fold(fold_index, test_idx, exc))
             continue
-        for arm, arm_outcomes in zip(arms, outcomes):
-            try:
-                outcome = _evaluate_fold(arm, *design, labels, targets,
-                                         train_idx, test_idx, fold_index)
-            except _FOLD_ERRORS as exc:
-                outcome = _failed_fold(fold_index, test_idx, exc)
+        fold_outcomes = _evaluate_fold(arms, *design, labels, targets,
+                                       train_idx, test_idx, fold_index)
+        for arm_outcomes, outcome in zip(outcomes, fold_outcomes):
             arm_outcomes.append(outcome)
         del design
 

@@ -137,6 +137,10 @@ def _coordinate_descent(X, y, lambda1, lambda2, stop_thr, max_sweeps):
     else:
         cols = [X[:, j] for j in range(m)]
         resid = y.astype(np.float64).copy()
+        # cols[j] * dif goes into one buffer, not a new array per update;
+        # positional out arguments parse faster than out=
+        step = np.empty(n)
+        multiply, subtract = np.multiply, np.subtract
     sweeps = 0
     converged = False
     while sweeps < max_sweeps:
@@ -160,7 +164,8 @@ def _coordinate_descent(X, y, lambda1, lambda2, stop_thr, max_sweeps):
                 if use_gram:
                     gc += cols[j] * dif
                 else:
-                    resid -= cols[j] * dif
+                    multiply(cols[j], dif, step)
+                    subtract(resid, step, resid)
                 max_dif = max(max_dif, abs(dif))
         sweeps += 1
         if max_dif < stop_thr:

@@ -48,5 +48,7 @@ def test_one_second_traced_round_keeps_its_counts(tmp_path):
     assert result["correct"] is True
     assert result["failed"] == 0
     metrics = result["metrics"]
-    assert metrics["elm.train.calls"]["value"] == 20
+    # the lasso and SVM-route arms pick the same support in every fold,
+    # so each fold trains one classifier for both
+    assert metrics["elm.train.calls"]["value"] == 10
     assert metrics["elm.predict.calls"]["value"] == 400

@@ -474,9 +474,10 @@ def _sha256(path):
 
 class TestSeededOutputPins:
     """Seeded CLI outputs, pinned byte for byte: the benchmark's two
-    `generate` argument sets at two seeds each, and a small `train-cnn`.
-    Any change to the generator, its normal draws or their order moves
-    them."""
+    `generate` argument sets at two seeds each, and a small `train-cnn`
+    and `extract`. Any change to the generator, its normal draws or their
+    order moves them; the extract pin also guards the convolutions, the
+    pool and the feature CSV's bytes."""
 
     NARROW = ("--n-samples", "200", "--groups", "3", "--group-size", "3",
               "--correlation", "0.8", "--noise-std", "0.3", "--n-noise", "20")
@@ -502,7 +503,8 @@ class TestSeededOutputPins:
         assert _sha256(workdir / "features.csv") == features
         assert _sha256(workdir / "ground_truth_support.txt") == support
 
-    def test_train_cnn(self, workdir):
+    @staticmethod
+    def _train_cnn(workdir):
         paths = _volumes(workdir)
         manifest = workdir / "manifest.csv"
         manifest.write_text("".join(f"{p},{i}\n"
@@ -510,8 +512,19 @@ class TestSeededOutputPins:
         assert main(["train-cnn", "--manifest", str(manifest),
                      "--centers", "3", "--epochs", "1", "--lr", "0.001",
                      "--batch-size", "2", "--seed", "1"]) == 0
+        return paths
+
+    def test_train_cnn(self, workdir):
+        self._train_cnn(workdir)
         assert _sha256(workdir / "cnn.txt") == (
             "63464067e9da560333232848df57d55357279f382696aa55f434bb3e6f9012fd")
+
+    def test_extract(self, workdir):
+        paths = self._train_cnn(workdir)
+        assert main(["extract", *map(str, paths),
+                     "--net", str(workdir / "cnn.txt"), "--centers", "3"]) == 0
+        assert _sha256(workdir / "features.csv") == (
+            "506e71ebb4ab76688367159156acc3387bd56171dc95165ebf76278aea86ab51")
 
 
 class TestImageCommands:
@@ -541,16 +554,23 @@ class TestImageCommands:
         manifest.write_bytes(line.format(path=paths[0]).encode("latin-1"))
         assert main(["train-cnn", "--manifest", str(manifest)]) == 2
 
-    @pytest.mark.parametrize("content", ["1\n\xe9\n", "1\none\n", "1\n"])
-    def test_bad_labels_file_is_two(self, workdir, content):
+    @pytest.mark.parametrize("content", ["1\n\xe9\n", "1\none\n", "1\n",
+                                         pytest.param(None, id="missing")])
+    def test_bad_labels_file_is_two(self, workdir, monkeypatch, content):
+        # the labels are read and counted before any volume is loaded
         paths = _volumes(workdir)
         save_cnn(workdir / "cnn.txt", cnn_init(CnnConfig(), seed=0))
         labels_file = workdir / "labels.txt"
-        labels_file.write_bytes(content.encode("latin-1"))
+        if content is not None:
+            labels_file.write_bytes(content.encode("latin-1"))
+        loaded = []
+        monkeypatch.setattr(enetpipe.cli, "load_volume_raw3d", loaded.append)
         rc = main(["extract", *map(str, paths),
                    "--net", str(workdir / "cnn.txt"), "--centers", "3",
                    "--labels", str(labels_file)])
         assert rc == 2
+        assert loaded == []
+        assert not (workdir / "features.csv").exists()
 
     def test_overflowing_network_is_three(self, workdir, capsys):
         vol = workdir / "ones.raw3d"

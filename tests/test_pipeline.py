@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -497,6 +498,77 @@ class TestSharedFoldDesign:
             for i in (0, 2, 3):
                 assert folds[i].failure is None
                 assert _fold_json(folds[i]) == _fold_json(clean_folds[i])
+
+
+class TestSharedClassifier:
+    """An arm whose support the arm before it trained on reuses that
+    classifier; the reports stay those of independent runs."""
+
+    # The narrow_compare command's arms at lambda1 0.05 pick the same
+    # support in each of these folds; the 'none' arm keeps every column.
+    CASES = pytest.mark.parametrize("selector,baseline,trains_per_fold", [
+        ("elastic_net_svm", "lasso", 1), ("lasso", "none", 2),
+    ], ids=["same-support", "other-support"])
+
+    @staticmethod
+    def _config(selector):
+        return PipelineConfig(seed=12, k_folds=5, selector=selector,
+                              lambda1=0.05)
+
+    @CASES
+    def test_one_classifier_per_distinct_support(
+            self, monkeypatch, selector, baseline, trains_per_fold):
+        X, labels, _ = _dataset(seed=22, n=90)
+        cfg = self._config(selector)
+        base = run_pipeline(replace(cfg, selector=baseline), X, labels)
+        prop = run_pipeline(cfg, X, labels)
+
+        trained, real = [], enetpipe.pipeline.elm_train
+
+        def counting(*args, **kwargs):
+            trained.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(enetpipe.pipeline, "elm_train", counting)
+        report = compare_selectors(cfg, X, labels, baseline=baseline)
+        assert len(trained) == 5 * trains_per_fold
+        assert [np.array_equal(b.support, p.support) for b, p in zip(
+            report.comparison.baseline_folds, report.folds)] == (
+                [trains_per_fold == 1] * 5)
+
+        got, want, want_base = _masked(report), _masked(prop), _masked(base)
+        comparison = got.pop("comparison")
+        assert want.pop("comparison") is None
+        assert comparison["baseline_folds"] == want_base["folds"]
+        want["warnings"] = want_base["warnings"] + want["warnings"]
+        assert got == want
+
+    @CASES
+    def test_no_classifier_outlives_its_fold(
+            self, monkeypatch, selector, baseline, trains_per_fold):
+        # a fold holds one classifier at a time: none is alive while
+        # another trains, nor once its fold is done
+        X, labels, _ = _dataset(seed=22, n=90)
+        refs = []
+        real_train = enetpipe.pipeline.elm_train
+        real_prepare = enetpipe.pipeline._prepare_fold
+
+        def train(*args, **kwargs):
+            assert all(ref() is None for ref in refs)
+            model = real_train(*args, **kwargs)
+            refs.append(weakref.ref(model))
+            return model
+
+        def prepare(*args, **kwargs):
+            assert all(ref() is None for ref in refs)
+            return real_prepare(*args, **kwargs)
+
+        monkeypatch.setattr(enetpipe.pipeline, "elm_train", train)
+        monkeypatch.setattr(enetpipe.pipeline, "_prepare_fold", prepare)
+        compare_selectors(self._config(selector), X, labels,
+                          baseline=baseline)
+        assert len(refs) == 5 * trains_per_fold
+        assert all(ref() is None for ref in refs)
 
 
 def _fold_json(outcome):
