@@ -20,13 +20,15 @@ from pathlib import Path
 import numpy as np
 
 from . import textio
-from .cnn import (DEFAULT_CENTER_COUNT, CnnConfig, cnn_init, cnn_train_sgd,
-                  extract_image_features, load_cnn, save_cnn)
+from .cnn import (CnnConfig, cnn_init, cnn_train_sgd, extract_image_features,
+                  load_cnn, save_cnn)
 from .data import (SyntheticSpec, generate_synthetic, load_feature_csv,
-                   load_volume_raw3d, save_feature_csv, standardize_columns)
+                   load_volume_raw3d, save_feature_csv, standardize_columns,
+                   validate_labels)
 from .errors import (ConfigError, ContractError, DataError, EnetPipeError,
                      NumericalError)
-from .patches import default_patch_centers, extract_patch_2_5d
+from .patches import (DEFAULT_CENTER_COUNT, default_patch_centers,
+                      extract_patch_2_5d)
 from .pipeline import (SELECTORS, PipelineConfig, compare_selectors,
                        fit_penalized, run_pipeline, signed_targets)
 from .report import REPORT_FORMATS, emit_report, load_report_json
@@ -238,11 +240,9 @@ def _cmd_extract(args, settings) -> int:
     # checked before any volume is read: extraction takes seconds a volume
     labels = None
     if args.labels:
-        labels = textio.load_matrix(args.labels, args.labels,
-                                    encoding="ascii").ravel()
-        if labels.size != len(args.volumes):
-            raise DataError(
-                f"{labels.size} labels for {len(args.volumes)} volumes")
+        labels = validate_labels(
+            textio.load_matrix(args.labels, args.labels, encoding="ascii"),
+            len(args.volumes))
     net = load_cnn(args.net)
     rows = []
     for path in args.volumes:
@@ -258,7 +258,8 @@ def _cmd_extract(args, settings) -> int:
 
 
 def _cmd_train_cnn(args, settings) -> int:
-    patches, labels = [], []
+    # every line is checked before any volume is read
+    entries = []
     manifest = textio.read_ascii(args.manifest).splitlines()
     for lineno, line in enumerate(manifest, start=1):
         if not line.strip():
@@ -268,16 +269,19 @@ def _cmd_train_cnn(args, settings) -> int:
             value = float(label)
         except ValueError:
             value = None
-        if not path or value is None:
-            raise DataError(
-                f"{args.manifest}:{lineno}: expected 'volume_path,label'")
-        vol = load_volume_raw3d(path.strip())
+        if not path or value is None or not np.isfinite(value):
+            raise DataError(f"{args.manifest}:{lineno}: expected "
+                            "'volume_path,label' with a finite label")
+        entries.append((path.strip(), value))
+    if not entries:
+        raise DataError(f"manifest {args.manifest} lists no volumes")
+    patches, labels = [], []
+    for path, value in entries:
+        vol = load_volume_raw3d(path)
         centers = default_patch_centers(vol.voxels.shape, count=args.centers)
         for center in centers:
             patches.append(extract_patch_2_5d(vol, center))
             labels.append(value)
-    if not patches:
-        raise DataError(f"manifest {args.manifest} lists no volumes")
     labels = np.asarray(labels)
     classes = np.unique(labels)
     label_idx = np.searchsorted(classes, labels)
@@ -297,6 +301,9 @@ def _cmd_train_cnn(args, settings) -> int:
 
 def _cmd_select(args, settings) -> int:
     cfg = _pipeline_config(settings, "select")
+    if cfg.selector == "none":
+        raise ConfigError("select needs a sparse selector; pick lasso, "
+                          "elastic_net_cd, or elastic_net_svm")
     X, labels = _load_features(args, settings)
     X_std, _ = standardize_columns(X)
     result, lambda1, _ = fit_penalized(X_std, signed_targets(labels), cfg,

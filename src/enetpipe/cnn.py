@@ -48,16 +48,16 @@ from . import textio
 from .data import Volume3D
 from .errors import (ConfigError, ContractError, DataError, DataFormatError,
                      DimensionError, NumericalError)
-from .patches import extract_patch_2_5d
+from .patches import PATCH_SIZE, extract_patch_2_5d
 from .rng import PortableRng
 
-__all__ = ["CnnConfig", "CnnNetwork", "CnnTrainResult", "cnn_init",
-           "cnn_forward_batch", "cnn_loss_grad", "cnn_train_sgd",
-           "extract_image_features", "save_cnn", "load_cnn"]
+__all__ = ["DEFAULT_INPUT_SIZE", "DEFAULT_CHANNELS", "CnnConfig",
+           "CnnNetwork", "CnnTrainResult", "cnn_init", "cnn_forward_batch",
+           "cnn_loss_grad", "cnn_train_sgd", "extract_image_features",
+           "save_cnn", "load_cnn"]
 
-DEFAULT_INPUT_SIZE = 32
+DEFAULT_INPUT_SIZE = PATCH_SIZE
 DEFAULT_CHANNELS = (32, 64, 64)
-DEFAULT_CENTER_COUNT = 151
 # (row, column) of the strided views v0..v3 in a 2x2 window, row-major
 _WINDOW_OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
 _NO_GRADIENT = 4

@@ -26,6 +26,12 @@ from .errors import (
 from .rng import PortableRng
 from .textio import FLOAT_FORMAT, load_matrix
 
+__all__ = ["StandardizationRecord", "SyntheticSpec", "Volume3D",
+           "apply_standardization", "generate_synthetic", "load_feature_csv",
+           "load_volume_raw3d", "save_feature_csv", "save_volume_raw3d",
+           "standardize_columns", "validate_feature_matrix",
+           "validate_labels"]
+
 RAW3D_MAGIC = b"R3D1"
 
 # Population std below this (relative to the column's magnitude) marks the
@@ -264,21 +270,3 @@ def generate_synthetic(spec: SyntheticSpec):
     support = np.arange(spec.n_informative_groups * spec.group_size)
     return X, labels, support
 
-
-def duplicate_columns(X, indices):
-    """Append exact copies of the given columns.
-
-    Returns ``(augmented, pairs)`` where ``pairs[k] = (original, copy)``
-    column indices in the augmented matrix.  Used to build fixtures probing
-    how selectors treat perfectly correlated features.
-    """
-    X = validate_feature_matrix(X)
-    indices = [int(i) for i in indices]
-    m = X.shape[1]
-    for i in indices:
-        if not 0 <= i < m:
-            raise DimensionError(f"column index {i} out of range for {m} columns")
-    extra = X[:, indices]
-    augmented = np.column_stack([X, extra])
-    pairs = [(i, m + k) for k, i in enumerate(indices)]
-    return augmented, pairs

@@ -4,6 +4,10 @@ The CLI maps these onto exit codes: ConfigError -> 1, DataError -> 2,
 ContractError / NumericalError -> 3.
 """
 
+__all__ = ["EnetPipeError", "ConfigError", "DataError", "DataFormatError",
+           "DimensionError", "InsufficientDataError", "UndefinedMetricError",
+           "ContractError", "NumericalError"]
+
 
 class EnetPipeError(Exception):
     """Base class for all errors raised by this package."""

@@ -17,9 +17,11 @@ from .data import Volume3D
 from .errors import ConfigError, DimensionError
 
 PATCH_SIZE = 32
+DEFAULT_CENTER_COUNT = 151
 _HALF = PATCH_SIZE // 2
 
-__all__ = ["extract_patch_2_5d", "default_patch_centers", "PATCH_SIZE"]
+__all__ = ["extract_patch_2_5d", "default_patch_centers", "PATCH_SIZE",
+           "DEFAULT_CENTER_COUNT"]
 
 
 def _clamped(lo: int, n: int, size: int) -> np.ndarray:
@@ -42,7 +44,7 @@ def extract_patch_2_5d(vol: Volume3D, center) -> np.ndarray:
     return np.stack([transverse, coronal, sagittal])
 
 
-def default_patch_centers(dims, count: int = 151) -> list:
+def default_patch_centers(dims, count: int = DEFAULT_CENTER_COUNT) -> list:
     """Centers on a uniform interior lattice, in z-, then y-, then x-major
     order, truncated to `count`.
 

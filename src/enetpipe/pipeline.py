@@ -32,7 +32,7 @@ import numpy as np
 
 from .data import (apply_standardization, standardize_columns,
                    validate_feature_matrix)
-from .elm import elm_predict, elm_train, predicted_labels
+from .elm import DEFAULT_RIDGE_C, elm_predict, elm_train, predicted_labels
 from .errors import (ConfigError, DimensionError, EnetPipeError,
                      UndefinedMetricError)
 from .pca import pca_fit, pca_transform
@@ -43,9 +43,7 @@ from .sven import elastic_net_fit_svm_reduction
 
 __all__ = ["PipelineConfig", "FoldOutcome", "EvaluationReport",
            "ComparisonBlock", "kfold_split", "holdout_split", "accuracy",
-           "stddev_population", "signed_targets", "resolve_lambda2",
-           "fit_selector", "choose_lambda1", "fit_penalized",
-           "run_pipeline", "compare_selectors"]
+           "stddev_population", "run_pipeline", "compare_selectors"]
 
 SELECTORS = ("lasso", "elastic_net_cd", "elastic_net_svm", "none")
 
@@ -65,7 +63,7 @@ class PipelineConfig:
     lambda1: float | None = None      # None: per-fold internal validation
     lambda2: float | None = None      # None: see resolve_lambda2
     elm_gamma: float | None = None    # None: median heuristic
-    elm_ridge: float = 100.0
+    elm_ridge: float = DEFAULT_RIDGE_C
     k_folds: int = 10
     seed: int = 0
     holdout: float | None = None      # test fraction; None = k-fold protocol
@@ -148,7 +146,6 @@ class EvaluationReport:
     mean_accuracy: float
     accuracy_sigma: float
     mean_time_ms: float
-    # defaulted so that a report JSON without them still loads
     mean_support_size: float = 0.0
     warnings: tuple = ()
     fold_hash: str = ""

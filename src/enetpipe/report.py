@@ -21,15 +21,6 @@ from .textio import read_ascii
 __all__ = ["emit_report", "report_to_json", "report_from_json",
            "load_report_json", "REPORT_FORMATS"]
 
-REPORT_FORMATS = ("text-table", "comma-separated", "plot-data", "json")
-
-_FILENAMES = {
-    "text-table": "report.txt",
-    "comma-separated": "report.csv",
-    "plot-data": "plot_data.csv",
-    "json": "report.json",
-}
-
 _TIME_FOOTNOTE = ("Processing time is the median per-sample classification "
                   "latency, millisecond resolution.")
 
@@ -156,24 +147,21 @@ def _jsonable(value):
 
 
 def _from_dict(cls, d: dict):
-    """Rebuild a report dataclass from its JSON dict; a field missing from
-    ``d`` takes its dataclass default.  A field that cannot be rebuilt (a
-    missing key, a wrong type, a numeric field that is not an int or a
-    float) is a DataFormatError naming the field."""
+    """Rebuild a report dataclass from its JSON dict. A field that cannot
+    be rebuilt (missing, of a wrong type, a numeric field that is not an
+    int or a float) is a DataFormatError naming the field."""
     kwargs = {}
     for f in fields(cls):
-        if f.name in d:
-            load = _LOADERS.get(f.name) or _SCALAR_LOADERS.get(f.type,
-                                                               lambda v: v)
-            try:
-                kwargs[f.name] = load(d[f.name])
-            except (TypeError, KeyError, ValueError) as exc:
-                raise DataFormatError(
-                    f"report JSON field {f.name!r}: {exc}") from None
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise DataFormatError(f"report JSON: {exc}") from None
+        if f.name not in d:
+            raise DataFormatError(f"report JSON field {f.name!r} is missing")
+        load = _LOADERS.get(f.name) or _SCALAR_LOADERS.get(f.type,
+                                                           lambda v: v)
+        try:
+            kwargs[f.name] = load(d[f.name])
+        except (TypeError, ValueError) as exc:
+            raise DataFormatError(
+                f"report JSON field {f.name!r}: {exc}") from None
+    return cls(**kwargs)
 
 
 def _folds_from_list(items) -> list:
@@ -229,21 +217,24 @@ def load_report_json(path) -> EvaluationReport:
     return report_from_json(read_ascii(path))
 
 
+# Format -> (file name, renderer), in the order the CLI writes them.
+_FORMATS = {
+    "text-table": ("report.txt", _text_table),
+    "comma-separated": ("report.csv", _comma_separated),
+    "plot-data": ("plot_data.csv", _plot_data),
+    "json": ("report.json", report_to_json),
+}
+REPORT_FORMATS = tuple(_FORMATS)
+
+
 def emit_report(report: EvaluationReport, fmt: str, out_dir) -> Path:
     """Render one format into out_dir; returns the file written."""
-    if fmt not in REPORT_FORMATS:
+    if fmt not in _FORMATS:
         raise ConfigError(
             f"unknown report format {fmt!r}; choose from {REPORT_FORMATS}")
+    filename, render = _FORMATS[fmt]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if fmt == "text-table":
-        content = _text_table(report)
-    elif fmt == "comma-separated":
-        content = _comma_separated(report)
-    elif fmt == "plot-data":
-        content = _plot_data(report)
-    else:
-        content = report_to_json(report)
-    target = out_dir / _FILENAMES[fmt]
-    target.write_text(content)
+    target = out_dir / filename
+    target.write_text(render(report))
     return target

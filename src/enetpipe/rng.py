@@ -29,6 +29,8 @@ import math
 
 import numpy as np
 
+__all__ = ["PortableRng"]
+
 _MASK64 = (1 << 64) - 1
 # One round of normals() is up to _LANES lanes of _STEPS draws each (even,
 # so a lane boundary never splits a polar pair): 16384 draws, about 6400

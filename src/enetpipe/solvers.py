@@ -29,6 +29,10 @@ import numpy as np
 from .data import validate_feature_matrix, validate_labels
 from .errors import ConfigError, ContractError, DimensionError
 
+__all__ = ["PenaltyConfig", "SolverResult", "soft_threshold",
+           "elastic_net_objective", "lasso_fit", "elastic_net_fit_cd",
+           "kkt_violation", "select_support"]
+
 _GRAM_COLUMN_LIMIT = 1024
 
 # A standardized column must have squared norm within this relative band of

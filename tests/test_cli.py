@@ -111,6 +111,8 @@ class TestSelectPins:
                      "--selector", "none", "--lambda1", "0.05"]) == 1
         assert main(["select", "--features", str(features),
                      "--selector", "none"]) == 1
+        assert main(["select", "--features", "no_such_file.csv",
+                     "--selector", "none"]) == 1
         assert fits == []
         assert not (workdir / "coefficients.txt").exists()
 
@@ -547,17 +549,32 @@ class TestImageCommands:
         assert labels is None
         assert X.shape == (2, 3 * 1024)
 
-    @pytest.mark.parametrize("line", ["{path},caf\xe9", "{path},one"])
+    @pytest.mark.parametrize("line", ["{path},caf\xe9", "{path},one",
+                                      "{path},0\n{path},nan",
+                                      "{path},0\n{path},inf"])
     def test_bad_manifest_is_two(self, workdir, line):
         paths = _volumes(workdir, n=1, side=8)
         manifest = workdir / "manifest.csv"
         manifest.write_bytes(line.format(path=paths[0]).encode("latin-1"))
         assert main(["train-cnn", "--manifest", str(manifest)]) == 2
 
+    def test_malformed_last_manifest_line_is_two_before_any_volume(
+            self, workdir, monkeypatch):
+        paths = _volumes(workdir, n=2, side=8)
+        manifest = workdir / "manifest.csv"
+        manifest.write_text(f"{paths[0]},0\n{paths[1]},1\n{paths[1]}\n")
+        loaded = []
+        monkeypatch.setattr(enetpipe.cli, "load_volume_raw3d", loaded.append)
+        assert main(["train-cnn", "--manifest", str(manifest),
+                     "--centers", "3"]) == 2
+        assert loaded == []
+        assert not (workdir / "cnn.txt").exists()
+
     @pytest.mark.parametrize("content", ["1\n\xe9\n", "1\none\n", "1\n",
+                                         "1\nnan\n", "1\ninf\n",
                                          pytest.param(None, id="missing")])
     def test_bad_labels_file_is_two(self, workdir, monkeypatch, content):
-        # the labels are read and counted before any volume is loaded
+        # the labels are read and checked before any volume is loaded
         paths = _volumes(workdir)
         save_cnn(workdir / "cnn.txt", cnn_init(CnnConfig(), seed=0))
         labels_file = workdir / "labels.txt"

@@ -4,10 +4,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from enetpipe import (PortableRng, SyntheticSpec, Volume3D,
-                      apply_standardization, duplicate_columns,
-                      generate_synthetic, load_feature_csv,
-                      load_volume_raw3d, save_feature_csv, save_volume_raw3d,
-                      standardize_columns)
+                      apply_standardization, generate_synthetic,
+                      load_feature_csv, load_volume_raw3d, save_feature_csv,
+                      save_volume_raw3d, standardize_columns)
 from enetpipe.errors import (ConfigError, DataFormatError, DimensionError,
                              InsufficientDataError)
 
@@ -210,11 +209,3 @@ class TestSyntheticGenerator:
                           within_group_correlation=0.0, noise_std=0.0,
                           n_noise_features=0, seed=0)
 
-
-def test_duplicate_columns_appends_exact_copies():
-    X = PortableRng(8).normal_matrix(7, 4)
-    augmented, pairs = duplicate_columns(X, [1, 3])
-    assert augmented.shape == (7, 6)
-    assert pairs == [(1, 4), (3, 5)]
-    np.testing.assert_array_equal(augmented[:, 4], X[:, 1])
-    np.testing.assert_array_equal(augmented[:, 5], X[:, 3])

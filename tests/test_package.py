@@ -1,9 +1,11 @@
 """Every name the package and its modules export resolves; otherwise a name
 deleted from a module but left in an export list shows up only at
-``from enetpipe import *``. And scipy is loaded only by the work that
-needs it.
+``from enetpipe import *``. The package's public names are pinned, no
+module keeps a dead import or private name, and scipy is loaded only by
+the work that needs it.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -18,6 +20,7 @@ import enetpipe
 from enetpipe.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "enetpipe"
 
 MODULES = [enetpipe] + [importlib.import_module(f"enetpipe.{m.name}")
                         for m in pkgutil.iter_modules(enetpipe.__path__)]
@@ -27,6 +30,93 @@ EXPORTING = [m for m in MODULES if hasattr(m, "__all__")]
 @pytest.mark.parametrize("module", EXPORTING, ids=lambda m: m.__name__)
 def test_every_exported_name_resolves(module):
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+PUBLIC_NAMES = [
+    "CnnConfig", "CnnNetwork", "CnnTrainResult", "ComparisonBlock",
+    "ConfigError", "ContractError", "DEFAULT_CENTER_COUNT",
+    "DEFAULT_CHANNELS", "DEFAULT_INPUT_SIZE", "DEFAULT_RIDGE_C", "DataError",
+    "DataFormatError", "DimensionError", "ElmModel", "EnetPipeError",
+    "EvaluationReport", "FoldOutcome", "InsufficientDataError",
+    "NumericalError", "PATCH_SIZE", "PcaModel", "PenaltyConfig",
+    "PipelineConfig", "PortableRng", "REPORT_FORMATS", "SolverResult",
+    "StandardizationRecord", "SyntheticSpec", "UndefinedMetricError",
+    "Volume3D", "__version__", "accuracy", "apply_standardization",
+    "cnn_forward_batch", "cnn_init", "cnn_loss_grad", "cnn_train_sgd",
+    "compare_selectors", "default_patch_centers", "elastic_net_fit_cd",
+    "elastic_net_fit_svm_reduction", "elastic_net_objective", "elm_predict",
+    "elm_train", "emit_report", "extract_image_features",
+    "extract_patch_2_5d", "generate_synthetic", "holdout_split",
+    "kfold_split", "kkt_violation", "lasso_fit", "load_cnn",
+    "load_feature_csv", "load_report_json", "load_volume_raw3d", "pca_fit",
+    "pca_inverse", "pca_transform", "predicted_labels", "report_from_json",
+    "report_to_json", "run_pipeline", "save_cnn", "save_feature_csv",
+    "save_volume_raw3d", "select_support", "soft_threshold",
+    "standardize_columns", "stddev_population", "validate_feature_matrix",
+    "validate_labels",
+]
+
+
+def test_package_exports_the_union_of_its_modules_lists():
+    # each public name is declared once, in its module's __all__; the
+    # package's own source names none of them but __version__
+    assert sorted(enetpipe.__all__) == PUBLIC_NAMES
+    assert len(set(enetpipe.__all__)) == len(enetpipe.__all__)
+    assert all(hasattr(enetpipe, n) for n in enetpipe.__all__)
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    spelled = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    spelled |= {node.value for node in ast.walk(tree)
+                if isinstance(node, ast.Constant)}
+    spelled |= {a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert spelled & set(PUBLIC_NAMES) == {"__version__"}
+
+
+# A lint pass in place of a linter (none is a dependency): in every module
+# but __init__.py, an imported name must be used or listed in __all__, and
+# a module-level _private name must be referenced somewhere in src/.
+LINTED = {path.name: ast.parse(path.read_text())
+          for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+
+
+def _referenced(tree) -> set:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+@pytest.mark.parametrize("name", LINTED)
+def test_no_unused_import(name):
+    tree = LINTED[name]
+    imported = {(a.asname or a.name).split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for a in node.names}
+    module = importlib.import_module(f"enetpipe.{name.removesuffix('.py')}")
+    exported = set(getattr(module, "__all__", ()))
+    assert imported - _referenced(tree) - exported == set()
+
+
+def test_no_unreferenced_private_module_name():
+    referenced = set().union(*map(_referenced, LINTED.values()))
+    referenced |= {a.name for tree in LINTED.values() for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) for a in node.names}
+    defined = set()
+    for tree in LINTED.values():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = getattr(node, "targets", None) or [node.target]
+                defined |= {t.id for t in targets if isinstance(t, ast.Name)}
+    private = {n for n in defined
+               if n.startswith("_") and not n.startswith("__")}
+    assert private - referenced == set()
 
 
 # scipy is loaded by the functions that call it, not at import: the ELM's

@@ -49,6 +49,14 @@ def plain_report():
                             fold_hash="h", comparison=None)
 
 
+def _pop(payload, *path):
+    """Delete the key at the end of path from a nested JSON payload."""
+    *parents, key = path
+    for step in parents:
+        payload = payload[step]
+    payload.pop(key)
+
+
 class TestTextTable:
     def test_percent_and_second_cells(self, comparison_report, tmp_path):
         text = emit_report(comparison_report, "text-table",
@@ -198,6 +206,11 @@ class TestJsonRoundTrip:
          "mean_time_delta_ms"),
         (lambda d: d.update(mean_accuracy="x"), "mean_accuracy"),
         (lambda d: d.update(k_folds=True), "k_folds"),
+        *(pytest.param(lambda d, path=path: _pop(d, *path), path[-1],
+                       id=f"missing-{path[-1]}")
+          for path in [("comparison",), ("comparison", "baseline_folds"),
+                       ("folds", 0, "failure"), ("warnings",),
+                       ("fold_hash",)]),
     ])
     def test_bad_field_is_a_format_error_naming_it(self, comparison_report,
                                                    edit, field):
