@@ -275,6 +275,9 @@ def _cmd_train_cnn(args, settings) -> int:
         entries.append((path.strip(), value))
     if not entries:
         raise DataError(f"manifest {args.manifest} lists no volumes")
+    # CnnConfig rejects a one-class manifest (exit 1) before any volume
+    classes = np.unique([value for _, value in entries])
+    net = cnn_init(CnnConfig(n_classes=classes.size), seed=settings["seed"])
     patches, labels = [], []
     for path, value in entries:
         vol = load_volume_raw3d(path)
@@ -282,10 +285,7 @@ def _cmd_train_cnn(args, settings) -> int:
         for center in centers:
             patches.append(extract_patch_2_5d(vol, center))
             labels.append(value)
-    labels = np.asarray(labels)
-    classes = np.unique(labels)
     label_idx = np.searchsorted(classes, labels)
-    net = cnn_init(CnnConfig(n_classes=classes.size), seed=settings["seed"])
     result = cnn_train_sgd(net, np.stack(patches), label_idx,
                            epochs=args.epochs, learning_rate=args.lr,
                            seed=settings["seed"], batch_size=args.batch_size)

@@ -52,9 +52,8 @@ from .patches import PATCH_SIZE, extract_patch_2_5d
 from .rng import PortableRng
 
 __all__ = ["DEFAULT_INPUT_SIZE", "DEFAULT_CHANNELS", "CnnConfig",
-           "CnnNetwork", "CnnTrainResult", "cnn_init", "cnn_forward_batch",
-           "cnn_loss_grad", "cnn_train_sgd", "extract_image_features",
-           "save_cnn", "load_cnn"]
+           "CnnNetwork", "CnnTrainResult", "cnn_init", "cnn_loss_grad",
+           "cnn_train_sgd", "extract_image_features", "save_cnn", "load_cnn"]
 
 DEFAULT_INPUT_SIZE = PATCH_SIZE
 DEFAULT_CHANNELS = (32, 64, 64)
@@ -251,13 +250,6 @@ def _forward_batch(net: CnnNetwork, x, want_cache: bool = False):
     log_probs = shift - np.log(np.exp(shift).sum(axis=1, keepdims=True))
     probs = np.exp(log_probs)
     return features, log_probs, probs, caches
-
-
-def cnn_forward_batch(net: CnnNetwork, batch):
-    """Batched forward; returns (features (B,F), class probs (B,C))."""
-    _check_finite_parameters(net)
-    features, _, probs, _ = _forward_batch(net, np.asarray(batch, dtype=np.float64))
-    return features, probs
 
 
 def _labeled_batch(batch, labels, n_classes: int):

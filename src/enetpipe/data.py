@@ -28,9 +28,8 @@ from .textio import FLOAT_FORMAT, load_matrix
 
 __all__ = ["StandardizationRecord", "SyntheticSpec", "Volume3D",
            "apply_standardization", "generate_synthetic", "load_feature_csv",
-           "load_volume_raw3d", "save_feature_csv", "save_volume_raw3d",
-           "standardize_columns", "validate_feature_matrix",
-           "validate_labels"]
+           "load_volume_raw3d", "save_feature_csv", "standardize_columns",
+           "validate_feature_matrix", "validate_labels"]
 
 RAW3D_MAGIC = b"R3D1"
 
@@ -150,15 +149,6 @@ def load_volume_raw3d(path) -> Volume3D:
     # x-fastest flat order => C-order shape (dz, dy, dx), then put x first
     voxels = flat.reshape(dz, dy, dx).transpose(2, 1, 0).astype(np.float64)
     return Volume3D(voxels=voxels)
-
-
-def save_volume_raw3d(path, vol: Volume3D):
-    dx, dy, dz = vol.dims
-    with open(path, "wb") as fh:
-        fh.write(RAW3D_MAGIC)
-        fh.write(struct.pack("<III", dx, dy, dz))
-        flat = vol.voxels.transpose(2, 1, 0).astype("<f4")
-        fh.write(flat.tobytes())
 
 
 def standardize_columns(X):

@@ -25,7 +25,7 @@ import numpy as np
 from .data import validate_feature_matrix
 from .errors import DimensionError, InsufficientDataError, NumericalError
 
-__all__ = ["PcaModel", "pca_fit", "pca_transform", "pca_inverse"]
+__all__ = ["PcaModel", "pca_fit", "pca_transform"]
 
 
 @dataclass(frozen=True)
@@ -135,11 +135,3 @@ def pca_transform(model: PcaModel, X) -> np.ndarray:
         raise DimensionError(
             f"data has {X.shape[1]} columns, model expects {model.n_features}")
     return (X - model.mean) @ model.components.T
-
-
-def pca_inverse(model: PcaModel, Z) -> np.ndarray:
-    Z = np.asarray(Z, dtype=np.float64)
-    if Z.ndim != 2 or Z.shape[1] != model.n_components:
-        raise DimensionError(
-            f"projection has shape {Z.shape}, model expects (*, {model.n_components})")
-    return Z @ model.components + model.mean

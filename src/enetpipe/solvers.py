@@ -74,7 +74,8 @@ class SolverResult:
     ``kkt_violation`` is evaluated on the returned point.  ``converged``
     means the last sweep moved every coefficient by less than ``stop_thr``;
     non-convergence is reported through this flag, never as an exception.
-    For the SVM-reduction route ``sweeps_used`` counts budget solves instead.
+    For the SVM-reduction route ``sweeps_used`` counts budget solves instead,
+    not the support solves that finish the fit.
     """
 
     coefficients: np.ndarray

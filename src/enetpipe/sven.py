@@ -7,8 +7,18 @@ fit on them; its multipliers alpha recover the budget-constrained minimizer
 as ``beta = t * (alpha[:p] - alpha[p:]) / sum(alpha)``. The budget itself is
 the root of h(t) = mu(t) - lambda1, where mu(t) is the multiplier of the
 budget constraint read off the recovered point; it is found by Brent's
-method, so the recovered point minimizes the same penalized objective as the
-coordinate-descent solver after a handful of budget solves.
+method.
+
+The solution is piecewise linear in t: on one piece it is fixed by its
+support A and signs s alone, beta_A = (X_A'X_A/N + 2 lambda2 I)^-1
+(X_A'y/N - lambda1 s) (the LARS-EN piece solve). After each budget solve
+that system is solved on the recovered point's support and signs; once its
+KKT violation is at most 1e-12, the certificate the fit reports, it is the
+optimum and the root find stops. So the answer depends on the data, the
+penalties, the support and the signs, not on the bits of the budget solves.
+If no support solve is certified, Brent runs until the budget bracket is
+1e-12 * max(1, t_hi) wide and the budget solution of lowest objective is
+returned.
 
 The margin problem is solved in the primal (Newton) when the augmented system
 has more rows than columns, 2p > n, and through its nonnegative dual
@@ -42,6 +52,8 @@ from .solvers import (
 
 # Width of the final budget bracket, relative to max(1, t_hi).
 _ROOT_REL_WIDTH = 1e-12
+# A support solve whose KKT violation is at most this ends the fit.
+_EXACT_KKT = 1e-12
 
 __all__ = ["elastic_net_fit_svm_reduction"]
 
@@ -109,23 +121,43 @@ def _budget_solution(X, y, t, lambda2_unnorm):
     return t * (alpha[:p] - alpha[p:]) / total, False
 
 
-def _ridge_solution(X, y, lambda2):
-    """(X'X/N + 2 lambda2 I)^-1 X'y/N; with fewer rows than columns it is
-    solved as X'(XX'/N + 2 lambda2 I)^-1 y/N, an N x N system in place of
-    the P x P one."""
+def _ridge_solve(X, rhs, lambda2):
+    """(X'X/N + 2 lambda2 I)^-1 rhs. With fewer rows than columns it is
+    solved in the push-through form (rhs - X'(2 lambda2 N I + XX')^-1 X rhs)
+    / (2 lambda2), an N x N system in place of the P x P one."""
     n, p = X.shape
     if n < p:
-        return X.T @ np.linalg.solve(X @ X.T / n + 2.0 * lambda2 * np.eye(n),
-                                     y / n)
-    return np.linalg.solve(X.T @ X / n + 2.0 * lambda2 * np.eye(p),
-                           X.T @ y / n)
+        inner = np.linalg.solve(X @ X.T + 2.0 * lambda2 * n * np.eye(n),
+                                X @ rhs)
+        return (rhs - X.T @ inner) / (2.0 * lambda2)
+    return np.linalg.solve(X.T @ X / n + 2.0 * lambda2 * np.eye(p), rhs)
+
+
+def _support_solution(X, y, cfg: PenaltyConfig, beta):
+    """The penalized optimum if beta's support A and signs s are the
+    optimum's: beta_A = (X_A'X_A/N + 2 lambda2 I)^-1 (X_A'y/N - lambda1 s),
+    zero elsewhere (the LARS-EN piece solve)."""
+    support = np.flatnonzero(beta)
+    X_a = X[:, support]
+    exact = np.zeros_like(beta)
+    exact[support] = _ridge_solve(
+        X_a, X_a.T @ y / X.shape[0] - cfg.lambda1 * np.sign(beta[support]),
+        cfg.lambda2)
+    return exact
+
+
+class _Certified(Exception):
+    """Ends the root find: a support solve met the KKT certificate."""
 
 
 def elastic_net_fit_svm_reduction(X, y, cfg: PenaltyConfig) -> SolverResult:
     """Fit the elastic net via the margin-problem route.
 
-    Agrees with elastic_net_fit_cd within 1e-4 relative objective; requires
-    lambda2 > 0 because the margin cost 1/(2*lambda2) is undefined at zero.
+    The margin problem finds the optimum's support; an exact solve on that
+    support finishes the fit, at KKT violation <= 1e-12, the optimum
+    elastic_net_fit_cd converges to. sweeps_used counts budget solves.
+    Requires lambda2 > 0 because the margin cost 1/(2*lambda2) is undefined
+    at zero.
     """
     if cfg.lambda2 <= 0.0:
         raise ConfigError(
@@ -142,7 +174,7 @@ def elastic_net_fit_svm_reduction(X, y, cfg: PenaltyConfig) -> SolverResult:
 
     # The budget never exceeds the L1 norm of the pure ridge solution, and
     # lambda1 * t can never exceed the objective at zero.
-    t_hi = float(np.abs(_ridge_solution(X, y, cfg.lambda2)).sum())
+    t_hi = float(np.abs(_ridge_solve(X, X.T @ y / n, cfg.lambda2)).sum())
     if cfg.lambda1 > 0.0:
         t_hi = min(t_hi, float(y @ y) / (2.0 * n * cfg.lambda1))
 
@@ -179,6 +211,9 @@ def elastic_net_fit_svm_reduction(X, y, cfg: PenaltyConfig) -> SolverResult:
             # the budget as below the optimum.
             return zero_kkt
         degenerate_hit = degenerate_hit or degen
+        exact = _support_solution(X, y, cfg, beta)
+        if kkt_violation(X, y, cfg, exact) <= _EXACT_KKT:
+            raise _Certified(exact)
         cache[t] = (elastic_net_objective(X, y, beta, cfg.lambda1,
                                           cfg.lambda2), beta)
         grad = X.T @ (y - X @ beta) / n - 2.0 * cfg.lambda2 * beta
@@ -200,18 +235,24 @@ def elastic_net_fit_svm_reduction(X, y, cfg: PenaltyConfig) -> SolverResult:
     # its minimizer t* is where h changes sign, and t* <= t_hi gives
     # h(t_hi) <= 0: the bracket needs no solve at either end.
     from scipy.optimize import brentq
-    root = brentq(bracketed, 0.0, t_hi,
-                  xtol=_ROOT_REL_WIDTH * max(1.0, t_hi), disp=False)
-    if root not in cache:                    # brentq may return unsolved t_hi
-        excess_multiplier(root)
-
-    t_best = min(cache, key=lambda t: cache[t][0])
-    objective_value, beta = cache[t_best]
+    try:
+        root = brentq(bracketed, 0.0, t_hi,
+                      xtol=_ROOT_REL_WIDTH * max(1.0, t_hi), disp=False)
+        if root not in cache:                # brentq may return unsolved t_hi
+            excess_multiplier(root)
+    except _Certified as done:
+        (beta,) = done.args
+        degenerate = False
+    else:
+        t_best = min(cache, key=lambda t: cache[t][0])
+        beta = cache[t_best][1]
+        degenerate = degenerate_hit and t_best > 0.0
     return SolverResult(
         coefficients=beta,
-        objective_value=objective_value,
+        objective_value=elastic_net_objective(X, y, beta, cfg.lambda1,
+                                              cfg.lambda2),
         sweeps_used=evals,
         converged=True,
         kkt_violation=kkt_violation(X, y, cfg, beta),
-        degenerate=degenerate_hit and t_best > 0.0,
+        degenerate=degenerate,
     )

@@ -3,13 +3,15 @@ independent grid-search oracle, the reference normal draws, the reference
 coordinate-descent sweep and per-sweep objectives, the reference argmax
 pool and unpool and the CNN forward built on them, the reference ELM
 solve, a probe that captures each fold's fitted models, timing-field
-masking for golden files, and edits that break a network file.
+masking for golden files, edits that break a network file, a RAW3D volume
+writer and the CNN's batched forward.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import struct
 from dataclasses import fields, is_dataclass
 
 import numpy as np
@@ -19,7 +21,8 @@ from enetpipe import (PortableRng, elastic_net_objective, save_cnn,
                       soft_threshold, standardize_columns)
 from enetpipe.errors import DataFormatError, DimensionError
 from enetpipe.textio import read_blocks, write_blocks
-from enetpipe.cnn import _conv_same
+from enetpipe.cnn import _conv_same, _forward_batch
+from enetpipe.data import RAW3D_MAGIC
 from enetpipe.solvers import _GRAM_COLUMN_LIMIT, _coordinate_descent
 
 
@@ -332,3 +335,20 @@ def save_malformed_network(path, net, edit: str):
     change(blocks)
     write_blocks(path, blocks)
     return error, word
+
+
+def write_volume_raw3d(path, vol):
+    """Write ``vol`` as RAW3D, the format ``load_volume_raw3d`` reads: magic,
+    three little-endian u32 dims, float32 voxels x-fastest."""
+    with open(path, "wb") as fh:
+        fh.write(RAW3D_MAGIC)
+        fh.write(struct.pack("<III", *vol.dims))
+        fh.write(vol.voxels.transpose(2, 1, 0).astype("<f4").tobytes())
+
+
+def forward_batch(net, batch):
+    """The network's batched forward: (features (B, F), probabilities
+    (B, C))."""
+    features, _, probs, _ = _forward_batch(net, np.asarray(batch,
+                                                           dtype=np.float64))
+    return features, probs

@@ -19,7 +19,7 @@ from enetpipe import (CnnConfig, PenaltyConfig, PipelineConfig, PortableRng,
                       elastic_net_fit_cd, elastic_net_fit_svm_reduction,
                       elm_predict, elm_train, extract_image_features,
                       generate_synthetic, kfold_split, kkt_violation,
-                      lasso_fit, pca_fit, pca_inverse, pca_transform,
+                      lasso_fit, pca_fit, pca_transform,
                       predicted_labels, run_pipeline, select_support,
                       stddev_population)
 from enetpipe.cnn import cnn_loss_grad
@@ -132,7 +132,7 @@ def test_criterion_06_pca_against_symmetric_eigensolver():
     gram = model.components @ model.components.T
     ortho_err = float(np.max(np.abs(gram - np.eye(model.n_components))))
     recon_err = float(np.max(np.abs(
-        pca_inverse(model, pca_transform(model, X)) - X)))
+        pca_transform(model, X) @ model.components + model.mean - X)))
     centered = X - X.mean(axis=0)
     evals = np.linalg.eigh(centered.T @ centered / (len(X) - 1))[0][::-1]
     eig_err = float(np.max(np.abs(

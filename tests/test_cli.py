@@ -10,14 +10,14 @@ import enetpipe.cli
 import enetpipe.pipeline
 from enetpipe.cli import load_config_file, main
 from enetpipe.cnn import CnnConfig, cnn_init, save_cnn
-from enetpipe.data import (Volume3D, load_feature_csv, save_feature_csv,
-                           save_volume_raw3d)
+from enetpipe.data import Volume3D, load_feature_csv, save_feature_csv
 from enetpipe.errors import ConfigError
 from enetpipe.pipeline import PipelineConfig
 from enetpipe.report import emit_report
 from enetpipe.rng import PortableRng
 
-from helpers import MALFORMED_NETWORK_EDITS, save_malformed_network
+from helpers import (MALFORMED_NETWORK_EDITS, save_malformed_network,
+                     write_volume_raw3d)
 
 REPORT_FILES = ("report.txt", "report.csv", "plot_data.csv", "report.json")
 
@@ -75,8 +75,8 @@ class TestSelectPins:
     @pytest.mark.parametrize("selector, coefficients, support", [
         ("lasso", "61403c26b1d6442777d820d75e51b3c2"
                   "db1d0451bbcb78a48d77ae2ff48246cb", SUPPORT_8),
-        ("elastic_net_svm", "4ff1dbbe0dbab108e64ab1787c4a91be"
-                            "b7b229bb6d3c54e333db618b8ddb168b", SUPPORT_8),
+        ("elastic_net_svm", "d52d135e900338dda213787fc4c65fec"
+                            "f637c2d8ca5b56fc70e51b3f04d5b7c0", SUPPORT_8),
     ])
     def test_fixed_lambda1(self, workdir, selector, coefficients, support):
         features = _generate(workdir)
@@ -465,7 +465,7 @@ def _volumes(workdir, n=2, side=40):
         vol = Volume3D(rng.normal_matrix(side * side, side)
                        .reshape(side, side, side))
         path = workdir / f"vol{i}.raw3d"
-        save_volume_raw3d(path, vol)
+        write_volume_raw3d(path, vol)
         paths.append(path)
     return paths
 
@@ -570,6 +570,21 @@ class TestImageCommands:
         assert loaded == []
         assert not (workdir / "cnn.txt").exists()
 
+    def test_one_class_manifest_is_one_before_any_volume(
+            self, workdir, monkeypatch, capsys):
+        # the class count is known from the manifest, so it is checked
+        # before any volume is read; like signed_targets, it is exit 1
+        paths = _volumes(workdir, n=2, side=8)
+        manifest = workdir / "manifest.csv"
+        manifest.write_text(f"{paths[0]},0\n{paths[1]},0\n")
+        loaded = []
+        monkeypatch.setattr(enetpipe.cli, "load_volume_raw3d", loaded.append)
+        assert main(["train-cnn", "--manifest", str(manifest),
+                     "--centers", "3"]) == 1
+        assert "need at least 2 classes, got 1" in capsys.readouterr().err
+        assert loaded == []
+        assert not (workdir / "cnn.txt").exists()
+
     @pytest.mark.parametrize("content", ["1\n\xe9\n", "1\none\n", "1\n",
                                          "1\nnan\n", "1\ninf\n",
                                          pytest.param(None, id="missing")])
@@ -591,7 +606,7 @@ class TestImageCommands:
 
     def test_overflowing_network_is_three(self, workdir, capsys):
         vol = workdir / "ones.raw3d"
-        save_volume_raw3d(vol, Volume3D(np.ones((40, 40, 40))))
+        write_volume_raw3d(vol, Volume3D(np.ones((40, 40, 40))))
         net = cnn_init(CnnConfig(), seed=0)
         for w in net.conv_weights:
             w[...] = 1e200

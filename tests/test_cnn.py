@@ -7,18 +7,17 @@ import numpy as np
 import pytest
 
 from enetpipe import (CnnConfig, CnnNetwork, PortableRng, Volume3D,
-                      cnn_forward_batch, cnn_init, cnn_loss_grad,
-                      cnn_train_sgd, default_patch_centers,
-                      extract_image_features, extract_patch_2_5d, load_cnn,
-                      save_cnn)
+                      cnn_init, cnn_loss_grad, cnn_train_sgd,
+                      default_patch_centers, extract_image_features,
+                      extract_patch_2_5d, load_cnn, save_cnn)
 from enetpipe.cnn import (_NO_GRADIENT, _forward_batch, _pool_then_rectify,
                           _unpool)
 from enetpipe.errors import (ConfigError, ContractError, DataError,
                              DimensionError, NumericalError)
 
-from helpers import (MALFORMED_NETWORK_EDITS, reference_forward_features,
-                     reference_maxpool, reference_unpool,
-                     save_malformed_network)
+from helpers import (MALFORMED_NETWORK_EDITS, forward_batch,
+                     reference_forward_features, reference_maxpool,
+                     reference_unpool, save_malformed_network)
 
 # small configuration for everything gradient- or training-related;
 # the full-size network is exercised by the acceptance suite
@@ -42,7 +41,7 @@ def test_config_validation():
 def test_forward_shapes_probabilities_and_nonnegative_features():
     net = cnn_init(TINY, seed=1)
     x = PortableRng(2).normals(3 * 8 * 8).reshape(1, 3, 8, 8)
-    (features,), (probs,) = cnn_forward_batch(net, x)
+    (features,), (probs,) = forward_batch(net, x)
     assert features.shape == (TINY.feature_length,)
     assert np.all(features >= 0.0)         # post-ReLU activations
     assert probs.shape == (2,)
@@ -53,7 +52,7 @@ def test_zero_network_gives_uniform_probabilities():
     net = cnn_init(TINY, seed=0)
     for p in net.parameters():
         p[...] = 0.0
-    features, probs = cnn_forward_batch(net, np.zeros((1, 3, 8, 8)))
+    features, probs = forward_batch(net, np.zeros((1, 3, 8, 8)))
     np.testing.assert_array_equal(features, 0.0)
     np.testing.assert_allclose(probs, 0.5, atol=1e-15)
 
@@ -61,8 +60,8 @@ def test_zero_network_gives_uniform_probabilities():
 def test_batch_forward_matches_single():
     net = cnn_init(TINY, seed=3)
     batch = PortableRng(4).normals(5 * 3 * 8 * 8).reshape(5, 3, 8, 8)
-    feats, probs = cnn_forward_batch(net, batch)
-    (f0,), (p0,) = cnn_forward_batch(net, batch[:1])
+    feats, probs = forward_batch(net, batch)
+    (f0,), (p0,) = forward_batch(net, batch[:1])
     np.testing.assert_allclose(feats[0], f0, atol=1e-14)
     np.testing.assert_allclose(probs[0], p0, atol=1e-14)
 
@@ -115,7 +114,7 @@ def test_training_reduces_loss_on_separable_patches():
                            seed=9, batch_size=8)
     assert not result.diverged
     assert result.final_loss < start
-    _, probs = cnn_forward_batch(result.network, batch)
+    _, probs = forward_batch(result.network, batch)
     accuracy = np.mean(np.argmax(probs, axis=1) == labels)
     assert accuracy >= 0.95
 
@@ -218,7 +217,7 @@ def test_input_batch_of_the_wrong_shape_is_a_contract_error():
     net = cnn_init(TINY, seed=17)
     for shape in [(3, 8, 8), (1, 2, 8, 8), (1, 3, 16, 16)]:
         with pytest.raises(ContractError, match="input batch has shape"):
-            cnn_forward_batch(net, np.zeros(shape))
+            forward_batch(net, np.zeros(shape))
 
 
 def test_network_checks_every_parameter_shape():
@@ -250,8 +249,8 @@ def test_persistence_round_trip(tmp_path):
     loaded = load_cnn(path)
     assert loaded.config == net.config
     x = PortableRng(19).normals(3 * 8 * 8).reshape(1, 3, 8, 8)
-    f1, p1 = cnn_forward_batch(net, x)
-    f2, p2 = cnn_forward_batch(loaded, x)
+    f1, p1 = forward_batch(net, x)
+    f2, p2 = forward_batch(loaded, x)
     np.testing.assert_array_equal(f1, f2)
     np.testing.assert_array_equal(p1, p2)
 
@@ -265,7 +264,7 @@ def test_extract_image_features_concatenates_in_center_order():
     vec = extract_image_features(net, vol, centers)
     assert vec.shape == (3 * net.config.feature_length,)
     patch = extract_patch_2_5d(vol, centers[0])
-    (f0,), _ = cnn_forward_batch(net, patch[None])
+    (f0,), _ = forward_batch(net, patch[None])
     np.testing.assert_allclose(vec[:net.config.feature_length], f0,
                                atol=1e-12)
 
@@ -331,11 +330,11 @@ def test_forward_only_features_match_reference_bytes(config, bias, zero_rows):
                                                                  size)
     batch[:, :, _ZERO_ROWS[zero_rows](size)] = 0.0
     expected = reference_forward_features(net, batch).tobytes()
-    features, _ = cnn_forward_batch(net, batch)
+    features, _ = forward_batch(net, batch)
     assert features.tobytes() == expected
     cached = _forward_batch(net, batch, want_cache=True)[0]
     assert cached.tobytes() == expected
-    (single,), _ = cnn_forward_batch(net, batch[1:2])
+    (single,), _ = forward_batch(net, batch[1:2])
     assert single.tobytes() == reference_forward_features(
         net, batch[1:2])[0].tobytes()
 

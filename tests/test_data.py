@@ -6,9 +6,11 @@ from hypothesis.extra.numpy import arrays
 from enetpipe import (PortableRng, SyntheticSpec, Volume3D,
                       apply_standardization, generate_synthetic,
                       load_feature_csv, load_volume_raw3d, save_feature_csv,
-                      save_volume_raw3d, standardize_columns)
+                      standardize_columns)
 from enetpipe.errors import (ConfigError, DataFormatError, DimensionError,
                              InsufficientDataError)
+
+from helpers import write_volume_raw3d
 
 
 class TestFeatureCsv:
@@ -109,14 +111,14 @@ class TestVolumeRaw3d:
         vox = PortableRng(3).normals(4 * 5 * 6).reshape(4, 5, 6)
         vox = vox.astype(np.float32).astype(np.float64)
         path = tmp_path / "v.r3d"
-        save_volume_raw3d(path, Volume3D(voxels=vox))
+        write_volume_raw3d(path, Volume3D(voxels=vox))
         loaded = load_volume_raw3d(path)
         np.testing.assert_array_equal(loaded.voxels, vox)
 
     def test_x_fastest_layout_on_disk(self, tmp_path):
         vox = np.arange(2 * 3 * 4, dtype=np.float64).reshape(2, 3, 4)
         path = tmp_path / "v.r3d"
-        save_volume_raw3d(path, Volume3D(voxels=vox))
+        write_volume_raw3d(path, Volume3D(voxels=vox))
         blob = path.read_bytes()
         first_two = np.frombuffer(blob, dtype="<f4", offset=16, count=2)
         # x index varies fastest: voxel (1,0,0) follows (0,0,0)

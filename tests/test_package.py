@@ -42,18 +42,17 @@ PUBLIC_NAMES = [
     "PipelineConfig", "PortableRng", "REPORT_FORMATS", "SolverResult",
     "StandardizationRecord", "SyntheticSpec", "UndefinedMetricError",
     "Volume3D", "__version__", "accuracy", "apply_standardization",
-    "cnn_forward_batch", "cnn_init", "cnn_loss_grad", "cnn_train_sgd",
-    "compare_selectors", "default_patch_centers", "elastic_net_fit_cd",
+    "cnn_init", "cnn_loss_grad", "cnn_train_sgd", "compare_selectors",
+    "default_patch_centers", "elastic_net_fit_cd",
     "elastic_net_fit_svm_reduction", "elastic_net_objective", "elm_predict",
     "elm_train", "emit_report", "extract_image_features",
     "extract_patch_2_5d", "generate_synthetic", "holdout_split",
     "kfold_split", "kkt_violation", "lasso_fit", "load_cnn",
     "load_feature_csv", "load_report_json", "load_volume_raw3d", "pca_fit",
-    "pca_inverse", "pca_transform", "predicted_labels", "report_from_json",
+    "pca_transform", "predicted_labels", "report_from_json",
     "report_to_json", "run_pipeline", "save_cnn", "save_feature_csv",
-    "save_volume_raw3d", "select_support", "soft_threshold",
-    "standardize_columns", "stddev_population", "validate_feature_matrix",
-    "validate_labels",
+    "select_support", "soft_threshold", "standardize_columns",
+    "stddev_population", "validate_feature_matrix", "validate_labels",
 ]
 
 

@@ -2,14 +2,17 @@
 descent. The two solvers share no code beyond the objective function, so
 agreement is a genuine cross-check."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from enetpipe import (PenaltyConfig, elastic_net_fit_cd,
-                      elastic_net_fit_svm_reduction, elastic_net_objective)
+from enetpipe import (PenaltyConfig, PipelineConfig, SyntheticSpec,
+                      elastic_net_fit_cd, elastic_net_fit_svm_reduction,
+                      elastic_net_objective, generate_synthetic, run_pipeline)
 from enetpipe.errors import ConfigError, ContractError, DataFormatError
-from enetpipe.sven import _ridge_solution
+from enetpipe.sven import _ridge_solve
 from helpers import duplicated_instance, regression_instance
 
 
@@ -20,6 +23,16 @@ def _rel_gap(a: float, b: float) -> float:
 # The root find on the budget multiplier needs a handful of budget solves
 # per fit; a bracketing search that spends dozens is a regression.
 _MAX_BUDGET_SOLVES = 30
+
+
+# Measured levels against CD at stop_thr 1e-9 / 1e-10, where CD's own
+# stopping error dominates: relative objective gap 3.0e-16 and coefficient
+# distance 9.3e-13; the tolerances leave a margin of a few decades.
+_OBJECTIVE_REL_TOL = 1e-14
+_COEFFICIENT_ATOL = 1e-11
+
+# The KKT certificate of a fit that ends in a support solve.
+_EXACT_KKT = 1e-12
 
 
 def test_matches_coordinate_descent_objective():
@@ -35,7 +48,8 @@ def test_matches_coordinate_descent_objective():
         sven = elastic_net_fit_svm_reduction(X, y, cfg)
         worst = max(worst, _rel_gap(sven.objective_value, cd.objective_value))
         assert sven.sweeps_used <= _MAX_BUDGET_SOLVES
-    assert worst <= 1e-4
+        assert sven.kkt_violation <= _EXACT_KKT
+    assert worst <= _OBJECTIVE_REL_TOL
 
 
 def test_coefficients_agree_with_cd():
@@ -44,7 +58,8 @@ def test_coefficients_agree_with_cd():
     cfg = PenaltyConfig(lambda1=0.03, lambda2=0.2, stop_thr=1e-10)
     cd = elastic_net_fit_cd(X, y, cfg)
     sven = elastic_net_fit_svm_reduction(X, y, cfg)
-    np.testing.assert_allclose(sven.coefficients, cd.coefficients, atol=1e-5)
+    np.testing.assert_allclose(sven.coefficients, cd.coefficients, rtol=0.0,
+                               atol=_COEFFICIENT_ATOL)
     assert sven.sweeps_used <= _MAX_BUDGET_SOLVES
 
 
@@ -71,7 +86,9 @@ def test_wide_matrix_takes_the_other_internal_path():
     cfg = PenaltyConfig(lambda1=0.05, lambda2=0.3, stop_thr=1e-9)
     cd = elastic_net_fit_cd(X, y, cfg)
     sven = elastic_net_fit_svm_reduction(X, y, cfg)
-    assert _rel_gap(sven.objective_value, cd.objective_value) <= 1e-4
+    assert _rel_gap(sven.objective_value, cd.objective_value) <= \
+        _OBJECTIVE_REL_TOL
+    assert sven.kkt_violation <= _EXACT_KKT
     assert sven.sweeps_used <= _MAX_BUDGET_SOLVES
 
 
@@ -82,7 +99,7 @@ def test_wide_bracket_end_solves_the_n_by_n_ridge_system(n, m):
     X, y = regression_instance(3, n, m)
     lam2 = 0.1
     full = np.linalg.solve(X.T @ X / n + 2.0 * lam2 * np.eye(m), X.T @ y / n)
-    ridge = _ridge_solution(X, y, lam2)
+    ridge = _ridge_solve(X, X.T @ y / n, lam2)
     assert np.linalg.norm(ridge - full) <= 1e-9 * np.linalg.norm(full)
     cfg = PenaltyConfig(lambda1=0.2 * np.abs(X.T @ y).max() / n,
                         lambda2=lam2, stop_thr=1e-9)
@@ -211,3 +228,66 @@ def test_failed_budget_solve_counts_as_infeasible(monkeypatch):
     assert calls["failed"] > 0
     assert np.abs(result.coefficients).sum() >= 0.9
     np.testing.assert_allclose(result.coefficients, cd.coefficients, atol=1e-5)
+
+
+@pytest.mark.parametrize("n, m", [(20, 600), (40, 3000)])
+def test_wide_fits_end_in_a_certified_support_solve(n, m):
+    # On n << p data Brent alone stops at KKT 1e-8; the support solve
+    # finishes the fit exactly, on its N x N form when the support is wider
+    # than N.
+    X, y = regression_instance(3, n, m)
+    cfg = PenaltyConfig(lambda1=0.1 * np.abs(X.T @ y).max() / n,
+                        lambda2=0.1)
+    sven = elastic_net_fit_svm_reduction(X, y, cfg)
+    assert sven.kkt_violation <= _EXACT_KKT
+    assert sven.converged
+    assert sven.sweeps_used <= _MAX_BUDGET_SOLVES
+
+
+def test_narrow_compare_folds_end_in_a_certified_support_solve(monkeypatch):
+    # The benchmark's README-default data, 10 folds, PCA on (180 x 22
+    # designs), lambda1 0.05: every fold's fit meets the certificate.
+    import enetpipe.pipeline as pl
+    real, fits = pl.elastic_net_fit_svm_reduction, []
+
+    def record(X, y, cfg):
+        fits.append(real(X, y, cfg))
+        return fits[-1]
+
+    monkeypatch.setattr(pl, "elastic_net_fit_svm_reduction", record)
+    X, labels, _ = generate_synthetic(SyntheticSpec(200, 3, 3, 0.8, 0.3, 20,
+                                                    seed=1))
+    run_pipeline(PipelineConfig(selector="elastic_net_svm", lambda1=0.05,
+                                k_folds=10, seed=1), X, labels)
+    assert len(fits) == 10
+    assert max(f.kkt_violation for f in fits) <= _EXACT_KKT
+    assert max(f.sweeps_used for f in fits) <= _MAX_BUDGET_SOLVES
+
+
+def test_uncertified_support_solves_fall_back_to_the_cached_minimum(
+        monkeypatch):
+    # With every support solve failing its certificate, the root find runs
+    # to its bracket width and returns the budget solution of lowest
+    # objective, bit for bit the route's answer before the exact finish.
+    from enetpipe import sven
+    real, solved = sven._budget_solution, [np.zeros(5)]
+
+    def record(X, y, t, lambda2_unnorm):
+        beta, degenerate = real(X, y, t, lambda2_unnorm)
+        solved.append(beta)
+        return beta, degenerate
+
+    monkeypatch.setattr(sven, "_budget_solution", record)
+    monkeypatch.setattr(sven, "_support_solution",
+                        lambda X, y, cfg, beta: beta + 1.0)
+    X, y = regression_instance(600, 25, 5, noise=0.5)
+    lam_max = float(np.abs(X.T @ y).max()) / 25
+    cfg = PenaltyConfig(lambda1=0.5 * lam_max, lambda2=0.1)
+    result = elastic_net_fit_svm_reduction(X, y, cfg)
+    cached_min = min(solved, key=lambda b: elastic_net_objective(
+        X, y, b, cfg.lambda1, cfg.lambda2))
+    assert result.coefficients.tobytes() == cached_min.tobytes()
+    assert result.sweeps_used == len(solved) - 1 == 6
+    assert hashlib.sha256(result.coefficients.tobytes()).hexdigest() == (
+        "aa5d35c16b0f87b03bf501eb102fbcfcb4a48287817a25552180683699e11571")
+    assert _EXACT_KKT < result.kkt_violation <= 1e-9
