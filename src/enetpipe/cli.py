@@ -20,15 +20,15 @@ from pathlib import Path
 import numpy as np
 
 from . import textio
-from .cnn import (CnnConfig, cnn_init, cnn_train_sgd, extract_image_features,
-                  load_cnn, save_cnn)
+from .cnn import (CnnConfig, _check_sgd_settings, cnn_init, cnn_train_sgd,
+                  extract_image_features, load_cnn, save_cnn)
 from .data import (SyntheticSpec, generate_synthetic, load_feature_csv,
                    load_volume_raw3d, save_feature_csv, standardize_columns,
                    validate_labels)
 from .errors import (ConfigError, ContractError, DataError, EnetPipeError,
                      NumericalError)
-from .patches import (DEFAULT_CENTER_COUNT, default_patch_centers,
-                      extract_patch_2_5d)
+from .patches import (DEFAULT_CENTER_COUNT, _check_center_count,
+                      default_patch_centers, extract_patch_2_5d)
 from .pipeline import (SELECTORS, PipelineConfig, compare_selectors,
                        fit_penalized, run_pipeline, signed_targets)
 from .report import REPORT_FORMATS, emit_report, load_report_json
@@ -238,6 +238,7 @@ def _cmd_generate(args, settings) -> int:
 
 def _cmd_extract(args, settings) -> int:
     # checked before any volume is read: extraction takes seconds a volume
+    _check_center_count(args.centers)
     labels = None
     if args.labels:
         labels = validate_labels(
@@ -258,7 +259,9 @@ def _cmd_extract(args, settings) -> int:
 
 
 def _cmd_train_cnn(args, settings) -> int:
-    # every line is checked before any volume is read
+    # the settings and every line are checked before any volume is read
+    _check_center_count(args.centers)
+    _check_sgd_settings(args.epochs, args.lr, args.batch_size)
     entries = []
     manifest = textio.read_ascii(args.manifest).splitlines()
     for lineno, line in enumerate(manifest, start=1):

@@ -34,10 +34,17 @@ in a window's smaller entries, both passes raise NumericalError when a
 stage's conv output is not finite; numpy's own overflow warning is
 silenced there, so that error is the one signal. SGD treats it as a
 non-finite loss.
+
+Each convolution takes the steps of ``einsum("bchwij,ocij->bohw")`` over
+the padded input's 3x3 windows, a copy of the windows and one GEMM, with
+its bytes. Extraction takes them in buffers that ``extract_image_features``
+allocates once per call and shares out among its worker threads.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from math import prod
 
@@ -48,7 +55,7 @@ from . import textio
 from .data import Volume3D
 from .errors import (ConfigError, ContractError, DataError, DataFormatError,
                      DimensionError, NumericalError)
-from .patches import PATCH_SIZE, extract_patch_2_5d
+from .patches import PATCH_SIZE, _check_center_count, extract_patch_2_5d
 from .rng import PortableRng
 
 __all__ = ["DEFAULT_INPUT_SIZE", "DEFAULT_CHANNELS", "CnnConfig",
@@ -60,6 +67,9 @@ DEFAULT_CHANNELS = (32, 64, 64)
 # (row, column) of the strided views v0..v3 in a 2x2 window, row-major
 _WINDOW_OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
 _NO_GRADIENT = 4
+# threads that forward one volume's patches, the calling thread among them
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -93,13 +103,19 @@ class CnnConfig:
         return trace
 
 
+def _stage_geometry(config: CnnConfig) -> list:
+    """(input channels, output channels, input size) of each conv stage."""
+    sizes = [config.input_size // 2 ** i for i in range(3)]
+    return list(zip((config.in_channels, *config.channels), config.channels,
+                    sizes))
+
+
 def _parameter_shapes(config: CnnConfig) -> list:
     """(block name, shape) of each of ``CnnNetwork.parameters()``, in order."""
-    widths = list(enumerate(zip((config.in_channels, *config.channels),
-                                config.channels), start=1))
+    stages = list(enumerate(_stage_geometry(config), start=1))
     return ([(f"conv{i}_weights", (c_out, c_in, 3, 3))
-             for i, (c_in, c_out) in widths]
-            + [(f"conv{i}_bias", (c_out,)) for i, (_, c_out) in widths]
+             for i, (c_in, c_out, _) in stages]
+            + [(f"conv{i}_bias", (c_out,)) for i, (_, c_out, _) in stages]
             + [("fc_weights", (config.n_classes, config.feature_length)),
                ("fc_bias", (config.n_classes,))])
 
@@ -169,13 +185,29 @@ def _check_finite_parameters(net: CnnNetwork) -> None:
             raise NumericalError("network parameters contain non-finite values")
 
 
-def _conv_same(x, w, b):
-    """3x3 convolution, stride 1, zero padding. Returns (out, x_padded)."""
-    x_pad = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    windows = sliding_window_view(x_pad, (3, 3), axis=(2, 3))
-    out = np.einsum("bchwij,ocij->bohw", windows, w, optimize=True)
-    out += b[None, :, None, None]
-    return out, x_pad
+def _conv_same(x, w, b, pad=None, col=None, out=None):
+    """3x3 convolution, stride 1, zero padding. Returns (out, x_pad), out a
+    (batch, c_out, h, w) view of c_out-major memory.
+
+    The input goes into the interior of ``pad`` (batch, c, h+2, w+2), whose
+    border must be zero; its 3x3 windows are copied into ``col`` (c, 3, 3,
+    batch, h, w); one GEMM of the flattened weights with them fills ``out``
+    (c_out, batch*h*w). These are the steps and the bytes of
+    ``einsum("bchwij,ocij->bohw")`` on the windows. A buffer not given is
+    allocated.
+    """
+    n, c, h, wd = x.shape
+    if pad is None:
+        pad = np.zeros((n, c, h + 2, wd + 2))
+    pad[:, :, 1:-1, 1:-1] = x
+    if col is None:
+        col = np.empty((c, 3, 3, n, h, wd))
+    np.copyto(col, sliding_window_view(pad, (3, 3), axis=(2, 3))
+              .transpose(1, 4, 5, 0, 2, 3))
+    out = np.matmul(w.reshape(w.shape[0], -1), col.reshape(c * 9, -1),
+                    out=out)
+    out += b[:, None]
+    return out.reshape(-1, n, h, wd).transpose(1, 0, 2, 3), pad
 
 
 def _conv_param_grad(dout, x_pad):
@@ -196,21 +228,26 @@ def _conv_input_grad(dout, x_pad, w):
     return dx_pad[:, :, 1:-1, 1:-1]
 
 
-def _pool_then_rectify(x, want_index: bool = False):
+def _pool_then_rectify(x, want_index: bool = False, out=None, mask=None):
     """2x2 max-pool of the raw conv map, then ReLU: the same bits as ReLU
     then a first-occurrence pool, the sign of zero included (see the module
-    docstring). Returns (pooled, index), the index None unless wanted."""
+    docstring). Returns (pooled, index), the index None unless wanted.
+    The pooled map goes into ``out`` and the m <= 0 mask into ``mask``
+    (float64 and bool, of the pooled shape), each allocated if not given.
+    The order of the maxima does not matter: where m > 0 it is the one
+    largest value, and elsewhere v0 * 0.0 replaces it."""
     views = [x[:, :, i::2, j::2] for i, j in _WINDOW_OFFSETS]
-    m = np.maximum(np.maximum(views[0], views[1]),
-                   np.maximum(views[2], views[3]))
-    alive = m > 0.0
-    pooled = np.where(alive, m, views[0] * 0.0)
-    if not want_index:
-        return pooled, None
-    idx = np.full(m.shape, _NO_GRADIENT, dtype=np.int8)
-    for k in (3, 2, 1, 0):        # the lowest k holding the max wins
-        idx[alive & (views[k] == m)] = k
-    return pooled, idx
+    m = np.maximum(views[0], views[1], out=out)
+    np.maximum(m, views[2], out=m)
+    np.maximum(m, views[3], out=m)
+    dead = np.less_equal(m, 0.0, out=mask)
+    idx = None
+    if want_index:
+        idx = np.full(m.shape, _NO_GRADIENT, dtype=np.int8)
+        for k in (3, 2, 1, 0):        # the lowest k holding the max wins
+            idx[~dead & (views[k] == m)] = k
+    np.multiply(views[0], 0.0, out=m, where=dead)
+    return m, idx
 
 
 def _unpool(dout, idx):
@@ -222,7 +259,62 @@ def _unpool(dout, idx):
     return dx
 
 
-def _forward_batch(net: CnnNetwork, x, want_cache: bool = False):
+def _scratch_lengths(stage, n: int) -> list:
+    """Float64 lengths of a stage's im2col, GEMM output, pool output and
+    (bool) pool mask for n patches; ``stage`` is one of
+    ``_stage_geometry``."""
+    c_in, c_out, s = stage
+    pooled = c_out * n * (s // 2) ** 2
+    return [c_in * 9 * n * s * s, c_out * n * s * s, pooled, -(-pooled // 8)]
+
+
+def _workspace_lengths(config: CnnConfig, n: int) -> list:
+    """Float64 lengths of a ``_Workspace``'s regions for n patches: a pad
+    per stage, then one scratch region for the stage that needs most."""
+    stages = _stage_geometry(config)
+    return ([n * c_in * (s + 2) ** 2 for c_in, _, s in stages]
+            + [max(sum(_scratch_lengths(stage, n)) for stage in stages)])
+
+
+class _Workspace:
+    """The forward buffers of one extraction worker, for batches of up to
+    n patches: views of ``memory``, zeros of ``sum(_workspace_lengths(
+    config, n))`` float64s that the caller allocates. Only pad interiors
+    are written, so pad borders stay zero. Each stage lays out its im2col,
+    GEMM output, pool output and pool mask back to back in the scratch
+    region."""
+
+    def __init__(self, config: CnnConfig, n: int, memory):
+        self.stages = _stage_geometry(config)
+        *self.pads, self.scratch = np.split(
+            memory, np.cumsum(_workspace_lengths(config, n))[:-1])
+
+    def stage(self, stage: int, n: int):
+        """Buffers for a stage on n patches: ``_conv_same``'s pad, col and
+        out, then ``_pool_then_rectify``'s out and mask, c_out-major as the
+        GEMM leaves its output."""
+        c_in, c_out, s = self.stages[stage]
+        lengths = _scratch_lengths(self.stages[stage], n)
+        col, out, pool, mask = np.split(self.scratch[:sum(lengths)],
+                                        np.cumsum(lengths)[:-1])
+        pooled = (c_out, n, s // 2, s // 2)
+        mask = mask.view(np.bool_)[:pool.size]
+        return ((self.pads[stage][:n * c_in * (s + 2) ** 2]
+                 .reshape(n, c_in, s + 2, s + 2),
+                 col.reshape(c_in, 3, 3, n, s, s),
+                 out.reshape(c_out, n * s * s)),
+                (pool.reshape(pooled).transpose(1, 0, 2, 3),
+                 mask.reshape(pooled).transpose(1, 0, 2, 3)))
+
+
+_ALLOCATE = ((None, None, None), (None, None))
+
+
+def _forward_batch(net: CnnNetwork, x, want_cache: bool = False,
+                   workspace: _Workspace = None):
+    """The three conv stages on a batch: (last pooled map, caches), the
+    caches each stage's padded input and pool index for the backward pass.
+    Each stage writes into ``workspace`` if given, else into new arrays."""
     cfg = net.config
     size = cfg.input_size
     if x.ndim != 4 or x.shape[1:] != (cfg.in_channels, size, size):
@@ -231,25 +323,32 @@ def _forward_batch(net: CnnNetwork, x, want_cache: bool = False):
             f"(batch, {cfg.in_channels}, {size}, {size})")
     caches = []
     for stage in range(3):
-        # the finite check below is the one overflow signal
+        conv, pool = (_ALLOCATE if workspace is None
+                      else workspace.stage(stage, x.shape[0]))
+        # the finite check below is the one overflow signal; the extremes
+        # are finite exactly when every entry is
         with np.errstate(over="ignore", invalid="ignore"):
             out, x_pad = _conv_same(x, net.conv_weights[stage],
-                                    net.conv_biases[stage])
-        if not np.isfinite(out).all():
+                                    net.conv_biases[stage], *conv)
+            finite = np.isfinite(out.max()) and np.isfinite(out.min())
+        if not finite:
             raise NumericalError(
                 f"stage {stage + 1} convolution output is not finite")
-        pooled, idx = _pool_then_rectify(out, want_cache)
+        pooled, idx = _pool_then_rectify(out, want_cache, *pool)
         if want_cache:
             caches.append((x_pad, idx))
         # free this stage's conv map before the next stage's convolution
         del out, x_pad
         x = pooled
-    features = x.reshape(x.shape[0], -1)
+    return x, caches
+
+
+def _class_log_probs(net: CnnNetwork, features):
+    """The fully connected layer's softmax: (log probabilities, probabilities)."""
     logits = features @ net.fc_weights.T + net.fc_bias
     shift = logits - logits.max(axis=1, keepdims=True)
     log_probs = shift - np.log(np.exp(shift).sum(axis=1, keepdims=True))
-    probs = np.exp(log_probs)
-    return features, log_probs, probs, caches
+    return log_probs, np.exp(log_probs)
 
 
 def _labeled_batch(batch, labels, n_classes: int):
@@ -272,7 +371,9 @@ def cnn_loss_grad(net: CnnNetwork, batch, labels):
     the gradient comes as a CnnNetwork of the same shapes."""
     x, labels = _labeled_batch(batch, labels, net.config.n_classes)
     n = x.shape[0]
-    features, log_probs, probs, caches = _forward_batch(net, x, want_cache=True)
+    pooled, caches = _forward_batch(net, x, want_cache=True)
+    features = pooled.reshape(n, -1)
+    log_probs, probs = _class_log_probs(net, features)
     loss = float(-log_probs[np.arange(n), labels].mean())
 
     dlogits = probs.copy()
@@ -294,6 +395,21 @@ def cnn_loss_grad(net: CnnNetwork, batch, labels):
     return loss, CnnNetwork(dconv_w, dconv_b, dfc_w, dfc_b, net.config)
 
 
+def _check_batch_size(batch_size: int) -> None:
+    if batch_size < 1:
+        raise ConfigError(f"batch size must be >= 1, got {batch_size}")
+
+
+def _check_sgd_settings(epochs: int, learning_rate: float,
+                        batch_size: int) -> None:
+    if not 0.0 <= learning_rate < np.inf:
+        raise ConfigError(
+            f"learning rate must be finite and >= 0, got {learning_rate}")
+    if epochs < 0:
+        raise ConfigError(f"epochs must be >= 0, got {epochs}")
+    _check_batch_size(batch_size)
+
+
 def cnn_train_sgd(net: CnnNetwork, batch, labels, epochs: int,
                   learning_rate: float, seed: int = 0,
                   batch_size: int = 16) -> CnnTrainResult:
@@ -304,13 +420,7 @@ def cnn_train_sgd(net: CnnNetwork, batch, labels, epochs: int,
     whose loss was still finite. Saturated ReLU stages can keep the loss
     bounded while weights overflow, so the loss alone is not a safe check.
     """
-    if not 0.0 <= learning_rate < np.inf:
-        raise ConfigError(
-            f"learning rate must be finite and >= 0, got {learning_rate}")
-    if epochs < 0:
-        raise ConfigError(f"epochs must be >= 0, got {epochs}")
-    if batch_size < 1:
-        raise ConfigError(f"batch size must be >= 1, got {batch_size}")
+    _check_sgd_settings(epochs, learning_rate, batch_size)
     x, labels = _labeled_batch(batch, labels, net.config.n_classes)
     net = net.copy()
     checkpoint = net.copy()
@@ -351,18 +461,55 @@ def extract_image_features(net: CnnNetwork, vol: Volume3D, centers,
 
     With the standard census of 151 centers and the default
     geometry the result has length 1024 * 151 = 154624.
+
+    The calling thread cuts every patch, then it and up to ``_WORKERS - 1``
+    helper threads forward contiguous shares of them, at most
+    ``batch_size`` patches at a time in all. Each worker's buffers are
+    views of one array the calling thread allocates, so helper threads
+    allocate nothing large. The bytes depend neither on the worker count
+    nor on the batching. A worker's error is raised once every helper has
+    joined; of several, the one over the earliest patches.
     """
-    if batch_size < 1:
-        raise ConfigError(f"batch size must be >= 1, got {batch_size}")
+    _check_batch_size(batch_size)
     centers = list(centers)
+    _check_center_count(len(centers))
     _check_finite_parameters(net)
-    pieces = []
-    for start in range(0, len(centers), batch_size):
-        block = centers[start:start + batch_size]
-        planes = np.stack([extract_patch_2_5d(vol, c) for c in block])
-        features, _, _, _ = _forward_batch(net, planes)
-        pieces.append(features.reshape(-1))
-    return np.concatenate(pieces)
+    planes = np.stack([extract_patch_2_5d(vol, c) for c in centers])
+    n = len(planes)
+    workers = min(_WORKERS, batch_size, n)
+    per_batch = min(batch_size // workers, -(-n // workers))
+    features = np.empty((n, net.config.feature_length))
+    length = sum(_workspace_lengths(net.config, per_batch))
+    memory = np.zeros(workers * length)
+    spaces = [_Workspace(net.config, per_batch,
+                         memory[k * length:(k + 1) * length])
+              for k in range(workers)]
+    bounds = [n * k // workers for k in range(workers + 1)]
+    errors = [None] * workers
+
+    def work(k):
+        try:
+            for start in range(bounds[k], bounds[k + 1], per_batch):
+                stop = min(start + per_batch, bounds[k + 1])
+                pooled, _ = _forward_batch(net, planes[start:stop],
+                                           workspace=spaces[k])
+                np.copyto(features[start:stop].reshape(pooled.shape), pooled)
+        except Exception as exc:
+            errors[k] = exc
+
+    helpers = [threading.Thread(target=work, args=(k,))
+               for k in range(1, workers)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work(0)
+    finally:
+        for helper in helpers:
+            helper.join()
+    for error in errors:
+        if error is not None:
+            raise error
+    return features.reshape(-1)
 
 
 def save_cnn(path, net: CnnNetwork) -> None:

@@ -44,6 +44,11 @@ def extract_patch_2_5d(vol: Volume3D, center) -> np.ndarray:
     return np.stack([transverse, coronal, sagittal])
 
 
+def _check_center_count(count: int) -> None:
+    if count < 1:
+        raise ConfigError(f"center count must be >= 1, got {count}")
+
+
 def default_patch_centers(dims, count: int = DEFAULT_CENTER_COUNT) -> list:
     """Centers on a uniform interior lattice, in z-, then y-, then x-major
     order, truncated to `count`.
@@ -51,8 +56,7 @@ def default_patch_centers(dims, count: int = DEFAULT_CENTER_COUNT) -> list:
     The per-axis grid size is the smallest n with n^3 >= count; axis
     positions sit at fractions (i+1)/(n+1) of each dimension.
     """
-    if count < 1:
-        raise ConfigError(f"center count must be >= 1, got {count}")
+    _check_center_count(count)
     dx, dy, dz = dims
     n = ceil(count ** (1.0 / 3.0))
     while n ** 3 < count:        # guard the float cube root rounding down

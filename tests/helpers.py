@@ -1,10 +1,11 @@
 """Shared fixtures-by-hand for the test suite: instance generators, the
 independent grid-search oracle, the reference normal draws, the reference
-coordinate-descent sweep and per-sweep objectives, the reference argmax
-pool and unpool and the CNN forward built on them, the reference ELM
-solve, a probe that captures each fold's fitted models, timing-field
-masking for golden files, edits that break a network file, a RAW3D volume
-writer and the CNN's batched forward.
+coordinate-descent sweep and per-sweep objectives, the reference einsum
+convolution, argmax pool and unpool and the CNN forward built on them, the
+reference ELM solve, a probe that captures each fold's fitted models,
+timing-field masking for golden files, edits that break a network file, a
+volume whose patches overflow only in the second extraction worker, a
+RAW3D volume writer and the CNN's batched forward.
 """
 
 from __future__ import annotations
@@ -16,12 +17,13 @@ from dataclasses import fields, is_dataclass
 
 import numpy as np
 import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
-from enetpipe import (PortableRng, elastic_net_objective, save_cnn,
-                      soft_threshold, standardize_columns)
+from enetpipe import (PortableRng, Volume3D, elastic_net_objective,
+                      save_cnn, soft_threshold, standardize_columns)
 from enetpipe.errors import DataFormatError, DimensionError
 from enetpipe.textio import read_blocks, write_blocks
-from enetpipe.cnn import _conv_same, _forward_batch
+from enetpipe.cnn import _class_log_probs, _forward_batch
 from enetpipe.data import RAW3D_MAGIC
 from enetpipe.solvers import _GRAM_COLUMN_LIMIT, _coordinate_descent
 
@@ -250,15 +252,25 @@ def reference_unpool(dout, idx, pooled_from_shape):
     return tiles.reshape(b, c, h, w)
 
 
+def reference_conv_same(x, w, b):
+    """3x3 same-padding convolution as one einsum over the padded input's
+    3x3 windows, plus the bias."""
+    x_pad = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    windows = sliding_window_view(x_pad, (3, 3), axis=(2, 3))
+    out = np.einsum("bchwij,ocij->bohw", windows, w, optimize=True)
+    out += b[None, :, None, None]
+    return out
+
+
 def reference_forward_features(net, x):
-    """Per-patch CNN features the plain way: each stage rectifies the conv
-    output with its ReLU mask, then takes the first-occurrence argmax pool.
+    """Per-patch CNN features the plain way: each stage's einsum convolution,
+    rectified with its ReLU mask, then the first-occurrence argmax pool.
 
     ``enetpipe.cnn._forward_batch`` must return the same bytes, the sign of
     every zero included.
     """
     for w, b in zip(net.conv_weights, net.conv_biases):
-        out, _ = _conv_same(x, w, b)
+        out = reference_conv_same(x, w, b)
         x, _ = reference_maxpool(out * (out > 0.0))
     return x.reshape(x.shape[0], -1)
 
@@ -337,6 +349,16 @@ def save_malformed_network(path, net, edit: str):
     return error, word
 
 
+def helper_share_ones():
+    """A 40 x 40 x 200 volume, zero below z = 100 and one above. Of its 8
+    default patch centers the first 4 sit at z = 66 and the last 4 at
+    z = 133, and no patch spans both halves: with 2 extraction workers,
+    only the helper thread's share sees nonzero voxels."""
+    voxels = np.zeros((40, 40, 200))
+    voxels[:, :, 100:] = 1.0
+    return Volume3D(voxels)
+
+
 def write_volume_raw3d(path, vol):
     """Write ``vol`` as RAW3D, the format ``load_volume_raw3d`` reads: magic,
     three little-endian u32 dims, float32 voxels x-fastest."""
@@ -349,6 +371,6 @@ def write_volume_raw3d(path, vol):
 def forward_batch(net, batch):
     """The network's batched forward: (features (B, F), probabilities
     (B, C))."""
-    features, _, probs, _ = _forward_batch(net, np.asarray(batch,
-                                                           dtype=np.float64))
-    return features, probs
+    pooled, _ = _forward_batch(net, np.asarray(batch, dtype=np.float64))
+    features = pooled.reshape(pooled.shape[0], -1)
+    return features, _class_log_probs(net, features)[1]

@@ -1,12 +1,14 @@
 import hashlib
 import json
 import re
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import enetpipe.cli
+import enetpipe.cnn
 import enetpipe.pipeline
 from enetpipe.cli import load_config_file, main
 from enetpipe.cnn import CnnConfig, cnn_init, save_cnn
@@ -16,8 +18,8 @@ from enetpipe.pipeline import PipelineConfig
 from enetpipe.report import emit_report
 from enetpipe.rng import PortableRng
 
-from helpers import (MALFORMED_NETWORK_EDITS, save_malformed_network,
-                     write_volume_raw3d)
+from helpers import (MALFORMED_NETWORK_EDITS, helper_share_ones,
+                     save_malformed_network, write_volume_raw3d)
 
 REPORT_FILES = ("report.txt", "report.csv", "plot_data.csv", "report.json")
 
@@ -632,16 +634,19 @@ class TestImageCommands:
         assert err.startswith("data error: ") and err.count("\n") == 1
         assert not (workdir / "features.csv").exists()
 
-    def test_zero_batch_size_is_one(self, workdir, capsys):
+    def test_zero_batch_size_is_one(self, workdir, monkeypatch, capsys):
         manifest = workdir / "manifest.csv"
         manifest.write_text("".join(f"{p},{i}\n"
                                     for i, p in enumerate(_volumes(workdir))))
+        loaded = []
+        monkeypatch.setattr(enetpipe.cli, "load_volume_raw3d", loaded.append)
         capsys.readouterr()
         rc = main(["train-cnn", "--manifest", str(manifest), "--centers", "3",
                    "--epochs", "1", "--batch-size", "0"])
         assert rc == 1
         assert capsys.readouterr().err == (
             "error: batch size must be >= 1, got 0\n")
+        assert loaded == []
         assert not (workdir / "cnn.txt").exists()
 
     @pytest.mark.parametrize("setting, message", [
@@ -650,28 +655,78 @@ class TestImageCommands:
         (("--epochs", "-1"), "epochs must be >= 0, got -1"),
         (("--centers", "0"), "center count must be >= 1, got 0"),
     ], ids=["lr=-1", "lr=nan", "epochs=-1", "centers=0"])
-    def test_bad_training_setting_is_one(self, workdir, capsys, setting,
-                                         message):
+    def test_bad_training_setting_is_one(self, workdir, monkeypatch, capsys,
+                                         setting, message):
+        # every setting is checked before any volume is read
         manifest = workdir / "manifest.csv"
         manifest.write_text("".join(f"{p},{i}\n"
                                     for i, p in enumerate(_volumes(workdir))))
+        loaded = []
+        monkeypatch.setattr(enetpipe.cli, "load_volume_raw3d", loaded.append)
         capsys.readouterr()
         rc = main(["train-cnn", "--manifest", str(manifest), "--centers", "3",
                    "--epochs", "1", *setting])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert loaded == []
         assert not (workdir / "cnn.txt").exists()
 
-    def test_zero_centers_extract_is_one(self, workdir, capsys):
+    def test_zero_centers_extract_is_one(self, workdir, monkeypatch, capsys):
         paths = _volumes(workdir, n=1)
         save_cnn(workdir / "cnn.txt", cnn_init(CnnConfig(), seed=0))
+        loaded = []
+        monkeypatch.setattr(enetpipe.cli, "load_volume_raw3d", loaded.append)
         capsys.readouterr()
         rc = main(["extract", str(paths[0]), "--net",
                    str(workdir / "cnn.txt"), "--centers", "0"])
         assert rc == 1
         assert capsys.readouterr().err == (
             "error: center count must be >= 1, got 0\n")
+        assert loaded == []
         assert not (workdir / "features.csv").exists()
+
+    def test_overflow_in_a_helper_share_is_three(self, workdir, monkeypatch,
+                                                 capsys):
+        # the first worker's patches are zero and stay finite; only the
+        # helper thread's share overflows, at stage 2
+        vol = workdir / "split.raw3d"
+        write_volume_raw3d(vol, helper_share_ones())
+        net = cnn_init(CnnConfig(), seed=0)
+        for w in net.conv_weights:
+            w[...] = 1e200
+        save_cnn(workdir / "cnn.txt", net)
+        monkeypatch.setattr(enetpipe.cnn, "_WORKERS", 2)
+        threads = threading.active_count()
+        capsys.readouterr()
+        rc = main(["extract", str(vol), "--net", str(workdir / "cnn.txt"),
+                   "--centers", "8"])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: stage 2 convolution output is not finite\n")
+        assert not (workdir / "features.csv").exists()
+        assert threading.active_count() == threads
+
+    def test_volumes_and_patches_are_read_on_the_calling_thread(
+            self, workdir, monkeypatch):
+        paths = _volumes(workdir)
+        save_cnn(workdir / "cnn.txt", cnn_init(CnnConfig(), seed=0))
+        monkeypatch.setattr(enetpipe.cnn, "_WORKERS", 2)
+        threads = {}
+        for owner, name in [(enetpipe.cli, "load_volume_raw3d"),
+                            (enetpipe.cli, "extract_image_features"),
+                            (enetpipe.cnn, "extract_patch_2_5d"),
+                            (enetpipe.cnn, "_forward_batch")]:
+            def spy(*args, _name=name, _real=getattr(owner, name), **kwargs):
+                threads.setdefault(_name, set()).add(threading.get_ident())
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(owner, name, spy)
+        assert main(["extract", *map(str, paths), "--net",
+                     str(workdir / "cnn.txt"), "--centers", "5"]) == 0
+        calling = {threading.get_ident()}
+        assert threads.pop("_forward_batch") > calling   # a helper ran
+        assert threads == {"load_volume_raw3d": calling,
+                           "extract_image_features": calling,
+                           "extract_patch_2_5d": calling}
 
     def test_extract_with_labels(self, workdir):
         paths = _volumes(workdir)

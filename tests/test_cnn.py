@@ -1,5 +1,7 @@
 import hashlib
 import itertools
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -10,14 +12,16 @@ from enetpipe import (CnnConfig, CnnNetwork, PortableRng, Volume3D,
                       cnn_init, cnn_loss_grad, cnn_train_sgd,
                       default_patch_centers, extract_image_features,
                       extract_patch_2_5d, load_cnn, save_cnn)
+import enetpipe.cnn
 from enetpipe.cnn import (_NO_GRADIENT, _forward_batch, _pool_then_rectify,
                           _unpool)
 from enetpipe.errors import (ConfigError, ContractError, DataError,
                              DimensionError, NumericalError)
 
 from helpers import (MALFORMED_NETWORK_EDITS, forward_batch,
-                     reference_forward_features, reference_maxpool,
-                     reference_unpool, save_malformed_network)
+                     helper_share_ones, reference_forward_features,
+                     reference_maxpool, reference_unpool,
+                     save_malformed_network)
 
 # small configuration for everything gradient- or training-related;
 # the full-size network is exercised by the acceptance suite
@@ -339,19 +343,44 @@ def test_forward_only_features_match_reference_bytes(config, bias, zero_rows):
         net, batch[1:2])[0].tobytes()
 
 
-@pytest.mark.parametrize("bias", ["zero", "negative-zero", "negative"])
-def test_extract_image_features_matches_reference_bytes(bias):
-    net = _bias_variant(cnn_init(seed=33), bias)
+def _zero_band_volume():
     vox = PortableRng(34).normals(40 * 40 * 40).reshape(40, 40, 40)
     # a zero band from y = 12 starts inside pool windows of every patch,
     # and some of those windows reach the last pool
     vox[:, 12:] = 0.0
-    vol = Volume3D(voxels=vox)
-    centers = default_patch_centers(vol.voxels.shape, count=5)
-    planes = np.stack([extract_patch_2_5d(vol, c) for c in centers])
-    expected = reference_forward_features(net, planes).reshape(-1)
-    vec = extract_image_features(net, vol, centers, batch_size=2)
-    assert vec.tobytes() == expected.tobytes()
+    return Volume3D(voxels=vox)
+
+
+@pytest.mark.parametrize("bias", ["zero", "negative-zero", "negative"])
+def test_extract_image_features_matches_reference_bytes(monkeypatch, bias):
+    # The bytes depend neither on the worker count nor on the batching.
+    # Shares of 27 patches over 2, 3 and 8 workers are uneven, and so are
+    # their last batches; 8 workers outnumber the cores, and a short switch
+    # interval interleaves them often. Buffers for a batch size far above
+    # the patch count would not fit in memory.
+    net = _bias_variant(cnn_init(seed=33), bias)
+    vol = _zero_band_volume()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for count in (1, 5, 27):
+            centers = default_patch_centers(vol.voxels.shape, count=count)
+            planes = np.stack([extract_patch_2_5d(vol, c) for c in centers])
+            expected = reference_forward_features(net, planes).tobytes()
+            for workers, batch_size in itertools.product(
+                    [1, 2, 3, 8], [1, 2, 3, 16, 10 ** 9]):
+                monkeypatch.setattr(enetpipe.cnn, "_WORKERS", workers)
+                vec = extract_image_features(net, vol, centers,
+                                             batch_size=batch_size)
+                assert vec.tobytes() == expected, (count, workers,
+                                                   batch_size)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_empty_center_list_is_a_config_error():
+    with pytest.raises(ConfigError, match="^center count must be >= 1, got 0$"):
+        extract_image_features(cnn_init(seed=17), _zero_band_volume(), [])
 
 
 def _overflowing_net():
@@ -367,6 +396,20 @@ def test_overflowing_network_raises_numerical_error():
     # the typed error is the only signal: warnings are errors in this suite
     with pytest.raises(NumericalError, match="stage 2"):
         extract_image_features(_overflowing_net(), vol, centers)
+
+
+def test_overflow_in_the_helper_share_alone_raises_after_the_join(
+        monkeypatch):
+    vol = helper_share_ones()
+    centers = default_patch_centers(vol.voxels.shape, count=8)
+    net = _overflowing_net()
+    # the calling thread's share alone stays finite
+    extract_image_features(net, vol, centers[:4])
+    monkeypatch.setattr(enetpipe.cnn, "_WORKERS", 2)
+    threads = threading.active_count()
+    with pytest.raises(NumericalError, match="stage 2"):
+        extract_image_features(net, vol, centers)
+    assert threading.active_count() == threads
 
 
 def test_loss_grad_on_overflowing_network_raises_numerical_error():
