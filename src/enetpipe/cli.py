@@ -309,8 +309,10 @@ def _cmd_select(args, settings) -> int:
                           "elastic_net_cd, or elastic_net_svm")
     X, labels = _load_features(args, settings)
     X_std, _ = standardize_columns(X)
-    result, lambda1, _ = fit_penalized(X_std, signed_targets(labels), cfg,
-                                       seed=cfg.seed)
+    result, lambda1, _, notes = fit_penalized(X_std, signed_targets(labels),
+                                              cfg, seed=cfg.seed)
+    for note in notes:
+        print(note, file=sys.stderr)
     if cfg.lambda1 is None:
         print(f"lambda1 = {lambda1:.6g} (validation grid)")
     out = _out_dir(settings)

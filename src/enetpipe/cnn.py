@@ -243,9 +243,14 @@ def _pool_then_rectify(x, want_index: bool = False, out=None, mask=None):
     dead = np.less_equal(m, 0.0, out=mask)
     idx = None
     if want_index:
-        idx = np.full(m.shape, _NO_GRADIENT, dtype=np.int8)
-        for k in (3, 2, 1, 0):        # the lowest k holding the max wins
-            idx[~dead & (views[k] == m)] = k
+        # the lowest k with v_k == m is the number of views before it that
+        # miss m; one of the four holds m, as the caller's finite check ran
+        miss = views[0] != m
+        idx = miss.astype(np.int8)
+        for view in views[1:3]:
+            miss &= view != m
+            idx += miss
+        idx[dead] = _NO_GRADIENT
     np.multiply(views[0], 0.0, out=m, where=dead)
     return m, idx
 

@@ -232,13 +232,15 @@ def fit_selector(X, y, selector: str, lambda1: float, lambda2: float):
 
 def choose_lambda1(X, y, cfg: PipelineConfig, seed: int):
     """5-point log-grid internal validation of cfg.selector on an 80/20
-    split of the training fold; ties prefer the larger (sparser) lambda1."""
+    split of the training fold; ties prefer the larger (sparser) lambda1.
+    Returns (lambda1, notes), one note for each grid fit that stopped
+    unconverged; such a fit still competes."""
     n = X.shape[0]
     n_val = max(1, n // 5)
     if n - n_val < 2:
         # too small to validate; fall back to a mid-grid value
         lam_max = float(np.abs(X.T @ y).max()) / n
-        return max(lam_max * 10.0 ** (-_LAMBDA_GRID_DECADES / 2.0), 1e-12)
+        return max(lam_max * 10.0 ** (-_LAMBDA_GRID_DECADES / 2.0), 1e-12), []
     order = PortableRng(seed).permutation(n)
     fit_idx, val_idx = order[n_val:], order[:n_val]
     X_fit, rec = standardize_columns(X[fit_idx])
@@ -246,29 +248,35 @@ def choose_lambda1(X, y, cfg: PipelineConfig, seed: int):
     X_val = apply_standardization(rec, X[val_idx])
     lam_max = float(np.abs(X_fit.T @ y_fit).max()) / X_fit.shape[0]
     if lam_max <= 0.0:
-        return 1e-12
+        return 1e-12, []
     grid = lam_max * 10.0 ** np.linspace(-_LAMBDA_GRID_DECADES, 0.0,
                                          _LAMBDA_GRID_POINTS)
     best_lam, best_mse = None, np.inf
+    notes = []
     for lam in grid:
         result = fit_selector(X_fit, y_fit, cfg.selector, lam,
                               resolve_lambda2(cfg.selector, lam, cfg.lambda2))
+        if not result.converged:
+            notes.append(f"lambda1 grid fit at {lam:.6g} did not converge "
+                         f"in {result.sweeps_used} sweeps")
         resid = y[val_idx] - X_val @ result.coefficients
         mse = float(resid @ resid) / len(val_idx)
         if mse <= best_mse:          # ascending grid, so ties keep larger lam
             best_lam, best_mse = lam, mse
-    return float(best_lam)
+    return float(best_lam), notes
 
 
 def fit_penalized(X, y, cfg: PipelineConfig, seed: int):
     """Fit cfg's selector: lambda1 is cfg.lambda1, or choose_lambda1's
     validation-grid choice seeded by seed when that is unset, and lambda2
-    is resolve_lambda2's. Returns (result, lambda1, lambda2)."""
-    lambda1 = cfg.lambda1
+    is resolve_lambda2's. Returns (result, lambda1, lambda2, grid notes),
+    the notes choose_lambda1's."""
+    lambda1, notes = cfg.lambda1, []
     if lambda1 is None:
-        lambda1 = choose_lambda1(X, y, cfg, seed=seed)
+        lambda1, notes = choose_lambda1(X, y, cfg, seed=seed)
     lambda2 = resolve_lambda2(cfg.selector, lambda1, cfg.lambda2)
-    return fit_selector(X, y, cfg.selector, lambda1, lambda2), lambda1, lambda2
+    return (fit_selector(X, y, cfg.selector, lambda1, lambda2), lambda1,
+            lambda2, notes)
 
 
 def _prepare_fold(cfg: PipelineConfig, X, train_idx, test_idx):
@@ -299,9 +307,10 @@ def _select_fold(cfg: PipelineConfig, X_train, targets, train_idx, test_idx,
     lambda1, lambda2 = cfg.lambda1, cfg.lambda2
     support = np.arange(X_train.shape[1])
     if cfg.selector != "none":
-        result, lambda1, lambda2 = fit_penalized(
+        result, lambda1, lambda2, notes = fit_penalized(
             X_train, targets[train_idx], cfg,
             seed=cfg.seed + 9973 * (fold_index + 1))
+        warnings += [f"fold {fold_index}: {note}" for note in notes]
         if not result.converged:
             warnings.append(
                 f"fold {fold_index}: selector did not converge in "

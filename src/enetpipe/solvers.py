@@ -20,6 +20,14 @@ The sweep runs on plain Python floats and inlines the soft-threshold as
 ``(z - t) / d`` above ``t``, ``(z + t) / d`` below ``-t`` and ``0.0``
 between; ``x - 0`` and ``0 - (-z - t)`` are exact, so its coefficients are
 bitwise what ``soft_threshold(z, t) / d`` gives.
+
+The residual branch takes ``x_j' r`` through the column's bound ``dot``
+rather than ``@``: both end in the same strided ``cblas_ddot`` call, so the
+bits are the same, but ``.dot`` skips matmul's generalized-ufunc dispatch,
+about a third of a visit's cost.  The columns stay strided views of ``X``:
+contiguous copies make OpenBLAS's ``ddot`` sum in another order, which
+moves the bits.  Each update writes ``x_j * dif`` into one preallocated
+buffer, so a sweep allocates no arrays.
 """
 
 from dataclasses import dataclass
@@ -134,18 +142,23 @@ def _coordinate_descent(X, y, lambda1, lambda2, stop_thr, max_sweeps):
     # Python floats: the penalties may arrive as numpy scalars
     t = float(lambda1)
     denom = float(1.0 + 2.0 * lambda2)
+    neg_t = -t
     use_gram = m <= _GRAM_COLUMN_LIMIT
+    # an update adds cols[j] * dif to gc, or takes it from resid
     if use_gram:
         gram = X.T @ X
         cols = [gram[:, j] for j in range(m)]
         gc = np.zeros(m)
+        gc_at = gc.item
+        kept, apply_step = gc, np.add
     else:
         cols = [X[:, j] for j in range(m)]
+        dots = [col.dot for col in cols]
         resid = y.astype(np.float64).copy()
-        # cols[j] * dif goes into one buffer, not a new array per update;
-        # positional out arguments parse faster than out=
-        step = np.empty(n)
-        multiply, subtract = np.multiply, np.subtract
+        kept, apply_step = resid, np.subtract
+    # cols[j] * dif goes into one buffer, not a new array per update;
+    # positional out arguments parse faster than out=
+    multiply, step = np.multiply, np.empty(kept.shape[0])
     sweeps = 0
     converged = False
     while sweeps < max_sweeps:
@@ -153,25 +166,25 @@ def _coordinate_descent(X, y, lambda1, lambda2, stop_thr, max_sweeps):
         for j in range(m):
             b_old = beta[j]
             if use_gram:
-                z = (ipy[j] - gc.item(j)) / n + b_old
+                z = (ipy[j] - gc_at(j)) / n + b_old
             else:
-                z = float(cols[j] @ resid) / n + b_old
+                z = float(dots[j](resid)) / n + b_old
             # soft_threshold(z, t) / denom, bit for bit
             if z > t:
                 b_new = (z - t) / denom
-            elif z < -t:
+            elif z < neg_t:
                 b_new = (z + t) / denom
             else:
                 b_new = 0.0
             dif = b_new - b_old
             if dif != 0.0:
                 beta[j] = b_new
-                if use_gram:
-                    gc += cols[j] * dif
-                else:
-                    multiply(cols[j], dif, step)
-                    subtract(resid, step, resid)
-                max_dif = max(max_dif, abs(dif))
+                multiply(cols[j], dif, step)
+                apply_step(kept, step, kept)
+                if dif > max_dif:
+                    max_dif = dif
+                elif -dif > max_dif:
+                    max_dif = -dif
         sweeps += 1
         if max_dif < stop_thr:
             converged = True

@@ -1,11 +1,11 @@
 """Shared fixtures-by-hand for the test suite: instance generators, the
 independent grid-search oracle, the reference normal draws, the reference
 coordinate-descent sweep and per-sweep objectives, the reference einsum
-convolution, argmax pool and unpool and the CNN forward built on them, the
-reference ELM solve, a probe that captures each fold's fitted models,
-timing-field masking for golden files, edits that break a network file, a
-volume whose patches overflow only in the second extraction worker, a
-RAW3D volume writer and the CNN's batched forward.
+convolution, argmax pool, pool index and unpool and the CNN forward built
+on them, the reference ELM solve, a probe that captures each fold's fitted
+models, timing-field masking for golden files, edits that break a network
+file, a volume whose patches overflow only in the second extraction
+worker, a RAW3D volume writer and the CNN's batched forward.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from enetpipe import (PortableRng, Volume3D, elastic_net_objective,
                       save_cnn, soft_threshold, standardize_columns)
 from enetpipe.errors import DataFormatError, DimensionError
 from enetpipe.textio import read_blocks, write_blocks
-from enetpipe.cnn import _class_log_probs, _forward_batch
+from enetpipe.cnn import _NO_GRADIENT, _class_log_probs, _forward_batch
 from enetpipe.data import RAW3D_MAGIC
 from enetpipe.solvers import _GRAM_COLUMN_LIMIT, _coordinate_descent
 
@@ -241,6 +241,21 @@ def reference_maxpool(x):
     idx = np.argmax(tiles, axis=-1)
     out = np.take_along_axis(tiles, idx[..., None], axis=-1)[..., 0]
     return out, idx
+
+
+def reference_pool_index(x):
+    """The pool index of a raw conv map by four masked assignments: the
+    first k in row-major window order with ``v_k == m``, or
+    ``_NO_GRADIENT`` where ``m <= 0``. ``_pool_then_rectify`` must return
+    the same bytes."""
+    views = [x[:, :, i::2, j::2] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    m = np.maximum(np.maximum(views[0], views[1]),
+                   np.maximum(views[2], views[3]))
+    dead = m <= 0.0
+    idx = np.full(m.shape, _NO_GRADIENT, dtype=np.int8)
+    for k in (3, 2, 1, 0):            # the lowest k holding the max wins
+        idx[~dead & (views[k] == m)] = k
+    return idx
 
 
 def reference_unpool(dout, idx, pooled_from_shape):

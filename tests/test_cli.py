@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import re
@@ -66,6 +67,22 @@ class TestSelect:
         assert (workdir / "coefficients.txt").exists()
         support_text = (workdir / "support.txt").read_text()
         assert "support" in support_text
+
+    def test_unconverged_grid_fit_is_named_on_stderr(self, workdir, capsys,
+                                                      monkeypatch):
+        features = _generate(workdir)
+        monkeypatch.setattr(
+            enetpipe.pipeline, "PenaltyConfig",
+            functools.partial(enetpipe.pipeline.PenaltyConfig, max_sweeps=2))
+        capsys.readouterr()
+        assert main(["select", "--features", str(features),
+                     "--selector", "elastic_net_cd"]) == 0
+        # every grid point but lambda_max, which fits zeros in one sweep
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 4
+        for line in lines:
+            assert re.fullmatch(r"lambda1 grid fit at \S+ did not converge "
+                                r"in 2 sweeps", line), line
 
 
 class TestSelectPins:

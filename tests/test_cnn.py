@@ -20,8 +20,8 @@ from enetpipe.errors import (ConfigError, ContractError, DataError,
 
 from helpers import (MALFORMED_NETWORK_EDITS, forward_batch,
                      helper_share_ones, reference_forward_features,
-                     reference_maxpool, reference_unpool,
-                     save_malformed_network)
+                     reference_maxpool, reference_pool_index,
+                     reference_unpool, save_malformed_network)
 
 # small configuration for everything gradient- or training-related;
 # the full-size network is exercised by the acceptance suite
@@ -299,6 +299,23 @@ def test_pool_then_rectify_matches_relu_then_pool_on_every_window():
     dout[::2] *= -1.0
     np.testing.assert_array_equal(
         _unpool(dout, idx), reference_unpool(dout, ref_idx, x.shape) * mask)
+
+
+def test_pool_index_matches_the_masked_assignment_loop():
+    # maps of the first stage's shape drawn from few values, so that
+    # windows tie on their maxima, hold +0.0 and -0.0, and often hold no
+    # positive entry at all
+    picks = np.random.default_rng(5).integers(0, len(_WINDOW_VALUES),
+                                              size=(4, 32, 32, 32))
+    x = np.array(_WINDOW_VALUES)[picks]
+    windows = x.reshape(4, 32, 16, 2, 16, 2).transpose(0, 1, 2, 4, 3, 5)
+    windows = windows.reshape(-1, 4)
+    top = windows.max(axis=1, keepdims=True)
+    assert (((windows == top).sum(axis=1) > 1) & (top[:, 0] > 0.0)).any()
+    assert np.signbit(x[x == 0.0]).any() and not np.signbit(x[x == 0.0]).all()
+    assert (top <= 0.0).any()
+    _, idx = _pool_then_rectify(x, want_index=True)
+    assert idx.tobytes() == reference_pool_index(x).tobytes()
 
 
 def _bias_variant(net, kind):

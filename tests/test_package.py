@@ -118,6 +118,16 @@ def test_no_unreferenced_private_module_name():
     assert private - referenced == set()
 
 
+def test_coordinate_descent_sweep_has_no_matmul_operator():
+    # `a @ b` on two 1-D arrays costs matmul's gufunc dispatch on every
+    # coordinate visit; the column's bound .dot makes the same ddot call
+    sweep, = (node for node in ast.walk(LINTED["solvers.py"])
+              if isinstance(node, ast.FunctionDef)
+              and node.name == "_coordinate_descent")
+    loop, = (node for node in ast.walk(sweep) if isinstance(node, ast.While))
+    assert not any(isinstance(node, ast.MatMult) for node in ast.walk(loop))
+
+
 # scipy is loaded by the functions that call it, not at import: the ELM's
 # Cholesky solve loads scipy.linalg and the SVM route scipy.optimize, so a
 # command that reaches neither starts without them. Each check runs in a

@@ -1,3 +1,4 @@
+import functools
 import gc
 import json
 import math
@@ -248,6 +249,36 @@ class TestRunPipeline:
             f"fold {i}: selector did not converge in {n} sweeps"
             for i, n in enumerate(sweeps)]
         assert len(sweeps) == 4
+
+    def test_unconverged_grid_fit_warns_with_its_lambda1_and_sweeps(
+            self, monkeypatch):
+        import enetpipe.pipeline as pl
+        monkeypatch.setattr(pl, "PenaltyConfig",
+                            functools.partial(pl.PenaltyConfig, max_sweeps=2))
+        real = pl.fit_selector
+        fits = []
+
+        def recorded(X, y, selector, lambda1, lambda2):
+            result = real(X, y, selector, lambda1, lambda2)
+            fits.append((lambda1, result.sweeps_used, result.converged))
+            return result
+
+        monkeypatch.setattr(pl, "fit_selector", recorded)
+        X, labels, _ = _dataset(seed=12, n=60)
+        report = run_pipeline(PipelineConfig(seed=5, k_folds=4), X, labels)
+        # per fold: five grid fits, then the fit at the chosen lambda1; the
+        # grid's top point, lambda_max, fits zeros in one sweep
+        assert len(fits) == 4 * 6
+        expected = []
+        for i in range(4):
+            grid = fits[6 * i:6 * i + 5]
+            assert [done for _, _, done in grid] == [False] * 4 + [True]
+            expected += [f"fold {i}: lambda1 grid fit at {lam:.6g} did not "
+                         f"converge in {n} sweeps" for lam, n, _ in grid[:4]]
+            _, n, done = fits[6 * i + 5]
+            expected += [] if done else [
+                f"fold {i}: selector did not converge in {n} sweeps"]
+        assert [w for w in report.warnings if "converge" in w] == expected
 
     def test_searched_lambda_pins(self):
         # each fold seeds its lambda1 grid's split with seed + 9973 * (i + 1)

@@ -120,7 +120,25 @@ class TestSweep:
         # the lambda search passes numpy scalars, fixed penalties are floats
         scalar = np.float64 if numpy_scalars else float
         lambda1 = scalar(lambda1_frac * np.abs(X.T @ y).max() / n)
-        args = (X, y, lambda1, scalar(lambda2), 1e-7, max_sweeps)
+        self._assert_matches_reference(X, y, lambda1, scalar(lambda2), 1e-7,
+                                       max_sweeps)
+
+    @pytest.mark.parametrize("n", [80, 100])
+    @pytest.mark.parametrize("lambda1_frac", [1e-3, 0.05, 0.5])
+    @pytest.mark.parametrize("max_sweeps", [1, 3])
+    def test_bit_identical_to_reference_sweep_at_wide_enet_shape(
+            self, n, lambda1_frac, max_sweeps):
+        # the wide_enet workload's inner-fit (80) and fold (100) rows, its
+        # 1100 columns, lambda2 and +-1 targets: the residual branch at the
+        # column length its dot products run on
+        X, y = regression_instance(n, n, 1100)
+        y = np.where(y > 0.0, 1.0, -1.0)
+        lambda1 = np.float64(lambda1_frac * np.abs(X.T @ y).max() / n)
+        self._assert_matches_reference(X, y, lambda1, np.float64(2.0), 1e-7,
+                                       max_sweeps)
+
+    @staticmethod
+    def _assert_matches_reference(*args):
         beta, sweeps, converged = _coordinate_descent(*args)
         ref_beta, ref_sweeps, ref_converged, ref_objectives = \
             reference_coordinate_descent(*args)
