@@ -269,14 +269,18 @@ def choose_lambda1(X, y, cfg: PipelineConfig, seed: int):
 def fit_penalized(X, y, cfg: PipelineConfig, seed: int):
     """Fit cfg's selector: lambda1 is cfg.lambda1, or choose_lambda1's
     validation-grid choice seeded by seed when that is unset, and lambda2
-    is resolve_lambda2's. Returns (result, lambda1, lambda2, grid notes),
-    the notes choose_lambda1's."""
+    is resolve_lambda2's. Returns (result, lambda1, lambda2, notes): the
+    notes are choose_lambda1's, then one more if the fit itself stopped
+    unconverged."""
     lambda1, notes = cfg.lambda1, []
     if lambda1 is None:
         lambda1, notes = choose_lambda1(X, y, cfg, seed=seed)
     lambda2 = resolve_lambda2(cfg.selector, lambda1, cfg.lambda2)
-    return (fit_selector(X, y, cfg.selector, lambda1, lambda2), lambda1,
-            lambda2, notes)
+    result = fit_selector(X, y, cfg.selector, lambda1, lambda2)
+    if not result.converged:
+        notes.append(
+            f"selector did not converge in {result.sweeps_used} sweeps")
+    return result, lambda1, lambda2, notes
 
 
 def _prepare_fold(cfg: PipelineConfig, X, train_idx, test_idx):
@@ -311,10 +315,6 @@ def _select_fold(cfg: PipelineConfig, X_train, targets, train_idx, test_idx,
             X_train, targets[train_idx], cfg,
             seed=cfg.seed + 9973 * (fold_index + 1))
         warnings += [f"fold {fold_index}: {note}" for note in notes]
-        if not result.converged:
-            warnings.append(
-                f"fold {fold_index}: selector did not converge in "
-                f"{result.sweeps_used} sweeps")
         support = select_support(result.coefficients,
                                  cfg.min_support_magnitude)
         if support.size == 0:

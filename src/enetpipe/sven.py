@@ -20,6 +20,15 @@ If no support solve is certified, Brent runs until the budget bracket is
 1e-12 * max(1, t_hi) wide and the budget solution of lowest objective is
 returned.
 
+Before any budget solve, that system is solved once on the columns whose KKT
+condition fails at zero, |x_j'y|/N > lambda1, with signs sign(x_j'y). On an
+orthogonal design, X'X/N = I as for PCA scores re-standardized on their own
+rows, the optimum is x_j'y/N soft-thresholded at lambda1 and scaled by
+1/(1 + 2 lambda2), so that pattern is the optimum's and the fit ends there
+certified, with no budget solve and without loading scipy.optimize. A
+pattern that fails the certificate (or whose solve raises LinAlgError)
+leaves the budget search to run as above.
+
 The margin problem is solved in the primal (Newton) when the augmented system
 has more rows than columns, 2p > n, and through its nonnegative dual
 otherwise. Both produce the same multipliers; the dual falls back to the
@@ -146,6 +155,14 @@ def _support_solution(X, y, cfg: PenaltyConfig, beta):
     return exact
 
 
+def _zero_gradient_pattern(X, y, cfg: PenaltyConfig):
+    """Signs of x_j'y/N where |x_j'y|/N > lambda1, zero elsewhere: the
+    columns whose KKT condition fails at beta = 0, as a beta whose support
+    and signs _support_solution reads."""
+    corr = X.T @ y / X.shape[0]
+    return np.where(np.abs(corr) > cfg.lambda1, np.sign(corr), 0.0)
+
+
 class _Certified(Exception):
     """Ends the root find: a support solve met the KKT certificate."""
 
@@ -153,9 +170,10 @@ class _Certified(Exception):
 def elastic_net_fit_svm_reduction(X, y, cfg: PenaltyConfig) -> SolverResult:
     """Fit the elastic net via the margin-problem route.
 
-    The margin problem finds the optimum's support; an exact solve on that
-    support finishes the fit, at KKT violation <= 1e-12, the optimum
-    elastic_net_fit_cd converges to. sweeps_used counts budget solves.
+    The gradient at zero or else the margin problem finds the optimum's
+    support; an exact solve on that support finishes the fit, at KKT
+    violation <= 1e-12, the optimum elastic_net_fit_cd converges to.
+    sweeps_used counts budget solves, 0 when the gradient's was certified.
     Requires lambda2 > 0 because the margin cost 1/(2*lambda2) is undefined
     at zero.
     """
@@ -193,6 +211,25 @@ def elastic_net_fit_svm_reduction(X, y, cfg: PenaltyConfig) -> SolverResult:
             converged=True,
             kkt_violation=zero_kkt,
             degenerate=t_hi <= 0.0,
+        )
+
+    # The support solve on the gradient-at-zero pattern, exact when
+    # X'X/N = I; certified, it ends the fit before any budget solve.
+    try:
+        first = _support_solution(X, y, cfg,
+                                  _zero_gradient_pattern(X, y, cfg))
+    except np.linalg.LinAlgError:
+        first = zero
+    first_kkt = kkt_violation(X, y, cfg, first)
+    if first_kkt <= _EXACT_KKT:
+        return SolverResult(
+            coefficients=first,
+            objective_value=elastic_net_objective(X, y, first, cfg.lambda1,
+                                                  cfg.lambda2),
+            sweeps_used=0,
+            converged=True,
+            kkt_violation=first_kkt,
+            degenerate=False,
         )
 
     evals = 0

@@ -77,12 +77,27 @@ class TestSelect:
         capsys.readouterr()
         assert main(["select", "--features", str(features),
                      "--selector", "elastic_net_cd"]) == 0
-        # every grid point but lambda_max, which fits zeros in one sweep
+        # every grid point but lambda_max, which fits zeros in one sweep,
+        # then the fit at the chosen lambda1
         lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 4
-        for line in lines:
+        assert len(lines) == 5
+        for line in lines[:4]:
             assert re.fullmatch(r"lambda1 grid fit at \S+ did not converge "
                                 r"in 2 sweeps", line), line
+        assert lines[4] == "selector did not converge in 2 sweeps"
+
+    def test_unconverged_fit_at_a_fixed_lambda1_is_named_on_stderr(
+            self, workdir, capsys, monkeypatch):
+        features = _generate(workdir)
+        monkeypatch.setattr(
+            enetpipe.pipeline, "PenaltyConfig",
+            functools.partial(enetpipe.pipeline.PenaltyConfig, max_sweeps=2))
+        capsys.readouterr()
+        assert main(["select", "--features", str(features),
+                     "--selector", "elastic_net_cd", "--lambda1", "0.01"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "selector did not converge in 2 sweeps\n"
+        assert "objective" in captured.out
 
 
 class TestSelectPins:

@@ -129,9 +129,10 @@ def test_coordinate_descent_sweep_has_no_matmul_operator():
 
 
 # scipy is loaded by the functions that call it, not at import: the ELM's
-# Cholesky solve loads scipy.linalg and the SVM route scipy.optimize, so a
-# command that reaches neither starts without them. Each check runs in a
-# fresh interpreter, whose sys.modules holds only what its work loaded.
+# Cholesky solve loads scipy.linalg and the SVM route's budget search
+# scipy.optimize, so a command that reaches neither starts without them.
+# Each check runs in a fresh interpreter, whose sys.modules holds only what
+# its work loaded.
 GENERATE = ["generate", "--n-samples", "120", "--groups", "2",
             "--group-size", "3", "--n-noise", "6", "--seed", "3"]
 
@@ -165,6 +166,19 @@ def test_cd_evaluate_loads_scipy_linalg_only(tmp_path):
                 "elastic_net_cd", "--k-folds", "3", "--seed", "1"]
     loaded = _scipy_modules_after(
         f"from enetpipe.cli import main\nassert main({evaluate!r}) == 0",
+        tmp_path)
+    assert "scipy.linalg" in loaded
+    assert "scipy.optimize" not in loaded
+
+
+def test_svm_compare_on_pca_scores_loads_scipy_linalg_only(tmp_path):
+    # every fold's fit on PCA scores is certified at its gradient-at-zero
+    # pattern, so the budget search, and scipy.optimize with it, never runs
+    assert main([*GENERATE, "--out-dir", str(tmp_path)]) == 0
+    compare = ["compare", "--features", "features.csv", "--selector",
+               "elastic_net_svm", "--lambda1", "0.05", "--seed", "1"]
+    loaded = _scipy_modules_after(
+        f"from enetpipe.cli import main\nassert main({compare!r}) == 0",
         tmp_path)
     assert "scipy.linalg" in loaded
     assert "scipy.optimize" not in loaded

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from enetpipe import (PenaltyConfig, PipelineConfig, SyntheticSpec,
                       elastic_net_fit_cd, elastic_net_fit_svm_reduction,
-                      elastic_net_objective, generate_synthetic, run_pipeline)
+                      elastic_net_objective, generate_synthetic, pca_fit,
+                      pca_transform, run_pipeline, standardize_columns, sven)
 from enetpipe.errors import ConfigError, ContractError, DataFormatError
 from enetpipe.sven import _ridge_solve
 from helpers import duplicated_instance, regression_instance
@@ -20,8 +21,9 @@ def _rel_gap(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-12)
 
 
-# The root find on the budget multiplier needs a handful of budget solves
-# per fit; a bracketing search that spends dozens is a regression.
+# A fit whose gradient-at-zero pattern is not certified runs the root find
+# on the budget multiplier, which needs a handful of budget solves; a
+# bracketing search that spends dozens is a regression.
 _MAX_BUDGET_SOLVES = 30
 
 
@@ -204,12 +206,18 @@ def test_edge_inputs_agree_with_cd_and_closed_form_zero(seed, n, m, duplicate,
             X, y, zero, cfg.lambda1, cfg.lambda2)
 
 
+def _empty_pattern(X, y, cfg):
+    # the support solve on no columns is zero, never certified here
+    return np.zeros(X.shape[1])
+
+
 def test_failed_budget_solve_counts_as_infeasible(monkeypatch):
     # A budget whose margin solves both fail counts as a budget below the
     # optimum, not raised; the optimum lies elsewhere, so the result still
     # matches CD. On this instance t* = 0.964 and the search visits
     # t = 0.812, so failures below t = 0.9 are hit and must be stepped over.
-    from enetpipe import sven
+    # The gradient-at-zero pattern certifies this instance before any budget
+    # solve, so it is replaced by the empty pattern, which never certifies.
     real = sven._budget_solution
     calls = {"failed": 0}
 
@@ -220,6 +228,7 @@ def test_failed_budget_solve_counts_as_infeasible(monkeypatch):
         return real(X, y, t, lambda2_unnorm)
 
     monkeypatch.setattr(sven, "_budget_solution", flaky)
+    monkeypatch.setattr(sven, "_zero_gradient_pattern", _empty_pattern)
     X, y = regression_instance(602, 15, 4, noise=0.5)
     lam_max = float(np.abs(X.T @ y).max()) / 15
     cfg = PenaltyConfig(lambda1=0.5 * lam_max, lambda2=0.1, stop_thr=1e-10)
@@ -246,7 +255,8 @@ def test_wide_fits_end_in_a_certified_support_solve(n, m):
 
 def test_narrow_compare_folds_end_in_a_certified_support_solve(monkeypatch):
     # The benchmark's README-default data, 10 folds, PCA on (180 x 22
-    # designs), lambda1 0.05: every fold's fit meets the certificate.
+    # designs), lambda1 0.05: every fold's fit meets the certificate at
+    # its gradient-at-zero pattern, before any budget solve.
     import enetpipe.pipeline as pl
     real, fits = pl.elastic_net_fit_svm_reduction, []
 
@@ -261,7 +271,7 @@ def test_narrow_compare_folds_end_in_a_certified_support_solve(monkeypatch):
                                 k_folds=10, seed=1), X, labels)
     assert len(fits) == 10
     assert max(f.kkt_violation for f in fits) <= _EXACT_KKT
-    assert max(f.sweeps_used for f in fits) <= _MAX_BUDGET_SOLVES
+    assert [f.sweeps_used for f in fits] == [0] * 10
 
 
 def test_uncertified_support_solves_fall_back_to_the_cached_minimum(
@@ -269,7 +279,6 @@ def test_uncertified_support_solves_fall_back_to_the_cached_minimum(
     # With every support solve failing its certificate, the root find runs
     # to its bracket width and returns the budget solution of lowest
     # objective, bit for bit the route's answer before the exact finish.
-    from enetpipe import sven
     real, solved = sven._budget_solution, [np.zeros(5)]
 
     def record(X, y, t, lambda2_unnorm):
@@ -291,3 +300,65 @@ def test_uncertified_support_solves_fall_back_to_the_cached_minimum(
     assert hashlib.sha256(result.coefficients.tobytes()).hexdigest() == (
         "aa5d35c16b0f87b03bf501eb102fbcfcb4a48287817a25552180683699e11571")
     assert _EXACT_KKT < result.kkt_violation <= 1e-9
+
+
+def _pca_design(X):
+    """PCA scores re-standardized on their own rows, as a fold's design."""
+    scores = pca_transform(pca_fit(X, retain=0.95), X)
+    return standardize_columns(scores)[0]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(seed=st.integers(0, 10_000), n=st.integers(8, 60),
+       m=st.integers(1, 30), duplicate=st.booleans(),
+       factor=st.floats(0.001, 0.99),
+       lam2=st.sampled_from([0.01, 0.1, 0.5, 2.0]))
+def test_pca_designs_certify_before_any_budget_solve(seed, n, m, duplicate,
+                                                     factor, lam2):
+    # X'X/N = I, so the optimum's support and signs are the gradient's at
+    # zero; the fit ends there, bit for bit where the budget search ends
+    X, y = regression_instance(seed, n, m, noise=0.5)
+    if duplicate:
+        X = np.column_stack([X[:, 0], X])
+    X = _pca_design(X)
+    cfg = PenaltyConfig(lambda1=factor * np.abs(X.T @ y).max() / n,
+                        lambda2=lam2)
+    fit = elastic_net_fit_svm_reduction(X, y, cfg)
+    assert fit.sweeps_used == 0
+    assert fit.kkt_violation <= _EXACT_KKT
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sven, "_zero_gradient_pattern", _empty_pattern)
+        searched = elastic_net_fit_svm_reduction(X, y, cfg)
+    assert searched.sweeps_used > 0
+    assert searched.coefficients.tobytes() == fit.coefficients.tobytes()
+    assert searched.kkt_violation == fit.kkt_violation
+
+
+_zero_gradient_pattern = sven._zero_gradient_pattern
+
+
+def _flipped_pattern(X, y, cfg):
+    return -_zero_gradient_pattern(X, y, cfg)
+
+
+def _singular_pattern(X, y, cfg):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+@pytest.mark.parametrize("first_step", [_flipped_pattern, _singular_pattern,
+                                        _empty_pattern])
+def test_a_failed_first_step_leaves_the_budget_search_as_it_was(
+        monkeypatch, first_step):
+    # A first pattern that fails the certificate, or whose solve raises,
+    # hands the fit to the budget search, which ends as it did before the
+    # first step existed: 3 budget solves and the same coefficient bytes.
+    X, y = regression_instance(609, 30, 8, noise=0.5)
+    cfg = PenaltyConfig(lambda1=0.5 * np.abs(X.T @ y).max() / 30,
+                        lambda2=0.1)
+    first = elastic_net_fit_svm_reduction(X, y, cfg)
+    monkeypatch.setattr(sven, "_zero_gradient_pattern", first_step)
+    searched = elastic_net_fit_svm_reduction(X, y, cfg)
+    assert (first.sweeps_used, searched.sweeps_used) == (0, 3)
+    assert searched.coefficients.tobytes() == first.coefficients.tobytes()
+    assert hashlib.sha256(searched.coefficients.tobytes()).hexdigest() == (
+        "4a5ec8646f0170e12299af1e557164ee0aa33db619cc9ceaf9f2aad2450f71b7")
