@@ -83,7 +83,8 @@ class SolverResult:
     means the last sweep moved every coefficient by less than ``stop_thr``;
     non-convergence is reported through this flag, never as an exception.
     For the SVM-reduction route ``sweeps_used`` counts budget solves instead,
-    not the support solves that finish the fit.
+    not the support solves that finish the fit, and ``converged`` means
+    ``kkt_violation`` is at most 1e-12, the route's certificate.
     """
 
     coefficients: np.ndarray
@@ -228,7 +229,7 @@ def kkt_violation(X, y, cfg: PenaltyConfig, beta) -> float:
 
     With g_j = -x_j'(y - X beta)/N + 2 lambda2 beta_j, the violation is
     max(0, |g_j| - lambda1) where beta_j == 0 and |g_j + lambda1 sign(beta_j)|
-    elsewhere.
+    elsewhere. A non-finite beta has violation NaN, which meets no bound.
     """
     X = np.asarray(X, dtype=np.float64)
     beta = np.asarray(beta, dtype=np.float64)
@@ -236,6 +237,8 @@ def kkt_violation(X, y, cfg: PenaltyConfig, beta) -> float:
         raise DimensionError(
             f"beta has length {beta.shape[0]}, expected {X.shape[1]}"
         )
+    if not np.isfinite(beta).all():
+        return float("nan")
     n = X.shape[0]
     g = -(X.T @ (y - X @ beta)) / n + 2.0 * cfg.lambda2 * beta
     zero = beta == 0.0

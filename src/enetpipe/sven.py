@@ -36,13 +36,23 @@ primal if its Cholesky factorization fails. Neither solve is reliable at
 very small budgets: once t nears sqrt(eps) * max|y| the y/t part of the
 augmented rows swamps the x_j part, the dual's normal matrix stops being
 numerically positive definite and the primal's Newton system can turn
-singular as well. A budget whose solve fails with ``LinAlgError`` counts as
-a budget below the optimum (h > 0) in the root find, never raised.
+singular as well. A budget whose solve fails with ``LinAlgError`` or gives a
+non-finite point counts as a budget below the optimum (h > 0) in the root
+find, never raised.
 
-When max|X'y|/N <= lambda1 the KKT conditions hold at beta = 0 for every
-lambda2, so zero is returned in closed form with no budget search; this
-covers lambda1 >= lambda_max, where the root sits at t = 0, in the
-unreliable small-t band.
+When max|X'y|/N <= lambda1 the gradient-at-zero pattern is empty, its
+support solve is zero, and zero meets the certificate whatever lambda2;
+this covers lambda1 >= lambda_max, where the root sits at t = 0, in the
+unreliable small-t band, and X'y = 0, the one fit flagged degenerate
+without a budget solve.
+
+``converged`` says the returned point meets the 1e-12 certificate. A tiny
+lambda2 can defeat it: near 1e-16 the support solves may all miss it, once
+the margin cost 1/(2 lambda2) overflows every budget solve is non-finite,
+and on duplicated columns the ridge system bounding the budget turns
+singular, so y'y/(2 N lambda1) bounds it instead (NumericalError when
+lambda1 = 0). The fit then returns the lowest-objective budget solution,
+zero if none succeeded, with converged False.
 """
 
 from __future__ import annotations
@@ -50,7 +60,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import validate_labels
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .solvers import (
     PenaltyConfig,
     SolverResult,
@@ -68,7 +78,8 @@ __all__ = ["elastic_net_fit_svm_reduction"]
 
 
 def _primal_margin_solve(aug, labels, cost, tol=1e-11, max_iters=200):
-    """Minimize 0.5||w||^2 + cost * sum max(0, 1 - m_i)^2 over w by Newton.
+    """Minimize 0.5||w||^2 + cost * sum max(0, 1 - m_i)^2 over w by Newton
+    and return the multipliers cost * max(0, 1 - m_i).
 
     m_i = labels[i] * (aug[i] @ w). Piecewise quadratic and strictly convex,
     so Newton with backtracking terminates on the exact active set.
@@ -95,7 +106,7 @@ def _primal_margin_solve(aug, labels, cost, tol=1e-11, max_iters=200):
                 break
             step *= 0.5
         w = w + step * step_dir
-    return w
+    return cost * np.maximum(1.0 - labels * (aug @ w), 0.0)
 
 
 def _dual_margin_solve(aug, labels, cost):
@@ -110,24 +121,28 @@ def _dual_margin_solve(aug, labels, cost):
 
 
 def _budget_solution(X, y, t, lambda2_unnorm):
-    """Constrained solution at budget t. Returns (beta, degenerate)."""
+    """Constrained solution at budget t. Returns (beta, degenerate); raises
+    LinAlgError when the margin solves fail or give a non-finite point, as
+    they do once lambda2 is so small that the cost overflows."""
     n, p = X.shape
     cost = 1.0 / (2.0 * lambda2_unnorm)
     aug = np.vstack([X.T - y / t, X.T + y / t])
     labels = np.concatenate([np.ones(p), -np.ones(p)])
-    if 2 * p > n:
-        w = _primal_margin_solve(aug, labels, cost)
-        alpha = cost * np.maximum(1.0 - labels * (aug @ w), 0.0)
-    else:
-        try:
-            alpha = _dual_margin_solve(aug, labels, cost)
-        except np.linalg.LinAlgError:
-            w = _primal_margin_solve(aug, labels, cost)
-            alpha = cost * np.maximum(1.0 - labels * (aug @ w), 0.0)
-    total = alpha.sum()
-    if total <= 0.0:
-        return np.zeros(p), True
-    return t * (alpha[:p] - alpha[p:]) / total, False
+    with np.errstate(all="ignore"):      # overflow shows as a non-finite beta
+        if 2 * p > n:
+            alpha = _primal_margin_solve(aug, labels, cost)
+        else:
+            try:
+                alpha = _dual_margin_solve(aug, labels, cost)
+            except np.linalg.LinAlgError:
+                alpha = _primal_margin_solve(aug, labels, cost)
+        total = alpha.sum()
+        if total <= 0.0:
+            return np.zeros(p), True
+        beta = t * (alpha[:p] - alpha[p:]) / total
+    if not np.isfinite(beta).all():
+        raise np.linalg.LinAlgError("the budget solution is not finite")
+    return beta, False
 
 
 def _ridge_solve(X, rhs, lambda2):
@@ -173,9 +188,9 @@ def elastic_net_fit_svm_reduction(X, y, cfg: PenaltyConfig) -> SolverResult:
     The gradient at zero or else the margin problem finds the optimum's
     support; an exact solve on that support finishes the fit, at KKT
     violation <= 1e-12, the optimum elastic_net_fit_cd converges to.
-    sweeps_used counts budget solves, 0 when the gradient's was certified.
-    Requires lambda2 > 0 because the margin cost 1/(2*lambda2) is undefined
-    at zero.
+    sweeps_used counts budget solves, 0 when the gradient's was certified;
+    converged says the returned point meets that certificate. Requires
+    lambda2 > 0 because the margin cost 1/(2*lambda2) is undefined at zero.
     """
     if cfg.lambda2 <= 0.0:
         raise ConfigError(
@@ -186,56 +201,58 @@ def elastic_net_fit_svm_reduction(X, y, cfg: PenaltyConfig) -> SolverResult:
     n, p = X.shape
     y = validate_labels(y, n)
 
+    def certified(pattern):
+        """The support solve on pattern()'s support and signs if its KKT
+        violation is at most _EXACT_KKT; None if not or if it raises."""
+        try:
+            exact = _support_solution(X, y, cfg, pattern())
+        except np.linalg.LinAlgError:
+            return None
+        return exact if kkt_violation(X, y, cfg, exact) <= _EXACT_KKT else None
+
+    def result(beta, evals, degenerate=False):
+        kkt = kkt_violation(X, y, cfg, beta)
+        return SolverResult(
+            coefficients=beta,
+            objective_value=elastic_net_objective(X, y, beta, cfg.lambda1,
+                                                  cfg.lambda2),
+            sweeps_used=evals,
+            converged=kkt <= _EXACT_KKT,
+            kkt_violation=kkt,
+            degenerate=degenerate,
+        )
+
+    # The gradient-at-zero pattern's support solve is exact when X'X/N = I
+    # and zero when the pattern is empty (degenerate when X'y = 0).
+    first = certified(lambda: _zero_gradient_pattern(X, y, cfg))
+    if first is not None:
+        return result(first, 0, degenerate=not (X.T @ y).any())
+
     # Quadratic weight of the unnormalized objective ||y-Xb||^2 + w||b||^2,
     # matching 2N times the per-sample penalized objective.
     lambda2_unnorm = 2.0 * n * cfg.lambda2
 
     # The budget never exceeds the L1 norm of the pure ridge solution, and
-    # lambda1 * t can never exceed the objective at zero.
-    t_hi = float(np.abs(_ridge_solve(X, X.T @ y / n, cfg.lambda2)).sum())
+    # lambda1 * t can never exceed the objective at zero; the second bound
+    # stands in when the ridge system is singular at a tiny lambda2.
+    try:
+        t_hi = float(np.abs(_ridge_solve(X, X.T @ y / n, cfg.lambda2)).sum())
+    except np.linalg.LinAlgError:
+        t_hi = np.nan
     if cfg.lambda1 > 0.0:
-        t_hi = min(t_hi, float(y @ y) / (2.0 * n * cfg.lambda1))
+        t_hi = float(np.fmin(t_hi, float(y @ y) / (2.0 * n * cfg.lambda1)))
+    if not np.isfinite(t_hi):
+        raise NumericalError(
+            "the ridge system bounding the L1 budget is singular at lambda2 "
+            f"= {cfg.lambda2:g}; raise lambda2 or use elastic_net_fit_cd")
 
-    # Closed-form zero when t_hi == 0 (y orthogonal to the columns, or zero:
-    # the ridge path is exactly 0, flagged degenerate) or when the KKT
-    # conditions hold at zero, max|X'y|/N <= lambda1, whatever lambda2.
     zero = np.zeros(p)
     zero_kkt = kkt_violation(X, y, cfg, zero)
-    zero_objective = elastic_net_objective(X, y, zero, cfg.lambda1,
-                                           cfg.lambda2)
-    if t_hi <= 0.0 or zero_kkt == 0.0:
-        return SolverResult(
-            coefficients=zero,
-            objective_value=zero_objective,
-            sweeps_used=0,
-            converged=True,
-            kkt_violation=zero_kkt,
-            degenerate=t_hi <= 0.0,
-        )
-
-    # The support solve on the gradient-at-zero pattern, exact when
-    # X'X/N = I; certified, it ends the fit before any budget solve.
-    try:
-        first = _support_solution(X, y, cfg,
-                                  _zero_gradient_pattern(X, y, cfg))
-    except np.linalg.LinAlgError:
-        first = zero
-    first_kkt = kkt_violation(X, y, cfg, first)
-    if first_kkt <= _EXACT_KKT:
-        return SolverResult(
-            coefficients=first,
-            objective_value=elastic_net_objective(X, y, first, cfg.lambda1,
-                                                  cfg.lambda2),
-            sweeps_used=0,
-            converged=True,
-            kkt_violation=first_kkt,
-            degenerate=False,
-        )
-
     evals = 0
     degenerate_hit = False
-    cache: dict[float, tuple[float, np.ndarray]] = {0.0: (zero_objective,
-                                                          zero)}
+    cache: dict[float, tuple[float, np.ndarray]] = {
+        0.0: (elastic_net_objective(X, y, zero, cfg.lambda1, cfg.lambda2),
+              zero)}
 
     def excess_multiplier(t: float) -> float:
         """h(t) = mu(t) - lambda1 at the budget-t solution."""
@@ -248,8 +265,8 @@ def elastic_net_fit_svm_reduction(X, y, cfg: PenaltyConfig) -> SolverResult:
             # the budget as below the optimum.
             return zero_kkt
         degenerate_hit = degenerate_hit or degen
-        exact = _support_solution(X, y, cfg, beta)
-        if kkt_violation(X, y, cfg, exact) <= _EXACT_KKT:
+        exact = certified(lambda: beta)
+        if exact is not None:
             raise _Certified(exact)
         cache[t] = (elastic_net_objective(X, y, beta, cfg.lambda1,
                                           cfg.lambda2), beta)
@@ -278,18 +295,6 @@ def elastic_net_fit_svm_reduction(X, y, cfg: PenaltyConfig) -> SolverResult:
         if root not in cache:                # brentq may return unsolved t_hi
             excess_multiplier(root)
     except _Certified as done:
-        (beta,) = done.args
-        degenerate = False
-    else:
-        t_best = min(cache, key=lambda t: cache[t][0])
-        beta = cache[t_best][1]
-        degenerate = degenerate_hit and t_best > 0.0
-    return SolverResult(
-        coefficients=beta,
-        objective_value=elastic_net_objective(X, y, beta, cfg.lambda1,
-                                              cfg.lambda2),
-        sweeps_used=evals,
-        converged=True,
-        kkt_violation=kkt_violation(X, y, cfg, beta),
-        degenerate=degenerate,
-    )
+        return result(done.args[0], evals)
+    t_best = min(cache, key=lambda t: cache[t][0])
+    return result(cache[t_best][1], evals, degenerate_hit and t_best > 0.0)

@@ -1,4 +1,5 @@
-"""Shared fixtures-by-hand for the test suite: instance generators, the
+"""Shared fixtures-by-hand for the test suite: instance generators (one
+on which the SVM route's solves break down at a tiny lambda2), the
 independent grid-search oracle, the reference normal draws, the reference
 coordinate-descent sweep and per-sweep objectives, the reference einsum
 convolution, argmax pool, pool index and unpool and the CNN forward built
@@ -65,6 +66,21 @@ def duplicated_instance(seed: int, n: int = 40, m: int = 6):
     # standardization preserves exact duplication (same mean, same scale)
     assert np.array_equal(X_std[:, 0], X_std[:, 1])
     return X_std, y, (0, 1)
+
+
+def tiny_lambda2_instance(duplicate: bool = False):
+    """Raw 40 x 6 design (7 columns with column 0 copied at the end when
+    duplicate) and +-1 targets, sign(x0 + x1 + noise) on the standardized
+    columns. At lambda1 0.05 the SVM route's margin solves overflow at
+    lambda2 = 1e-320, its support solves are not certified at 1e-16, and
+    with the copy its ridge solves are singular at 1e-30 and below; CD
+    converges to objective 0.2317 on both designs."""
+    X = PortableRng(3).normal_matrix(40, 6)
+    X_std, _ = standardize_columns(X)
+    y = np.sign(X_std[:, 0] + X_std[:, 1] + 0.3 * PortableRng(4).normals(40))
+    if duplicate:
+        X = np.column_stack([X, X[:, 0]])
+    return X, y
 
 
 def grid_search_lasso_objective(X, y, lambda1: float,

@@ -18,9 +18,11 @@ from enetpipe.errors import ConfigError
 from enetpipe.pipeline import PipelineConfig
 from enetpipe.report import emit_report
 from enetpipe.rng import PortableRng
+from enetpipe.textio import read_blocks
 
 from helpers import (MALFORMED_NETWORK_EDITS, helper_share_ones,
-                     save_malformed_network, write_volume_raw3d)
+                     save_malformed_network, tiny_lambda2_instance,
+                     write_volume_raw3d)
 
 REPORT_FILES = ("report.txt", "report.csv", "plot_data.csv", "report.json")
 
@@ -98,6 +100,34 @@ class TestSelect:
         captured = capsys.readouterr()
         assert captured.err == "selector did not converge in 2 sweeps\n"
         assert "objective" in captured.out
+
+    @pytest.mark.parametrize("duplicate, lambda2", [
+        (False, "1e-320"), (True, "1e-300"), (True, "1e-30")])
+    def test_tiny_lambda2_svm_fit_is_finite_and_named_unconverged(
+            self, workdir, capsys, duplicate, lambda2):
+        save_feature_csv(workdir / "tiny.csv",
+                         *tiny_lambda2_instance(duplicate))
+        capsys.readouterr()
+        assert main(["select", "--features", "tiny.csv", "--selector",
+                     "elastic_net_svm", "--lambda1", "0.05",
+                     "--lambda2", lambda2]) == 0
+        captured = capsys.readouterr()
+        assert re.fullmatch(r"selector did not converge in \d+ sweeps\n",
+                            captured.err), captured.err
+        assert "nan" not in captured.out
+        coefficients = read_blocks(workdir / "coefficients.txt")
+        assert np.isfinite(coefficients["coefficients"]).all()
+
+    def test_singular_svm_budget_bound_without_lambda1_exits_3(
+            self, workdir, capsys):
+        save_feature_csv(workdir / "tiny.csv", *tiny_lambda2_instance(True))
+        capsys.readouterr()
+        assert main(["select", "--features", "tiny.csv", "--selector",
+                     "elastic_net_svm", "--lambda1", "0",
+                     "--lambda2", "1e-300"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: the ridge system"), err
+        assert not (workdir / "coefficients.txt").exists()
 
 
 class TestSelectPins:

@@ -128,6 +128,19 @@ def test_coordinate_descent_sweep_has_no_matmul_operator():
     assert not any(isinstance(node, ast.MatMult) for node in ast.walk(loop))
 
 
+def test_svm_route_builds_its_result_and_support_solve_in_one_place():
+    # every exit of the SVM route, the first step's, a certified budget
+    # solve's and the cached minimum's, goes through one certify helper
+    # and one result builder
+    fit, = (node for node in ast.walk(LINTED["sven.py"])
+            if isinstance(node, ast.FunctionDef)
+            and node.name == "elastic_net_fit_svm_reduction")
+    called = [node.func.id for node in ast.walk(fit)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    assert called.count("SolverResult") == 1
+    assert called.count("_support_solution") == 1
+
+
 # scipy is loaded by the functions that call it, not at import: the ELM's
 # Cholesky solve loads scipy.linalg and the SVM route's budget search
 # scipy.optimize, so a command that reaches neither starts without them.

@@ -22,7 +22,7 @@ from enetpipe.errors import (ConfigError, DimensionError, EnetPipeError,
                              NumericalError, UndefinedMetricError)
 from enetpipe.report import report_to_json
 from helpers import (capture_fold_fits, fit_bytes, fold_fits,
-                     mask_timing_json)
+                     mask_timing_json, tiny_lambda2_instance)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -249,6 +249,20 @@ class TestRunPipeline:
             f"fold {i}: selector did not converge in {n} sweeps"
             for i, n in enumerate(sweeps)]
         assert len(sweeps) == 4
+
+    def test_singular_svm_budget_bound_is_an_unconverged_fold_not_a_failure(
+            self):
+        # with a duplicated column and lambda2 1e-300 the SVM route's ridge
+        # solves are singular; lambda1 bounds the budget instead, and every
+        # fold completes with its uncertified fit named
+        X, y = tiny_lambda2_instance(duplicate=True)
+        report = run_pipeline(
+            PipelineConfig(selector="elastic_net_svm", lambda1=0.05,
+                           lambda2=1e-300, use_pca=False, k_folds=4, seed=1),
+            X, y)
+        assert [o.failure for o in report.folds] == [None] * 4
+        assert [w.split(":")[0] for w in report.warnings
+                if "did not converge" in w] == [f"fold {i}" for i in range(4)]
 
     def test_unconverged_grid_fit_warns_with_its_lambda1_and_sweeps(
             self, monkeypatch):

@@ -207,6 +207,15 @@ class TestKkt:
         bad = np.full(4, 5.0)
         assert kkt_violation(X, y, cfg, bad) > 0.1
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_point_meets_no_certificate(self, value):
+        # max(0.0, nan) is 0.0: folded that way, a NaN point would pass
+        X, y = regression_instance(12, 20, 4)
+        beta = np.zeros(4)
+        beta[2] = value
+        assert np.isnan(kkt_violation(X, y, PenaltyConfig(lambda1=0.05),
+                                      beta))
+
 
 class TestSupportAndPersistence:
     def test_select_support_threshold(self):

@@ -12,9 +12,11 @@ from enetpipe import (PenaltyConfig, PipelineConfig, SyntheticSpec,
                       elastic_net_fit_cd, elastic_net_fit_svm_reduction,
                       elastic_net_objective, generate_synthetic, pca_fit,
                       pca_transform, run_pipeline, standardize_columns, sven)
-from enetpipe.errors import ConfigError, ContractError, DataFormatError
+from enetpipe.errors import (ConfigError, ContractError, DataFormatError,
+                             NumericalError)
 from enetpipe.sven import _ridge_solve
-from helpers import duplicated_instance, regression_instance
+from helpers import (duplicated_instance, regression_instance,
+                     tiny_lambda2_instance)
 
 
 def _rel_gap(a: float, b: float) -> float:
@@ -300,6 +302,7 @@ def test_uncertified_support_solves_fall_back_to_the_cached_minimum(
     assert hashlib.sha256(result.coefficients.tobytes()).hexdigest() == (
         "aa5d35c16b0f87b03bf501eb102fbcfcb4a48287817a25552180683699e11571")
     assert _EXACT_KKT < result.kkt_violation <= 1e-9
+    assert not result.converged
 
 
 def _pca_design(X):
@@ -362,3 +365,59 @@ def test_a_failed_first_step_leaves_the_budget_search_as_it_was(
     assert searched.coefficients.tobytes() == first.coefficients.tobytes()
     assert hashlib.sha256(searched.coefficients.tobytes()).hexdigest() == (
         "4a5ec8646f0170e12299af1e557164ee0aa33db619cc9ceaf9f2aad2450f71b7")
+
+
+def test_a_fit_certified_at_once_builds_no_budget_search(monkeypatch):
+    # the budget bracket's ridge solve runs only when the search does, so a
+    # fit certified at its first step makes the support solve's alone
+    real, calls = sven._ridge_solve, []
+
+    def record(X, rhs, lambda2):
+        calls.append(X.shape)
+        return real(X, rhs, lambda2)
+
+    monkeypatch.setattr(sven, "_ridge_solve", record)
+    X, y = regression_instance(609, 30, 8, noise=0.5)
+    cfg = PenaltyConfig(lambda1=0.5 * np.abs(X.T @ y).max() / 30,
+                        lambda2=0.1)
+    fit = elastic_net_fit_svm_reduction(X, y, cfg)
+    assert fit.sweeps_used == 0 and fit.converged
+    assert len(calls) == 1
+
+
+def _tiny_lambda2_design(duplicate):
+    X, y = tiny_lambda2_instance(duplicate)
+    return standardize_columns(X)[0], y
+
+
+@pytest.mark.parametrize("duplicate, lam2", [
+    (False, 1e-320),   # the margin cost overflows: every budget solve fails
+    (False, 1e-16),    # no support solve meets the certificate
+    (True, 1e-300),    # the ridge system bounding the budget is singular
+    (True, 1e-30),
+])
+def test_tiny_lambda2_gives_a_finite_fit_that_says_if_it_is_certified(
+        duplicate, lam2):
+    X, y = _tiny_lambda2_design(duplicate)
+    fit = elastic_net_fit_svm_reduction(
+        X, y, PenaltyConfig(lambda1=0.05, lambda2=lam2))
+    assert np.isfinite(fit.coefficients).all()
+    assert fit.objective_value == elastic_net_objective(
+        X, y, fit.coefficients, 0.05, lam2)
+    assert fit.kkt_violation > _EXACT_KKT and not fit.converged
+
+
+@pytest.mark.parametrize("lam2", [1e-300, 1e-30])
+def test_singular_budget_bound_without_lambda1_is_a_numerical_error(lam2):
+    # with lambda1 = 0 the objective gives no bound on the budget either
+    X, y = _tiny_lambda2_design(True)
+    with pytest.raises(NumericalError, match="singular"):
+        elastic_net_fit_svm_reduction(
+            X, y, PenaltyConfig(lambda1=0.0, lambda2=lam2))
+
+
+def test_a_non_finite_budget_solution_is_a_failed_solve():
+    # a NaN handed to the root find would raise ValueError out of brentq
+    X, y = _tiny_lambda2_design(False)
+    with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+        sven._budget_solution(X, y, 1.0, 2.0 * 40 * 1e-320)
