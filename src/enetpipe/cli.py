@@ -9,11 +9,16 @@ from PipelineConfig.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 3 numerical failure.
+
+``main`` may be called any number of times in one process: it builds its
+parser on the first call and parses every later argv with it, and a parse
+keeps no state from one call to the next.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -367,10 +372,15 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _main_parser() -> _Parser:
+    """build_parser()'s parser, built once per process for main."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _main_parser().parse_args(argv)
         settings = _resolve_settings(args)
         return _COMMANDS[args.command](args, settings)
     except ConfigError as exc:

@@ -3,7 +3,10 @@
 Instead of a random hidden layer, the hidden representation is the RBF Gram
 matrix of the training inputs, and the output weights solve the ridge system
 (Omega + I/ridge_c) W = T for one-hot targets T. Training is a single
-symmetric linear solve; no iteration and no random weight generation.
+symmetric linear solve, LAPACK's Cholesky factorization and solve called
+directly; no iteration and no random weight generation. Each kernel matrix,
+in training and in prediction, is built in the buffer of its cross product,
+so a call makes one matrix of that size, not one per arithmetic step.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ class ElmModel:
 
 
 def _row_norms(A: np.ndarray) -> np.ndarray:
-    return np.sum(A * A, axis=1)
+    return np.add.reduce(A * A, axis=1)
 
 
 def _stored_row_norms(X: np.ndarray) -> np.ndarray:
@@ -47,14 +50,18 @@ def _stored_row_norms(X: np.ndarray) -> np.ndarray:
 
 
 def _squared_distances(A, a_norms, B, b_norms) -> np.ndarray:
-    """||a_i - b_j||^2 from the row norms, rounding negatives kept."""
-    return a_norms[:, None] + b_norms[None, :] - 2.0 * A @ B.T
+    """||a_i - b_j||^2 from the row norms, rounding negatives kept, written
+    over the cross product's buffer."""
+    cross = 2.0 * A @ B.T
+    return np.subtract(np.add(a_norms[:, None], b_norms[None, :]), cross,
+                       out=cross)
 
 
 def _gram(sq: np.ndarray, gamma: float) -> np.ndarray:
-    """The RBF kernel of squared distances; clips ``sq`` in place."""
+    """The RBF kernel of squared distances, computed in place in ``sq``."""
     np.maximum(sq, 0.0, out=sq)     # clip the rounding negatives
-    return np.exp(-gamma * sq)
+    np.multiply(sq, -gamma, out=sq)
+    return np.exp(sq, out=sq)
 
 
 def _median_gamma(sq: np.ndarray, n_features: int) -> float:
@@ -78,7 +85,8 @@ def elm_train(X, labels, gamma: float | None = None,
 
     gamma=None selects the median heuristic. Duplicate samples with
     conflicting labels are allowed; the ridge term absorbs them. The
-    system is solved by its upper-triangle Cholesky factorization.
+    system is solved by its upper-triangle Cholesky factorization, LAPACK's
+    dpotrf and dpotrs, the routines scipy's cho_factor and cho_solve call.
     """
     X = validate_feature_matrix(X)
     labels = np.asarray(labels)
@@ -102,7 +110,7 @@ def elm_train(X, labels, gamma: float | None = None,
     system = _gram(sq, gamma)
     system[np.diag_indices_from(system)] += 1.0 / ridge_c
     # overflowing squared norms leave NaN distances; this one check covers
-    # both solve paths, so scipy is told not to scan the matrix again
+    # both solve paths, and LAPACK is handed only finite matrices
     if not np.isfinite(system).all():
         raise NumericalError("ridge system has a non-finite entry")
     if system.shape == (1, 1):
@@ -110,19 +118,18 @@ def elm_train(X, labels, gamma: float | None = None,
         # factor and solve give other bits
         weights = targets / system
     else:
-        import scipy.linalg     # loaded here: only ELM training needs it
-        try:
-            factor = scipy.linalg.cho_factor(system, lower=False,
-                                             overwrite_a=True,
-                                             check_finite=False)
-        except np.linalg.LinAlgError as exc:
+        # loaded here: only ELM training needs it
+        from scipy.linalg.lapack import dpotrf, dpotrs
+        factor, info = dpotrf(system, lower=0, clean=0, overwrite_a=1)
+        if info > 0:
             raise NumericalError(
-                f"ridge system could not be solved: {exc}") from exc
-        # cho_solve returns Fortran order; predict's product takes its last
+                "ridge system could not be solved: "
+                f"{info}-th leading minor of the array is not positive "
+                "definite")
+        # dpotrs returns Fortran order; predict's product takes its last
         # bits from the weights' layout, so they are stored C-ordered
-        weights = np.ascontiguousarray(
-            scipy.linalg.cho_solve(factor, targets, overwrite_b=True,
-                                   check_finite=False))
+        weights, _ = dpotrs(factor, targets, lower=0, overwrite_b=1)
+        weights = np.ascontiguousarray(weights)
     row_norms = _stored_row_norms(X)
     return ElmModel(training_inputs=X.copy(), row_norms=row_norms,
                     output_weights=weights, classes=classes,
@@ -145,4 +152,4 @@ def elm_predict(model: ElmModel, X) -> np.ndarray:
 def predicted_labels(model: ElmModel, scores) -> np.ndarray:
     """Each row's highest-scoring label value; a tie goes to the lowest
     class."""
-    return model.classes[np.argmax(scores, axis=1)]
+    return model.classes[np.asarray(scores).argmax(axis=1)]

@@ -46,11 +46,16 @@ class PcaModel:
 
 
 def _apply_sign_convention(components: np.ndarray) -> None:
-    """Flip rows in place so each one's largest-magnitude entry is positive."""
-    for row in components:
-        j = int(np.argmax(np.abs(row)))
-        if row[j] < 0:
-            row *= -1.0
+    """Flip rows in place so each one's first largest-magnitude entry is
+    positive. That entry is the row's first maximum or its first minimum,
+    whichever is larger in magnitude or, on a tie, comes first, so no
+    temporary of the rows' size is made."""
+    rows = np.arange(components.shape[0])
+    top = components.argmax(axis=1)
+    bottom = components.argmin(axis=1)
+    high, low = components[rows, top], -components[rows, bottom]
+    flip = (low > high) | ((low == high) & (bottom < top))
+    np.negative(components, out=components, where=flip[:, None])
 
 
 def pca_fit(X, retain=0.95) -> PcaModel:

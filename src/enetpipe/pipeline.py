@@ -337,16 +337,19 @@ def _select_fold(cfg: PipelineConfig, X_train, targets, train_idx, test_idx,
 
 
 def _score_fold(outcome: FoldOutcome, model, X_test, y_test) -> None:
-    """Set outcome's accuracy and its median single-row predict latency."""
+    """Set outcome's accuracy and time_ms, the median latency of one
+    elm_predict call on one test row. Only those calls are timed; the
+    labels come from one predicted_labels call on all rows' scores after
+    the loop, the same argmax row by row."""
     X_test_sel = X_test[:, outcome.support]
-    predictions = np.empty(len(y_test), dtype=y_test.dtype)
+    scores = np.empty((len(y_test), model.classes.shape[0]))
     latencies = np.empty(len(y_test))
     for i in range(len(y_test)):
         started = time.perf_counter()
-        scores = elm_predict(model, X_test_sel[i:i + 1])
+        row_scores = elm_predict(model, X_test_sel[i:i + 1])
         latencies[i] = time.perf_counter() - started
-        predictions[i] = predicted_labels(model, scores)[0]
-    outcome.accuracy = accuracy(predictions, y_test)
+        scores[i] = row_scores[0]
+    outcome.accuracy = accuracy(predicted_labels(model, scores), y_test)
     outcome.time_ms = float(np.median(latencies) * 1000.0)
 
 

@@ -240,7 +240,7 @@ def kkt_violation(X, y, cfg: PenaltyConfig, beta) -> float:
     if not np.isfinite(beta).all():
         return float("nan")
     n = X.shape[0]
-    g = -(X.T @ (y - X @ beta)) / n + 2.0 * cfg.lambda2 * beta
+    g = -(X.T @ (y - X @ beta)) / n + 2.0 * (cfg.lambda2 * beta)
     zero = beta == 0.0
     viol_zero = np.maximum(0.0, np.abs(g[zero]) - cfg.lambda1)
     viol_live = np.abs(g[~zero] + cfg.lambda1 * np.sign(beta[~zero]))

@@ -51,8 +51,13 @@ lambda2 can defeat it: near 1e-16 the support solves may all miss it, once
 the margin cost 1/(2 lambda2) overflows every budget solve is non-finite,
 and on duplicated columns the ridge system bounding the budget turns
 singular, so y'y/(2 N lambda1) bounds it instead (NumericalError when
-lambda1 = 0). The fit then returns the lowest-objective budget solution,
-zero if none succeeded, with converged False.
+lambda1 = 0). So can a huge lambda2: once 2 N lambda2 overflows the margin
+cost is zero and every budget solution is zero, and once the ridge term of
+the support system (2 lambda2, or 2 N lambda2 in the push-through form)
+overflows the support solves are not finite. The fit then returns the
+lowest-objective budget solution, zero if none succeeded, with converged
+False. The solves run with numpy's floating-point warnings off: an
+overflow shows as a non-finite, uncertified point.
 """
 
 from __future__ import annotations
@@ -115,6 +120,8 @@ def _dual_margin_solve(aug, labels, cost):
     signed = labels[:, None] * aug
     normal = signed @ signed.T + np.eye(len(labels)) / (2.0 * cost)
     root = np.linalg.cholesky(normal).T          # normal = root' root
+    if not np.isfinite(root).all():     # a cost of zero: 1/(2 cost) = inf
+        raise np.linalg.LinAlgError("the dual's normal matrix is not finite")
     rhs = np.linalg.solve(root.T, np.ones(len(labels)))
     alpha, _ = nnls(root, rhs, maxiter=max(1000, 100 * len(labels)))
     return alpha
@@ -205,7 +212,8 @@ def elastic_net_fit_svm_reduction(X, y, cfg: PenaltyConfig) -> SolverResult:
         """The support solve on pattern()'s support and signs if its KKT
         violation is at most _EXACT_KKT; None if not or if it raises."""
         try:
-            exact = _support_solution(X, y, cfg, pattern())
+            with np.errstate(all="ignore"):  # overflow: a non-finite solve
+                exact = _support_solution(X, y, cfg, pattern())
         except np.linalg.LinAlgError:
             return None
         return exact if kkt_violation(X, y, cfg, exact) <= _EXACT_KKT else None
@@ -236,7 +244,9 @@ def elastic_net_fit_svm_reduction(X, y, cfg: PenaltyConfig) -> SolverResult:
     # lambda1 * t can never exceed the objective at zero; the second bound
     # stands in when the ridge system is singular at a tiny lambda2.
     try:
-        t_hi = float(np.abs(_ridge_solve(X, X.T @ y / n, cfg.lambda2)).sum())
+        with np.errstate(all="ignore"):  # overflow: a non-finite bound
+            t_hi = float(np.abs(_ridge_solve(X, X.T @ y / n,
+                                             cfg.lambda2)).sum())
     except np.linalg.LinAlgError:
         t_hi = np.nan
     if cfg.lambda1 > 0.0:
@@ -270,7 +280,7 @@ def elastic_net_fit_svm_reduction(X, y, cfg: PenaltyConfig) -> SolverResult:
             raise _Certified(exact)
         cache[t] = (elastic_net_objective(X, y, beta, cfg.lambda1,
                                           cfg.lambda2), beta)
-        grad = X.T @ (y - X @ beta) / n - 2.0 * cfg.lambda2 * beta
+        grad = X.T @ (y - X @ beta) / n - 2.0 * (cfg.lambda2 * beta)
         return float(np.abs(grad).max()) - cfg.lambda1
 
     def bracketed(t: float) -> float:

@@ -3,10 +3,11 @@ on which the SVM route's solves break down at a tiny lambda2), the
 independent grid-search oracle, the reference normal draws, the reference
 coordinate-descent sweep and per-sweep objectives, the reference einsum
 convolution, argmax pool, pool index and unpool and the CNN forward built
-on them, the reference ELM solve, a probe that captures each fold's fitted
-models, timing-field masking for golden files, edits that break a network
-file, a volume whose patches overflow only in the second extraction
-worker, a RAW3D volume writer and the CNN's batched forward.
+on them, the reference ELM solve, the row-by-row PCA sign convention, a
+probe that captures each fold's fitted models, timing-field masking for
+golden files and benchmark digests, edits that break a network file, a
+volume whose patches overflow only in the second extraction worker, a
+RAW3D volume writer and the CNN's batched forward.
 """
 
 from __future__ import annotations
@@ -68,16 +69,20 @@ def duplicated_instance(seed: int, n: int = 40, m: int = 6):
     return X_std, y, (0, 1)
 
 
-def tiny_lambda2_instance(duplicate: bool = False):
+def tiny_lambda2_instance(duplicate: bool = False, shape=(40, 6)):
     """Raw 40 x 6 design (7 columns with column 0 copied at the end when
     duplicate) and +-1 targets, sign(x0 + x1 + noise) on the standardized
     columns. At lambda1 0.05 the SVM route's margin solves overflow at
     lambda2 = 1e-320, its support solves are not certified at 1e-16, and
     with the copy its ridge solves are singular at 1e-30 and below; CD
-    converges to objective 0.2317 on both designs."""
-    X = PortableRng(3).normal_matrix(40, 6)
+    converges to objective 0.2317 on both designs. With shape (20, 60) the
+    ridge solves take the push-through form, whose division by 2 lambda2
+    overflows at lambda2 = 1e-310 and below."""
+    rows, columns = shape
+    X = PortableRng(3).normal_matrix(rows, columns)
     X_std, _ = standardize_columns(X)
-    y = np.sign(X_std[:, 0] + X_std[:, 1] + 0.3 * PortableRng(4).normals(40))
+    y = np.sign(X_std[:, 0] + X_std[:, 1]
+                + 0.3 * PortableRng(4).normals(rows))
     if duplicate:
         X = np.column_stack([X, X[:, 0]])
     return X, y
@@ -136,13 +141,20 @@ def mask_timing(content: str) -> str:
     return content
 
 
-def _mask_json_value(value):
+def _mask_json_value(value, placeholder="T"):
     if isinstance(value, dict):
-        return {k: ("T" if "time" in k else _mask_json_value(v))
+        return {k: (placeholder if "time" in k
+                    else _mask_json_value(v, placeholder))
                 for k, v in value.items()}
     if isinstance(value, list):
-        return [_mask_json_value(v) for v in value]
+        return [_mask_json_value(v, placeholder) for v in value]
     return value
+
+
+def benchmark_masked(payload):
+    """A parsed report with every *time* field set to None, as the
+    benchmark masks a report before taking its digest."""
+    return _mask_json_value(payload, None)
 
 
 def mask_timing_json(content: str) -> str:
@@ -315,6 +327,16 @@ def reference_rbf_gram(A, B, gamma: float) -> np.ndarray:
           - 2.0 * A @ B.T)
     np.maximum(sq, 0.0, out=sq)
     return np.exp(-gamma * sq)
+
+
+def reference_sign_convention(components) -> None:
+    """Flip each row whose first largest-magnitude entry is negative, one
+    row at a time; ``enetpipe.pca._apply_sign_convention`` must leave the
+    same bytes."""
+    for row in components:
+        j = int(np.argmax(np.abs(row)))
+        if row[j] < 0:
+            row *= -1.0
 
 
 def reference_median_gamma(X) -> float:

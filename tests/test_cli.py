@@ -20,7 +20,8 @@ from enetpipe.report import emit_report
 from enetpipe.rng import PortableRng
 from enetpipe.textio import read_blocks
 
-from helpers import (MALFORMED_NETWORK_EDITS, helper_share_ones,
+from helpers import (MALFORMED_NETWORK_EDITS, benchmark_masked,
+                     helper_share_ones, mask_timing, mask_timing_json,
                      save_malformed_network, tiny_lambda2_instance,
                      write_volume_raw3d)
 
@@ -301,6 +302,58 @@ class TestCompare:
         assert "delta" in text
 
 
+class TestRepeatedMain:
+    """main builds its parser once per process; no call may see what an
+    earlier one parsed."""
+
+    @staticmethod
+    def _exit(capsys, argv):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        return excinfo.value.code, capsys.readouterr()
+
+    def test_usage_error_after_a_compare_matches_a_first_call(
+            self, workdir, capsys):
+        enetpipe.cli._main_parser.cache_clear()     # main's first call
+        first = self._exit(capsys, ["compare", "--bogus-flag"])
+        features = _generate(workdir)
+        assert main(["compare", "--features", str(features),
+                     "--k-folds", "3", "--seed", "2"]) == 0
+        again = self._exit(capsys, ["compare", "--bogus-flag"])
+        assert first[0] == 1
+        assert first[1].err.startswith("usage: enetpipe compare")
+        assert again == first
+
+    def test_help_text_is_the_same_before_and_after_other_commands(
+            self, workdir, capsys):
+        enetpipe.cli._main_parser.cache_clear()
+        before = self._exit(capsys, ["compare", "--help"])
+        features = _generate(workdir)
+        assert main(["compare", "--features", str(features), "--lambda1",
+                     "0.05", "--k-folds", "3", "--baseline",
+                     "elastic_net_svm"]) == 0
+        self._exit(capsys, ["select", "--nope"])
+        after = self._exit(capsys, ["compare", "--help"])
+        assert before[0] == 0 and "--baseline" in before[1].out
+        assert after == before
+
+    def test_a_flag_does_not_leak_into_the_next_call(self, workdir):
+        features = _generate(workdir)
+        base = ["compare", "--features", str(features), "--k-folds", "3",
+                "--seed", "2"]
+        enetpipe.cli._main_parser.cache_clear()
+        assert main([*base, "--out-dir", "alone"]) == 0
+        assert main([*base, "--lambda1", "0.05", "--out-dir", "fixed"]) == 0
+        assert main([*base, "--out-dir", "after"]) == 0
+        fixed = json.loads((workdir / "fixed/report.json").read_text())
+        assert {f["lambda1"] for f in fixed["folds"]} == {0.05}
+        for name in REPORT_FILES:
+            mask = mask_timing_json if name.endswith(".json") else mask_timing
+            assert mask((workdir / "after" / name).read_text()) == mask(
+                (workdir / "alone" / name).read_text()), name
+
+
 class TestReport:
     def test_reemits_from_json(self, workdir):
         features = _generate(workdir)
@@ -540,10 +593,12 @@ def _sha256(path):
 
 class TestSeededOutputPins:
     """Seeded CLI outputs, pinned byte for byte: the benchmark's two
-    `generate` argument sets at two seeds each, and a small `train-cnn`
-    and `extract`. Any change to the generator, its normal draws or their
-    order moves them; the extract pin also guards the convolutions, the
-    pool and the feature CSV's bytes."""
+    `generate` argument sets at two seeds each, its two `compare` commands
+    on the seed-5 sets (the report with its timings masked), and a small
+    `train-cnn` and `extract`. Any change to the generator, its normal
+    draws or their order moves them; the compare pins also guard the
+    folds, the selectors, PCA and the kernel ELM, and the extract pin the
+    convolutions, the pool and the feature CSV's bytes."""
 
     NARROW = ("--n-samples", "200", "--groups", "3", "--group-size", "3",
               "--correlation", "0.8", "--noise-std", "0.3", "--n-noise", "20")
@@ -568,6 +623,23 @@ class TestSeededOutputPins:
         assert main(["generate", *args, "--seed", str(seed)]) == 0
         assert _sha256(workdir / "features.csv") == features
         assert _sha256(workdir / "ground_truth_support.txt") == support
+
+    @pytest.mark.parametrize("args, compare_args, report", [
+        (NARROW, ("--selector", "elastic_net_svm", "--baseline", "lasso",
+                  "--lambda1", "0.05", "--k-folds", "10"),
+         "b80578e1f453ee66a977a2ecc41b1e8eeedff1c3bee517fa5c1dcc6cff77c500"),
+        (WIDE, ("--no-pca", "--selector", "elastic_net_cd", "--baseline",
+                "none", "--holdout", "0.5", "--lambda2", "2.0"),
+         "94c2cd011b8a113339679662f0bf05c651123da272907c7f24bb4c9baf7328ed"),
+    ], ids=["narrow-compare-5", "wide-enet-5"])
+    def test_compare(self, workdir, args, compare_args, report):
+        """The benchmark's compare commands on their generated inputs."""
+        assert main(["generate", *args, "--seed", "5"]) == 0
+        assert main(["compare", "--features", "features.csv", *compare_args,
+                     "--seed", "5"]) == 0
+        payload = json.loads((workdir / "report.json").read_text())
+        masked = json.dumps(benchmark_masked(payload), sort_keys=True)
+        assert hashlib.sha256(masked.encode()).hexdigest() == report
 
     @staticmethod
     def _train_cnn(workdir):

@@ -196,8 +196,9 @@ class TestNonPositiveDefinite:
 
     def test_train_raises_numerical_error(self):
         X, labels = self._repeated_rows()
-        with pytest.raises(NumericalError,
-                           match="^ridge system could not be solved: "):
+        with pytest.raises(NumericalError, match=(
+                "^ridge system could not be solved: 2-th leading minor of "
+                "the array is not positive definite$")):
             elm_train(X, labels, ridge_c=1e16)
 
     def test_every_fold_fails_in_the_pipeline(self):

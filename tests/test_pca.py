@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from enetpipe import (PipelineConfig, PortableRng, pca_fit, pca_transform,
                       run_pipeline)
 from enetpipe.errors import (DimensionError, EnetPipeError,
                              InsufficientDataError, NumericalError)
+from enetpipe.pca import _apply_sign_convention
+from helpers import reference_sign_convention
 
 
 def _blobs(seed: int = 0, n: int = 60, m: int = 8):
@@ -73,6 +77,35 @@ def test_sign_convention_largest_entry_positive():
     model = pca_fit(_blobs(6), retain=4)
     for row in model.components:
         assert row[np.argmax(np.abs(row))] > 0
+
+
+def test_sign_convention_matches_the_row_by_row_rule():
+    # ties between a maximum and a minimum of equal magnitude go to the
+    # first; signed zeros and NaN rows flip nothing
+    rows = [[-3.0, 3.0], [3.0, -3.0], [0.0, -0.0], [-0.0, 0.0],
+            [1.0, -2.0, 2.0, -2.0], [-1.0, 2.0, -2.0], [np.nan, -2.0],
+            [2.0, -2.0, np.nan], [-np.inf, np.inf], [5e-324, -5e-324]]
+    cases = [np.array([row]) for row in rows]
+    rng = PortableRng(8)
+    for _ in range(200):    # small integers: many ties
+        cases.append(np.round(3.0 * rng.normal_matrix(4, 5)))
+    for components in cases:
+        expected = components.copy()
+        reference_sign_convention(expected)
+        _apply_sign_convention(components)
+        assert components.tobytes() == expected.tobytes()
+
+
+def test_sign_convention_makes_no_temporary_of_the_components_size():
+    # the shape of pca_fit's components on volume_features' CNN features
+    components = PortableRng(9).normal_matrix(15, 27648)
+    tracemalloc.start()
+    try:
+        _apply_sign_convention(components)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < components.nbytes / 8
 
 
 def test_transform_centers_before_projection():

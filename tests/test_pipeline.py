@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import types
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -17,7 +18,7 @@ import enetpipe.pipeline
 from enetpipe import (EvaluationReport, PipelineConfig, PortableRng,
                       SyntheticSpec, accuracy, compare_selectors,
                       generate_synthetic, holdout_split, kfold_split,
-                      run_pipeline, stddev_population)
+                      predicted_labels, run_pipeline, stddev_population)
 from enetpipe.errors import (ConfigError, DimensionError, EnetPipeError,
                              NumericalError, UndefinedMetricError)
 from enetpipe.report import report_to_json
@@ -614,6 +615,48 @@ class TestSharedClassifier:
                           baseline=baseline)
         assert len(refs) == 5 * trains_per_fold
         assert all(ref() is None for ref in refs)
+
+
+class TestPredictTiming:
+    """time_ms is the median latency of one elm_predict call on one test
+    row; nothing else in a fold runs on the clock."""
+
+    def test_time_ms_times_one_single_row_predict_per_test_row(
+            self, monkeypatch):
+        X, labels, _ = _dataset(seed=22, n=90)
+        cfg = PipelineConfig(seed=12, k_folds=5, selector="lasso",
+                             lambda1=0.05)
+        # the clock moves only inside elm_predict, by a different whole
+        # number of ticks on each call
+        clock, calls = [0.0], []
+        monkeypatch.setattr(enetpipe.pipeline, "time", types.SimpleNamespace(
+            perf_counter=lambda: clock[0]))
+        real_predict = enetpipe.pipeline.elm_predict
+
+        def predict(model, rows):
+            scores = real_predict(model, rows)
+            calls.append((model, rows.shape, scores))
+            clock[0] += float(len(calls) % 7 + 1)
+            return scores
+
+        monkeypatch.setattr(enetpipe.pipeline, "elm_predict", predict)
+        report = compare_selectors(cfg, X, labels, baseline="none")
+        assert len(calls) == 2 * len(labels)
+        arms = (report.comparison.baseline_folds, report.folds)
+        done = 0
+        for fold in zip(*arms):             # a fold's arms in turn
+            for outcome in fold:
+                test = outcome.test_indices
+                segment = calls[done:done + len(test)]
+                ticks = [float(k % 7 + 1)
+                         for k in range(done + 1, done + len(test) + 1)]
+                done += len(test)
+                assert {shape for _, shape, _ in segment} == {
+                    (1, outcome.support.size)}
+                labelled = [predicted_labels(model, scores)[0]
+                            for model, _, scores in segment]
+                assert outcome.accuracy == accuracy(labelled, labels[test])
+                assert outcome.time_ms == float(np.median(ticks) * 1000.0)
 
 
 def _fold_json(outcome):

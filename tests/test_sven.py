@@ -385,8 +385,8 @@ def test_a_fit_certified_at_once_builds_no_budget_search(monkeypatch):
     assert len(calls) == 1
 
 
-def _tiny_lambda2_design(duplicate):
-    X, y = tiny_lambda2_instance(duplicate)
+def _tiny_lambda2_design(duplicate, shape=(40, 6)):
+    X, y = tiny_lambda2_instance(duplicate, shape)
     return standardize_columns(X)[0], y
 
 
@@ -405,6 +405,37 @@ def test_tiny_lambda2_gives_a_finite_fit_that_says_if_it_is_certified(
     assert fit.objective_value == elastic_net_objective(
         X, y, fit.coefficients, 0.05, lam2)
     assert fit.kkt_violation > _EXACT_KKT and not fit.converged
+
+
+@pytest.mark.parametrize("fit", [elastic_net_fit_cd,
+                                 elastic_net_fit_svm_reduction],
+                         ids=["cd", "svm"])
+@pytest.mark.parametrize("duplicate, shape, lam2", [
+    (False, (40, 6), 1e308),   # 2 lambda2 overflows in the ridge terms
+    (True, (40, 6), 1e308),
+    (False, (20, 60), 1e308),
+    (False, (20, 60), 1e-310),  # the push-through form's division overflows
+    (False, (20, 60), 1e-320),
+], ids=["plain-1e308", "duplicated-1e308", "wide-1e308", "wide-1e-310",
+        "wide-1e-320"])
+def test_extreme_lambda2_fits_are_finite_flagged_and_silent(
+        fit, duplicate, shape, lam2):
+    # pytest turns any RuntimeWarning these fits emit into a failure
+    X, y = _tiny_lambda2_design(duplicate, shape)
+    cfg = PenaltyConfig(lambda1=0.05, lambda2=lam2)
+    result = fit(X, y, cfg)
+    assert np.isfinite(result.coefficients).all()
+    assert np.isfinite(result.objective_value)
+    assert np.isfinite(result.kkt_violation)
+    if fit is elastic_net_fit_svm_reduction:
+        assert result.converged == (result.kkt_violation <= _EXACT_KKT)
+    if lam2 == 1e308:
+        # both routes return zero, which is 0.45-0.53 from the KKT
+        # conditions: the ridge term 2 lambda2 beta must not turn it NaN
+        np.testing.assert_array_equal(result.coefficients, 0.0)
+        assert result.kkt_violation == (
+            np.abs(X.T @ y).max() / X.shape[0] - 0.05)
+        assert result.kkt_violation > 0.4
 
 
 @pytest.mark.parametrize("lam2", [1e-300, 1e-30])
