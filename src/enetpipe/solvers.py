@@ -83,7 +83,8 @@ class SolverResult:
     means the last sweep moved every coefficient by less than ``stop_thr``;
     non-convergence is reported through this flag, never as an exception.
     For the SVM-reduction route ``sweeps_used`` counts budget solves instead,
-    not the support solves that finish the fit, and ``converged`` means
+    not its active-set steps or the support solves that finish the fit, so
+    it is 0 for a fit certified by a step; ``converged`` means
     ``kkt_violation`` is at most 1e-12, the route's certificate.
     """
 

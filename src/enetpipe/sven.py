@@ -20,23 +20,20 @@ If no support solve is certified, Brent runs until the budget bracket is
 1e-12 * max(1, t_hi) wide and the budget solution of lowest objective is
 returned.
 
-Before any budget solve, that system is solved once on the columns whose KKT
-condition fails at zero, |x_j'y|/N > lambda1, with signs sign(x_j'y). On an
-orthogonal design, X'X/N = I as for PCA scores re-standardized on their own
-rows, the optimum is x_j'y/N soft-thresholded at lambda1 and scaled by
-1/(1 + 2 lambda2), so that pattern is the optimum's and the fit ends there
-certified, with no budget solve and without loading scipy.optimize. A
-pattern that fails the certificate (or whose solve raises LinAlgError)
-leaves the budget search to run as above.
+Before any budget solve, that system is solved along primal-dual active-set
+steps (Hintermueller, Ito and Kunisch 2002; Fan, Jiao and Lu 2014): from
+beta the next pattern is sign(z_j) where |z_j| > lambda1, z = beta +
+X'(y - X beta)/N. From zero these are the columns whose KKT condition fails
+there, with signs sign(x_j'y); on an orthogonal design, X'X/N = I as for PCA
+scores re-standardized on their own rows, that is the optimum's pattern. A
+certified step ends the fit with no budget solve and without loading
+scipy.optimize; a repeated pattern, a LinAlgError or 10 uncertified steps
+leave the budget search to run as above.
 
-The margin problem is solved in the primal (Newton) when the augmented system
-has more rows than columns, 2p > n, and through its nonnegative dual
-otherwise. Both produce the same multipliers; the dual falls back to the
-primal if its Cholesky factorization fails. Neither solve is reliable at
-very small budgets: once t nears sqrt(eps) * max|y| the y/t part of the
-augmented rows swamps the x_j part, the dual's normal matrix stops being
-numerically positive definite and the primal's Newton system can turn
-singular as well. A budget whose solve fails with ``LinAlgError`` or gives a
+The margin problem is solved in the primal by Newton's method, which is not
+reliable at very small budgets: once t nears sqrt(eps) * max|y| the y/t
+part of the augmented rows swamps the x_j part and the Newton system can
+turn singular. A budget whose solve fails with ``LinAlgError`` or gives a
 non-finite point counts as a budget below the optimum (h > 0) in the root
 find, never raised.
 
@@ -48,19 +45,21 @@ without a budget solve.
 
 ``converged`` says the returned point meets the 1e-12 certificate. A tiny
 lambda2 can defeat it: near 1e-16 the support solves may all miss it, once
-the margin cost 1/(2 lambda2) overflows every budget solve is non-finite,
-and on duplicated columns the ridge system bounding the budget turns
-singular, so y'y/(2 N lambda1) bounds it instead (NumericalError when
-lambda1 = 0). So can a huge lambda2: once 2 N lambda2 overflows the margin
-cost is zero and every budget solution is zero, and once the ridge term of
-the support system (2 lambda2, or 2 N lambda2 in the push-through form)
-overflows the support solves are not finite. The fit then returns the
+the margin cost 1/(2 lambda2) overflows every budget solve fails, and on
+duplicated columns the ridge system bounding the budget turns singular, so
+y'y/(2 N lambda1) bounds it instead (NumericalError when lambda1 = 0). So
+can a huge lambda2: once 2 N lambda2 overflows the margin cost is zero and
+every budget solution is zero, and once the ridge term of the support
+system (2 lambda2, or 2 N lambda2 in the push-through form) overflows the
+support solves are not finite. The fit then returns the
 lowest-objective budget solution, zero if none succeeded, with converged
 False. The solves run with numpy's floating-point warnings off: an
 overflow shows as a non-finite, uncertified point.
 """
 
 from __future__ import annotations
+
+from contextlib import suppress
 
 import numpy as np
 
@@ -78,6 +77,8 @@ from .solvers import (
 _ROOT_REL_WIDTH = 1e-12
 # A support solve whose KKT violation is at most this ends the fit.
 _EXACT_KKT = 1e-12
+# Active-set steps taken at most before the budget search.
+_MAX_STEPS = 10
 
 __all__ = ["elastic_net_fit_svm_reduction"]
 
@@ -87,7 +88,8 @@ def _primal_margin_solve(aug, labels, cost, tol=1e-11, max_iters=200):
     and return the multipliers cost * max(0, 1 - m_i).
 
     m_i = labels[i] * (aug[i] @ w). Piecewise quadratic and strictly convex,
-    so Newton with backtracking terminates on the exact active set.
+    so Newton with backtracking terminates on the exact active set. A step
+    that is not finite or does not decrease raises LinAlgError at once.
     """
     n_cols = aug.shape[1]
     signed = labels[:, None] * aug
@@ -100,6 +102,8 @@ def _primal_margin_solve(aug, labels, cost, tol=1e-11, max_iters=200):
             break
         hess = np.eye(n_cols) + 2.0 * cost * signed[active].T @ signed[active]
         step_dir = np.linalg.solve(hess, -grad)
+        if not (np.isfinite(grad).all() and np.isfinite(step_dir).all()):
+            raise np.linalg.LinAlgError("the Newton step is not finite")
         f0 = 0.5 * w @ w + cost * np.sum(np.maximum(0.0, 1.0 - margins) ** 2)
         slope = grad @ step_dir
         step = 1.0
@@ -110,39 +114,22 @@ def _primal_margin_solve(aug, labels, cost, tol=1e-11, max_iters=200):
             if f_try <= f0 + 1e-4 * step * slope:
                 break
             step *= 0.5
+        else:
+            raise np.linalg.LinAlgError("no decrease along the Newton step")
         w = w + step * step_dir
     return cost * np.maximum(1.0 - labels * (aug @ w), 0.0)
 
 
-def _dual_margin_solve(aug, labels, cost):
-    """Nonnegative minimizer of 0.5 a'(ZZ' + I/(2 cost))a - 1'a, Z = labels*aug."""
-    from scipy.optimize import nnls
-    signed = labels[:, None] * aug
-    normal = signed @ signed.T + np.eye(len(labels)) / (2.0 * cost)
-    root = np.linalg.cholesky(normal).T          # normal = root' root
-    if not np.isfinite(root).all():     # a cost of zero: 1/(2 cost) = inf
-        raise np.linalg.LinAlgError("the dual's normal matrix is not finite")
-    rhs = np.linalg.solve(root.T, np.ones(len(labels)))
-    alpha, _ = nnls(root, rhs, maxiter=max(1000, 100 * len(labels)))
-    return alpha
-
-
 def _budget_solution(X, y, t, lambda2_unnorm):
     """Constrained solution at budget t. Returns (beta, degenerate); raises
-    LinAlgError when the margin solves fail or give a non-finite point, as
-    they do once lambda2 is so small that the cost overflows."""
-    n, p = X.shape
+    LinAlgError when the margin solve fails or gives a non-finite point, as
+    it does once lambda2 is so small that the cost overflows."""
+    p = X.shape[1]
     cost = 1.0 / (2.0 * lambda2_unnorm)
     aug = np.vstack([X.T - y / t, X.T + y / t])
     labels = np.concatenate([np.ones(p), -np.ones(p)])
     with np.errstate(all="ignore"):      # overflow shows as a non-finite beta
-        if 2 * p > n:
-            alpha = _primal_margin_solve(aug, labels, cost)
-        else:
-            try:
-                alpha = _dual_margin_solve(aug, labels, cost)
-            except np.linalg.LinAlgError:
-                alpha = _primal_margin_solve(aug, labels, cost)
+        alpha = _primal_margin_solve(aug, labels, cost)
         total = alpha.sum()
         if total <= 0.0:
             return np.zeros(p), True
@@ -177,12 +164,12 @@ def _support_solution(X, y, cfg: PenaltyConfig, beta):
     return exact
 
 
-def _zero_gradient_pattern(X, y, cfg: PenaltyConfig):
-    """Signs of x_j'y/N where |x_j'y|/N > lambda1, zero elsewhere: the
-    columns whose KKT condition fails at beta = 0, as a beta whose support
-    and signs _support_solution reads."""
-    corr = X.T @ y / X.shape[0]
-    return np.where(np.abs(corr) > cfg.lambda1, np.sign(corr), 0.0)
+def _step_pattern(X, y, cfg: PenaltyConfig, beta):
+    """Signs of z = beta + X'(y - X beta)/N where |z_j| > lambda1, zero
+    elsewhere: the active-set step from beta, as a beta whose support and
+    signs _support_solution reads."""
+    z = beta + X.T @ (y - X @ beta) / X.shape[0]
+    return np.where(np.abs(z) > cfg.lambda1, np.sign(z), 0.0)
 
 
 class _Certified(Exception):
@@ -192,10 +179,10 @@ class _Certified(Exception):
 def elastic_net_fit_svm_reduction(X, y, cfg: PenaltyConfig) -> SolverResult:
     """Fit the elastic net via the margin-problem route.
 
-    The gradient at zero or else the margin problem finds the optimum's
-    support; an exact solve on that support finishes the fit, at KKT
-    violation <= 1e-12, the optimum elastic_net_fit_cd converges to.
-    sweeps_used counts budget solves, 0 when the gradient's was certified;
+    Active-set steps from zero or else the margin problem find the
+    optimum's support; an exact solve on that support finishes the fit, at
+    KKT violation <= 1e-12, the optimum elastic_net_fit_cd converges to.
+    sweeps_used counts budget solves, 0 when a step was certified;
     converged says the returned point meets that certificate. Requires
     lambda2 > 0 because the margin cost 1/(2*lambda2) is undefined at zero.
     """
@@ -208,15 +195,13 @@ def elastic_net_fit_svm_reduction(X, y, cfg: PenaltyConfig) -> SolverResult:
     n, p = X.shape
     y = validate_labels(y, n)
 
-    def certified(pattern):
-        """The support solve on pattern()'s support and signs if its KKT
-        violation is at most _EXACT_KKT; None if not or if it raises."""
-        try:
-            with np.errstate(all="ignore"):  # overflow: a non-finite solve
-                exact = _support_solution(X, y, cfg, pattern())
-        except np.linalg.LinAlgError:
-            return None
-        return exact if kkt_violation(X, y, cfg, exact) <= _EXACT_KKT else None
+    def support_solve(pattern):
+        """The support solve on pattern's support and signs, and whether its
+        KKT violation is at most _EXACT_KKT. LinAlgError passes through;
+        callers silence numpy's warnings, as an overflow gives a non-finite
+        solve."""
+        exact = _support_solution(X, y, cfg, pattern)
+        return exact, kkt_violation(X, y, cfg, exact) <= _EXACT_KKT
 
     def result(beta, evals, degenerate=False):
         kkt = kkt_violation(X, y, cfg, beta)
@@ -230,11 +215,19 @@ def elastic_net_fit_svm_reduction(X, y, cfg: PenaltyConfig) -> SolverResult:
             degenerate=degenerate,
         )
 
-    # The gradient-at-zero pattern's support solve is exact when X'X/N = I
-    # and zero when the pattern is empty (degenerate when X'y = 0).
-    first = certified(lambda: _zero_gradient_pattern(X, y, cfg))
-    if first is not None:
-        return result(first, 0, degenerate=not (X.T @ y).any())
+    # Active-set steps from zero. The first one's support solve is exact
+    # when X'X/N = I and zero when its pattern is empty (degenerate when
+    # X'y = 0).
+    beta, seen = np.zeros(p), set()
+    with np.errstate(all="ignore"), suppress(np.linalg.LinAlgError):
+        for _ in range(_MAX_STEPS):
+            pattern = _step_pattern(X, y, cfg, beta)
+            if pattern.tobytes() in seen:
+                break
+            seen.add(pattern.tobytes())
+            beta, done = support_solve(pattern)
+            if done:
+                return result(beta, 0, degenerate=not (X.T @ y).any())
 
     # Quadratic weight of the unnormalized objective ||y-Xb||^2 + w||b||^2,
     # matching 2N times the per-sample penalized objective.
@@ -275,9 +268,10 @@ def elastic_net_fit_svm_reduction(X, y, cfg: PenaltyConfig) -> SolverResult:
             # the budget as below the optimum.
             return zero_kkt
         degenerate_hit = degenerate_hit or degen
-        exact = certified(lambda: beta)
-        if exact is not None:
-            raise _Certified(exact)
+        with np.errstate(all="ignore"), suppress(np.linalg.LinAlgError):
+            exact, done = support_solve(beta)
+            if done:
+                raise _Certified(exact)
         cache[t] = (elastic_net_objective(X, y, beta, cfg.lambda1,
                                           cfg.lambda2), beta)
         grad = X.T @ (y - X @ beta) / n - 2.0 * (cfg.lambda2 * beta)

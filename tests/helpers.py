@@ -73,11 +73,12 @@ def tiny_lambda2_instance(duplicate: bool = False, shape=(40, 6)):
     """Raw 40 x 6 design (7 columns with column 0 copied at the end when
     duplicate) and +-1 targets, sign(x0 + x1 + noise) on the standardized
     columns. At lambda1 0.05 the SVM route's margin solves overflow at
-    lambda2 = 1e-320, its support solves are not certified at 1e-16, and
-    with the copy its ridge solves are singular at 1e-30 and below; CD
-    converges to objective 0.2317 on both designs. With shape (20, 60) the
-    ridge solves take the push-through form, whose division by 2 lambda2
-    overflows at lambda2 = 1e-310 and below."""
+    lambda2 = 1e-320 and its gradient-at-zero pattern is not the optimum's
+    at 1e-16, yet its active-set steps certify CD's optimum; with the copy
+    its ridge solves are singular at 1e-30 and below and it returns zero
+    uncertified. CD converges to objective 0.2317 on both designs. With
+    shape (20, 60) the ridge solves take the push-through form, whose
+    division by 2 lambda2 overflows at lambda2 = 1e-310 and below."""
     rows, columns = shape
     X = PortableRng(3).normal_matrix(rows, columns)
     X_std, _ = standardize_columns(X)

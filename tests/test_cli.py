@@ -102,8 +102,23 @@ class TestSelect:
         assert captured.err == "selector did not converge in 2 sweeps\n"
         assert "objective" in captured.out
 
+    def test_tiny_lambda2_svm_fit_on_the_plain_design_is_certified(
+            self, workdir, capsys):
+        # the margin cost overflows at lambda2 1e-320, yet the active-set
+        # steps reach CD's optimum, objective 0.2317, before any budget solve
+        save_feature_csv(workdir / "tiny.csv", *tiny_lambda2_instance(False))
+        capsys.readouterr()
+        assert main(["select", "--features", "tiny.csv", "--selector",
+                     "elastic_net_svm", "--lambda1", "0.05",
+                     "--lambda2", "1e-320"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.startswith("objective 0.231686, "), captured.out
+        coefficients = read_blocks(workdir / "coefficients.txt")
+        assert np.isfinite(coefficients["coefficients"]).all()
+
     @pytest.mark.parametrize("duplicate, lambda2", [
-        (False, "1e-320"), (True, "1e-300"), (True, "1e-30")])
+        (True, "1e-300"), (True, "1e-30")])
     def test_tiny_lambda2_svm_fit_is_finite_and_named_unconverged(
             self, workdir, capsys, duplicate, lambda2):
         save_feature_csv(workdir / "tiny.csv",

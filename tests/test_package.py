@@ -128,17 +128,28 @@ def test_coordinate_descent_sweep_has_no_matmul_operator():
     assert not any(isinstance(node, ast.MatMult) for node in ast.walk(loop))
 
 
+def _sven_calls(function: str) -> list:
+    """Names called by name in sven.py's function of that name."""
+    node, = (node for node in ast.walk(LINTED["sven.py"])
+             if isinstance(node, ast.FunctionDef) and node.name == function)
+    return [call.func.id for call in ast.walk(node)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)]
+
+
 def test_svm_route_builds_its_result_and_support_solve_in_one_place():
-    # every exit of the SVM route, the first step's, a certified budget
-    # solve's and the cached minimum's, goes through one certify helper
-    # and one result builder
-    fit, = (node for node in ast.walk(LINTED["sven.py"])
-            if isinstance(node, ast.FunctionDef)
-            and node.name == "elastic_net_fit_svm_reduction")
-    called = [node.func.id for node in ast.walk(fit)
-              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    # every exit of the SVM route, a certified active-set step's, a
+    # certified budget solve's and the cached minimum's, goes through one
+    # support-solve helper and one result builder; every budget solve goes
+    # through one margin solver, the primal, with no NNLS dual beside it
+    called = _sven_calls("elastic_net_fit_svm_reduction")
     assert called.count("SolverResult") == 1
     assert called.count("_support_solution") == 1
+    assert [name for name in _sven_calls("_budget_solution")
+            if name.endswith("_margin_solve")] == ["_primal_margin_solve"]
+    imported = {alias.name for node in ast.walk(LINTED["sven.py"])
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    assert "nnls" not in imported
 
 
 # scipy is loaded by the functions that call it, not at import: the ELM's

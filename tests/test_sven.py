@@ -23,9 +23,9 @@ def _rel_gap(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-12)
 
 
-# A fit whose gradient-at-zero pattern is not certified runs the root find
-# on the budget multiplier, which needs a handful of budget solves; a
-# bracketing search that spends dozens is a regression.
+# A fit whose active-set steps are not certified runs the root find on the
+# budget multiplier, which needs a handful of budget solves; a bracketing
+# search that spends dozens is a regression.
 _MAX_BUDGET_SOLVES = 30
 
 
@@ -84,8 +84,8 @@ def test_objective_field_is_the_true_objective():
     assert sven.objective_value == pytest.approx(recomputed, rel=1e-12)
 
 
-def test_wide_matrix_takes_the_other_internal_path():
-    # more columns than rows flips the primal/dual branch; results agree
+def test_wide_matrix_agrees_with_cd_and_is_certified():
+    # more columns than rows: 2p > n margin rows, an n < p support system
     X, y = regression_instance(603, 8, 14, noise=0.5)
     cfg = PenaltyConfig(lambda1=0.05, lambda2=0.3, stop_thr=1e-9)
     cd = elastic_net_fit_cd(X, y, cfg)
@@ -155,13 +155,13 @@ def test_large_lambda1_zeroes_out():
 
 
 @pytest.mark.parametrize("seed, n, m, lam2", [
-    (602, 15, 4, 0.1),    # 2p <= n: dual margin solve
-    (608, 8, 14, 0.3),    # 2p > n: primal margin solve
+    (602, 15, 4, 0.1),    # 2p <= n margin rows
+    (608, 8, 14, 0.3),    # 2p > n margin rows
 ])
 def test_zero_at_and_above_lambda_max_on_both_branches(seed, n, m, lam2):
     # At lambda1 >= lambda_max the KKT conditions hold at zero, so the route
-    # must return exactly zero rather than search toward t = 0, where both
-    # margin solves break down.
+    # must return exactly zero rather than search toward t = 0, where the
+    # margin solve breaks down.
     X, y = regression_instance(seed, n, m, noise=0.5)
     lam_max = float(np.abs(X.T @ y).max()) / n
     for factor in (1.0, 1.5):
@@ -190,7 +190,8 @@ def test_edge_inputs_agree_with_cd_and_closed_form_zero(seed, n, m, duplicate,
                                                         factor, lam2):
     # lambda1 around lambda_max, duplicated columns, n < p and p = 1: the
     # route raises nothing, matches CD, and is exactly zero at and above
-    # lambda_max.
+    # lambda_max. Each draw runs again with the steps forced empty, so the
+    # budget search is checked against CD as well.
     X, y = regression_instance(seed, n, m, noise=0.5)
     if duplicate:
         X = np.column_stack([X[:, 0], X])
@@ -198,18 +199,24 @@ def test_edge_inputs_agree_with_cd_and_closed_form_zero(seed, n, m, duplicate,
     cfg = PenaltyConfig(lambda1=factor * lam_max, lambda2=lam2,
                         stop_thr=1e-10)
     cd = elastic_net_fit_cd(X, y, cfg)
-    sven = elastic_net_fit_svm_reduction(X, y, cfg)
-    assert _rel_gap(sven.objective_value, cd.objective_value) <= 1e-4
+    stepped = elastic_net_fit_svm_reduction(X, y, cfg)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sven, "_step_pattern", _empty_pattern)
+        searched = elastic_net_fit_svm_reduction(X, y, cfg)
+    for fit in (stepped, searched):
+        assert _rel_gap(fit.objective_value, cd.objective_value) <= 1e-4
     if factor >= 1.0:
         zero = np.zeros(X.shape[1])
-        np.testing.assert_array_equal(sven.coefficients, zero)
         np.testing.assert_array_equal(cd.coefficients, zero)
-        assert sven.objective_value == elastic_net_objective(
-            X, y, zero, cfg.lambda1, cfg.lambda2)
+        for fit in (stepped, searched):
+            np.testing.assert_array_equal(fit.coefficients, zero)
+            assert fit.objective_value == elastic_net_objective(
+                X, y, zero, cfg.lambda1, cfg.lambda2)
 
 
-def _empty_pattern(X, y, cfg):
-    # the support solve on no columns is zero, never certified here
+def _empty_pattern(X, y, cfg, beta):
+    # the support solve on no columns is zero, and the pattern repeats at
+    # once: the budget search runs unless zero is the optimum
     return np.zeros(X.shape[1])
 
 
@@ -218,8 +225,8 @@ def test_failed_budget_solve_counts_as_infeasible(monkeypatch):
     # optimum, not raised; the optimum lies elsewhere, so the result still
     # matches CD. On this instance t* = 0.964 and the search visits
     # t = 0.812, so failures below t = 0.9 are hit and must be stepped over.
-    # The gradient-at-zero pattern certifies this instance before any budget
-    # solve, so it is replaced by the empty pattern, which never certifies.
+    # The active-set steps certify this instance before any budget solve,
+    # so they are replaced by the empty pattern, which never certifies.
     real = sven._budget_solution
     calls = {"failed": 0}
 
@@ -230,7 +237,7 @@ def test_failed_budget_solve_counts_as_infeasible(monkeypatch):
         return real(X, y, t, lambda2_unnorm)
 
     monkeypatch.setattr(sven, "_budget_solution", flaky)
-    monkeypatch.setattr(sven, "_zero_gradient_pattern", _empty_pattern)
+    monkeypatch.setattr(sven, "_step_pattern", _empty_pattern)
     X, y = regression_instance(602, 15, 4, noise=0.5)
     lam_max = float(np.abs(X.T @ y).max()) / 15
     cfg = PenaltyConfig(lambda1=0.5 * lam_max, lambda2=0.1, stop_thr=1e-10)
@@ -256,9 +263,10 @@ def test_wide_fits_end_in_a_certified_support_solve(n, m):
 
 
 def test_narrow_compare_folds_end_in_a_certified_support_solve(monkeypatch):
-    # The benchmark's README-default data, 10 folds, PCA on (180 x 22
-    # designs), lambda1 0.05: every fold's fit meets the certificate at
-    # its gradient-at-zero pattern, before any budget solve.
+    # The benchmark's README-default data, 10 folds, lambda1 0.05: with PCA
+    # (180 x 22 designs) every fold's fit meets the certificate at its
+    # gradient-at-zero pattern, and without it (180 x 29) after a few
+    # active-set steps; neither makes a budget solve.
     import enetpipe.pipeline as pl
     real, fits = pl.elastic_net_fit_svm_reduction, []
 
@@ -269,18 +277,23 @@ def test_narrow_compare_folds_end_in_a_certified_support_solve(monkeypatch):
     monkeypatch.setattr(pl, "elastic_net_fit_svm_reduction", record)
     X, labels, _ = generate_synthetic(SyntheticSpec(200, 3, 3, 0.8, 0.3, 20,
                                                     seed=1))
-    run_pipeline(PipelineConfig(selector="elastic_net_svm", lambda1=0.05,
-                                k_folds=10, seed=1), X, labels)
-    assert len(fits) == 10
-    assert max(f.kkt_violation for f in fits) <= _EXACT_KKT
-    assert [f.sweeps_used for f in fits] == [0] * 10
+    for use_pca in (True, False):
+        fits.clear()
+        run_pipeline(PipelineConfig(selector="elastic_net_svm", lambda1=0.05,
+                                    k_folds=10, seed=1, use_pca=use_pca),
+                     X, labels)
+        assert len(fits) == 10
+        assert max(f.kkt_violation for f in fits) <= _EXACT_KKT
+        assert [f.sweeps_used for f in fits] == [0] * 10
 
 
 def test_uncertified_support_solves_fall_back_to_the_cached_minimum(
         monkeypatch):
-    # With every support solve failing its certificate, the root find runs
-    # to its bracket width and returns the budget solution of lowest
-    # objective, bit for bit the route's answer before the exact finish.
+    # With every support solve failing its certificate, the active-set steps
+    # repeat a pattern and the root find runs to its bracket width; it
+    # returns the budget solution of lowest objective, bit for bit the
+    # route's answer before the exact finish, and says whether that budget
+    # solution meets the certificate on its own.
     real, solved = sven._budget_solution, [np.zeros(5)]
 
     def record(X, y, t, lambda2_unnorm):
@@ -298,11 +311,11 @@ def test_uncertified_support_solves_fall_back_to_the_cached_minimum(
     cached_min = min(solved, key=lambda b: elastic_net_objective(
         X, y, b, cfg.lambda1, cfg.lambda2))
     assert result.coefficients.tobytes() == cached_min.tobytes()
-    assert result.sweeps_used == len(solved) - 1 == 6
+    assert result.sweeps_used == len(solved) - 1 == 7
     assert hashlib.sha256(result.coefficients.tobytes()).hexdigest() == (
-        "aa5d35c16b0f87b03bf501eb102fbcfcb4a48287817a25552180683699e11571")
-    assert _EXACT_KKT < result.kkt_violation <= 1e-9
-    assert not result.converged
+        "d96a2aea6e86800dcb42a4dcc2692cf396fdcf454b4389ecdd9e78d306487f91")
+    assert result.kkt_violation <= 1e-9
+    assert result.converged == (result.kkt_violation <= _EXACT_KKT)
 
 
 def _pca_design(X):
@@ -330,21 +343,21 @@ def test_pca_designs_certify_before_any_budget_solve(seed, n, m, duplicate,
     assert fit.sweeps_used == 0
     assert fit.kkt_violation <= _EXACT_KKT
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sven, "_zero_gradient_pattern", _empty_pattern)
+        patch.setattr(sven, "_step_pattern", _empty_pattern)
         searched = elastic_net_fit_svm_reduction(X, y, cfg)
     assert searched.sweeps_used > 0
     assert searched.coefficients.tobytes() == fit.coefficients.tobytes()
     assert searched.kkt_violation == fit.kkt_violation
 
 
-_zero_gradient_pattern = sven._zero_gradient_pattern
+_step_pattern = sven._step_pattern
 
 
-def _flipped_pattern(X, y, cfg):
-    return -_zero_gradient_pattern(X, y, cfg)
+def _flipped_pattern(X, y, cfg, beta):
+    return -_step_pattern(X, y, cfg, beta)
 
 
-def _singular_pattern(X, y, cfg):
+def _singular_pattern(X, y, cfg, beta):
     raise np.linalg.LinAlgError("Singular matrix")
 
 
@@ -352,14 +365,14 @@ def _singular_pattern(X, y, cfg):
                                         _empty_pattern])
 def test_a_failed_first_step_leaves_the_budget_search_as_it_was(
         monkeypatch, first_step):
-    # A first pattern that fails the certificate, or whose solve raises,
-    # hands the fit to the budget search, which ends as it did before the
-    # first step existed: 3 budget solves and the same coefficient bytes.
+    # Steps that fail the certificate, or whose pattern raises, hand the fit
+    # to the budget search, which ends as it did before the steps existed:
+    # 3 budget solves and the same coefficient bytes.
     X, y = regression_instance(609, 30, 8, noise=0.5)
     cfg = PenaltyConfig(lambda1=0.5 * np.abs(X.T @ y).max() / 30,
                         lambda2=0.1)
     first = elastic_net_fit_svm_reduction(X, y, cfg)
-    monkeypatch.setattr(sven, "_zero_gradient_pattern", first_step)
+    monkeypatch.setattr(sven, "_step_pattern", first_step)
     searched = elastic_net_fit_svm_reduction(X, y, cfg)
     assert (first.sweeps_used, searched.sweeps_used) == (0, 3)
     assert searched.coefficients.tobytes() == first.coefficients.tobytes()
@@ -391,20 +404,31 @@ def _tiny_lambda2_design(duplicate, shape=(40, 6)):
 
 
 @pytest.mark.parametrize("duplicate, lam2", [
-    (False, 1e-320),   # the margin cost overflows: every budget solve fails
-    (False, 1e-16),    # no support solve meets the certificate
+    (False, 1e-320),   # the margin cost overflows: a budget solve would fail
+    (False, 1e-16),    # the gradient-at-zero pattern is not the optimum's
     (True, 1e-300),    # the ridge system bounding the budget is singular
     (True, 1e-30),
 ])
 def test_tiny_lambda2_gives_a_finite_fit_that_says_if_it_is_certified(
         duplicate, lam2):
+    # the active-set steps certify the plain design before any budget
+    # solve, at CD's optimum; with the copied column no support solve
+    # certifies and the search returns zero, flagged unconverged
     X, y = _tiny_lambda2_design(duplicate)
-    fit = elastic_net_fit_svm_reduction(
-        X, y, PenaltyConfig(lambda1=0.05, lambda2=lam2))
+    cfg = PenaltyConfig(lambda1=0.05, lambda2=lam2)
+    fit = elastic_net_fit_svm_reduction(X, y, cfg)
     assert np.isfinite(fit.coefficients).all()
     assert fit.objective_value == elastic_net_objective(
         X, y, fit.coefficients, 0.05, lam2)
-    assert fit.kkt_violation > _EXACT_KKT and not fit.converged
+    if duplicate:
+        assert fit.kkt_violation > _EXACT_KKT and not fit.converged
+    else:
+        assert fit.kkt_violation <= _EXACT_KKT and fit.converged
+        assert fit.sweeps_used == 0
+        cd = elastic_net_fit_cd(X, y, cfg)
+        assert _rel_gap(fit.objective_value, cd.objective_value) <= \
+            _OBJECTIVE_REL_TOL
+        assert fit.objective_value == pytest.approx(0.2317, abs=1e-4)
 
 
 @pytest.mark.parametrize("fit", [elastic_net_fit_cd,
