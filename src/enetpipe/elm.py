@@ -66,14 +66,24 @@ def _gram(sq: np.ndarray, gamma: float) -> np.ndarray:
 
 def _median_gamma(sq: np.ndarray, n_features: int) -> float:
     """1 / (n_features * median pairwise squared distance); falls back to
-    1.0 when the median is not positive (e.g. heavily duplicated rows)."""
+    1.0 when the median is not positive (e.g. heavily duplicated rows).
+    The median is ``np.median``'s, bit for bit: a NaN distance if there is
+    one, else, after one in-place partition, the middle value, or for an
+    even count ``(a + b) / 2`` of the two middle values."""
     n = sq.shape[0]
     if n < 2:
         return 1.0
     # the median depends only on the values of the strict upper triangle,
     # so a boolean mask gathers them, cheaper than triu_indices' arrays
     upper = sq[~np.tri(n, dtype=bool)]
-    med = float(np.median(upper, overwrite_input=True))
+    nans = np.isnan(upper)
+    if nans.any():
+        med = float(upper[nans][0])     # elm_train rejects the NaN gamma
+    else:
+        k = upper.size // 2
+        upper.partition(k)
+        med = float(upper[k] if upper.size % 2 else
+                    (upper[:k].max() + upper[k]) / 2.0)
     if med <= 0.0:
         return 1.0
     return 1.0 / (n_features * med)

@@ -230,6 +230,13 @@ def fit_selector(X, y, selector: str, lambda1: float, lambda2: float):
                       "lasso, elastic_net_cd, or elastic_net_svm")
 
 
+def _not_converged(selector: str, result) -> str:
+    """The note's tail for an unconverged fit: ``sweeps_used`` counts CD
+    sweeps, or the SVM route's budget solves."""
+    unit = "budget solves" if selector == "elastic_net_svm" else "sweeps"
+    return f"did not converge in {result.sweeps_used} {unit}"
+
+
 def choose_lambda1(X, y, cfg: PipelineConfig, seed: int):
     """5-point log-grid internal validation of cfg.selector on an 80/20
     split of the training fold; ties prefer the larger (sparser) lambda1.
@@ -257,8 +264,8 @@ def choose_lambda1(X, y, cfg: PipelineConfig, seed: int):
         result = fit_selector(X_fit, y_fit, cfg.selector, lam,
                               resolve_lambda2(cfg.selector, lam, cfg.lambda2))
         if not result.converged:
-            notes.append(f"lambda1 grid fit at {lam:.6g} did not converge "
-                         f"in {result.sweeps_used} sweeps")
+            notes.append(f"lambda1 grid fit at {lam:.6g} "
+                         + _not_converged(cfg.selector, result))
         resid = y[val_idx] - X_val @ result.coefficients
         mse = float(resid @ resid) / len(val_idx)
         if mse <= best_mse:          # ascending grid, so ties keep larger lam
@@ -278,8 +285,7 @@ def fit_penalized(X, y, cfg: PipelineConfig, seed: int):
     lambda2 = resolve_lambda2(cfg.selector, lambda1, cfg.lambda2)
     result = fit_selector(X, y, cfg.selector, lambda1, lambda2)
     if not result.converged:
-        notes.append(
-            f"selector did not converge in {result.sweeps_used} sweeps")
+        notes.append("selector " + _not_converged(cfg.selector, result))
     return result, lambda1, lambda2, notes
 
 

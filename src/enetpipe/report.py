@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import fields, is_dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 import numpy as np
@@ -199,8 +200,62 @@ _LOADERS = {
 }
 
 
+_INF = float("inf")
+
+
+def _float(value) -> str:
+    """A float as json writes it: its repr, or NaN and +-Infinity."""
+    if value != value:
+        return "NaN"
+    if value == _INF:
+        return "Infinity"
+    if value == -_INF:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _json(value, pad: str) -> str:
+    """``value`` laid out as ``json.dumps(value, indent=2)`` lays it out
+    nested behind ``pad``. It takes the types ``_to_dict`` makes (dicts
+    with str keys, lists and tuples, str, int, float, bool and None),
+    checked in json's order, and raises TypeError for any other."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        sep = ",\n" + inner
+        if set(map(type, value)) == {int}:
+            body = sep.join(map(int.__repr__, value))
+        else:
+            body = sep.join([_json(v, inner) for v in value])
+        return f"[\n{inner}{body}\n{pad}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        body = (",\n" + inner).join([f"{_quote(k)}: {_json(v, inner)}"
+                                     for k, v in value.items()])
+        return f"{{\n{inner}{body}\n{pad}}}"
+    raise TypeError(f"Object of type {type(value).__name__} "
+                    "is not JSON serializable")
+
+
 def report_to_json(report: EvaluationReport) -> str:
-    return json.dumps(_to_dict(report), indent=2) + "\n"
+    """The report as ``json.dumps(_to_dict(report), indent=2)`` plus a
+    newline, byte for byte, without json's pure-Python indented encoder."""
+    return _json(_to_dict(report), "") + "\n"
 
 
 def report_from_json(text: str) -> EvaluationReport:

@@ -222,10 +222,14 @@ class PortableRng:
         return self.normals(rows * cols).reshape(rows, cols)
 
     def shuffle(self, values: np.ndarray) -> None:
-        """In-place Fisher-Yates shuffle along the first axis."""
-        for i in range(len(values) - 1, 0, -1):
+        """In-place Fisher-Yates shuffle along the first axis. The swaps,
+        one ``integer_below(i + 1)`` draw each for i = n-1 down to 1, run
+        on a list of row indices; one gather then moves the rows."""
+        order = list(range(len(values)))
+        for i in range(len(order) - 1, 0, -1):
             j = self.integer_below(i + 1)
-            values[[i, j]] = values[[j, i]]
+            order[i], order[j] = order[j], order[i]
+        values[...] = values[order]
 
     def permutation(self, n: int) -> np.ndarray:
         idx = np.arange(n)

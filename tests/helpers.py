@@ -1,13 +1,13 @@
 """Shared fixtures-by-hand for the test suite: instance generators (one
 on which the SVM route's solves break down at a tiny lambda2), the
-independent grid-search oracle, the reference normal draws, the reference
-coordinate-descent sweep and per-sweep objectives, the reference einsum
-convolution, argmax pool, pool index and unpool and the CNN forward built
-on them, the reference ELM solve, the row-by-row PCA sign convention, a
-probe that captures each fold's fitted models, timing-field masking for
-golden files and benchmark digests, edits that break a network file, a
-volume whose patches overflow only in the second extraction worker, a
-RAW3D volume writer and the CNN's batched forward.
+independent grid-search oracle, the reference normal draws and shuffle,
+the reference coordinate-descent sweep and per-sweep objectives, the
+reference einsum convolution, argmax pool, pool index and unpool and the
+CNN forward built on them, the reference ELM solve, the row-by-row PCA
+sign convention, a probe that captures each fold's fitted models,
+timing-field masking for golden files and benchmark digests, edits that
+break a network file, a volume whose patches overflow only in the second
+extraction worker, a RAW3D volume writer and the CNN's batched forward.
 """
 
 from __future__ import annotations
@@ -34,6 +34,15 @@ def reference_normals(rng: PortableRng, n: int) -> np.ndarray:
     """``n`` draws of the scalar ``normal()``; ``PortableRng.normals`` must
     return the same bytes and leave ``rng`` in the same state."""
     return np.array([rng.normal() for _ in range(n)], dtype=np.float64)
+
+
+def reference_shuffle(rng: PortableRng, values: np.ndarray) -> None:
+    """Fisher-Yates along the first axis, swapping two rows per draw;
+    ``PortableRng.shuffle`` must leave the same arrangement and the same
+    generator state."""
+    for i in range(len(values) - 1, 0, -1):
+        j = rng.integer_below(i + 1)
+        values[[i, j]] = values[[j, i]]
 
 
 def regression_instance(seed: int, n: int, m: int, noise: float = 0.25):
@@ -341,7 +350,9 @@ def reference_sign_convention(components) -> None:
 
 
 def reference_median_gamma(X) -> float:
-    """The median heuristic over ``np.triu_indices``' fancy-index copy."""
+    """The median heuristic through ``np.median`` over ``np.triu_indices``'
+    fancy-index copy of X's squared distances; ``elm._median_gamma`` must
+    return the same bits, NaN included."""
     n, k = X.shape
     if n < 2:
         return 1.0

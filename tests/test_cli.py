@@ -128,8 +128,9 @@ class TestSelect:
                      "elastic_net_svm", "--lambda1", "0.05",
                      "--lambda2", lambda2]) == 0
         captured = capsys.readouterr()
-        assert re.fullmatch(r"selector did not converge in \d+ sweeps\n",
-                            captured.err), captured.err
+        assert re.fullmatch(
+            r"selector did not converge in \d+ budget solves\n",
+            captured.err), captured.err
         assert "nan" not in captured.out
         coefficients = read_blocks(workdir / "coefficients.txt")
         assert np.isfinite(coefficients["coefficients"]).all()

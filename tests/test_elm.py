@@ -7,7 +7,9 @@ from enetpipe import (PipelineConfig, PortableRng, elm_predict, elm_train,
 from enetpipe.errors import (ConfigError, DimensionError, EnetPipeError,
                              NumericalError)
 
-from helpers import reference_elm_weights, reference_rbf_gram
+from enetpipe.elm import _median_gamma, _row_norms, _squared_distances
+from helpers import (reference_elm_weights, reference_median_gamma,
+                     reference_rbf_gram)
 
 
 XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
@@ -74,6 +76,48 @@ def test_median_heuristic_positive_and_fallback():
     X = PortableRng(7).normal_matrix(12, 3)
     assert elm_train(X, np.arange(12) % 2).gamma > 0
     assert elm_train(np.ones((5, 2)), np.arange(5) % 2).gamma == 1.0
+
+
+def _distance_rows(n, rows):
+    X = PortableRng(n).normal_matrix(n, 3)
+    if rows == "repeated":          # ties, and rounding-level distances
+        X = X[np.arange(n) % max(1, n // 3)]
+    elif rows == "all-equal":       # every distance 0: the 1.0 fallback
+        X = np.full((n, 3), 2.0)
+    elif rows == "inf":             # an overflowing norm: inf distances
+        X[0, 0] = 1e160
+    elif rows == "nan":             # two of them: inf - inf is NaN
+        X[:2, 0] = 1e155
+    return X
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 180])   # 1, 3, 6, 10, 16110 pairs
+@pytest.mark.parametrize("rows", ["distinct", "repeated", "all-equal", "inf",
+                                  "nan"])
+def test_median_gamma_matches_np_median_bit_for_bit(n, rows):
+    X = _distance_rows(n, rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = _row_norms(X)
+        sq = _squared_distances(X, norms, X, norms)
+        want = reference_median_gamma(X)
+    got = _median_gamma(sq, X.shape[1])
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    if rows == "all-equal":
+        assert got == 1.0
+    if rows in ("inf", "nan"):
+        # an inf or NaN median leaves gamma 0 or NaN, which elm_train
+        # rejects; a finite one meets the NaN on the overflowing row's
+        # diagonal in the ridge system
+        if 0.0 < want < np.inf:
+            error = NumericalError
+            words = "ridge system has a non-finite entry"
+        else:
+            error, words = ConfigError, (
+                f"gamma must be positive and finite, got {want}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(error) as caught:
+                elm_train(X, np.arange(n) % 2)
+        assert str(caught.value) == words
 
 
 def test_invalid_settings():

@@ -1,13 +1,18 @@
 import json
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from enetpipe.errors import ConfigError, DataFormatError
 from enetpipe.pipeline import ComparisonBlock, EvaluationReport, FoldOutcome
-from enetpipe.report import (REPORT_FORMATS, emit_report, load_report_json,
-                             report_from_json, report_to_json)
+from enetpipe.report import (REPORT_FORMATS, _json, _to_dict, emit_report,
+                             load_report_json, report_from_json,
+                             report_to_json)
+
+GOLDEN_REPORT = Path(__file__).parent / "golden" / "report.json"
 
 
 def _fold(i, acc, t, support=(0, 3, 5)):
@@ -134,6 +139,103 @@ class TestPlotData:
         assert "g,lasso,accuracy_percent,75.00\n" in content
         assert "g,lasso,time_ms,100\n" in content
         assert "elastic" not in content
+
+
+def _dumps(report) -> str:
+    return json.dumps(_to_dict(report), indent=2) + "\n"
+
+
+# strings with non-ASCII and control characters; floats with NaN, +-inf
+# and -0.0, some of them np.float64
+_TEXT = st.text(max_size=6)
+_FLOAT = st.one_of(st.floats(), st.floats().map(np.float64))
+_INDICES = st.lists(st.integers(0, 2**40), max_size=4).map(
+    lambda v: np.array(v, dtype=np.int64))
+
+
+@st.composite
+def _fold_outcomes(draw):
+    failed = draw(st.booleans())
+    return FoldOutcome(
+        fold_index=draw(st.integers(0, 9)), test_indices=draw(_INDICES),
+        accuracy=None if failed else draw(_FLOAT),
+        time_ms=None if failed else draw(_FLOAT),
+        support=None if failed else draw(_INDICES),
+        n_candidate_features=draw(st.integers(0, 50)),
+        lambda1=draw(st.none() | _FLOAT), lambda2=draw(st.none() | _FLOAT),
+        warnings=tuple(draw(st.lists(_TEXT, max_size=2))),
+        failure=draw(_TEXT) if failed else None)
+
+
+@st.composite
+def _reports(draw):
+    folds = st.lists(_fold_outcomes(), max_size=3)
+    comparison = None
+    if draw(st.booleans()):
+        comparison = ComparisonBlock(
+            *draw(st.tuples(_TEXT, _TEXT, *[_FLOAT] * 4)),
+            draw(st.lists(_FLOAT, max_size=3)),
+            draw(st.lists(_FLOAT, max_size=3)),
+            draw(_FLOAT), draw(_FLOAT), draw(folds))
+    return EvaluationReport(
+        group=draw(_TEXT), selector=draw(_TEXT),
+        k_folds=draw(st.integers(0, 10)), seed=draw(st.integers(-5, 2**70)),
+        folds=draw(folds), mean_accuracy=draw(_FLOAT),
+        accuracy_sigma=draw(_FLOAT), mean_time_ms=draw(_FLOAT),
+        mean_support_size=draw(_FLOAT),
+        warnings=tuple(draw(st.lists(_TEXT, max_size=3))),
+        fold_hash=draw(_TEXT), comparison=comparison)
+
+
+class TestJsonLayout:
+    """report_to_json writes json.dumps(indent=2)'s bytes. The golden check
+    re-dumps the JSON to mask its times, so it cannot see the layout."""
+
+    def test_fixture_reports(self, comparison_report, plain_report):
+        # plain_report has a failed fold and no comparison
+        for report in (comparison_report, plain_report):
+            assert report_to_json(report) == _dumps(report)
+
+    def test_golden_comparison_report(self):
+        payload = json.loads(GOLDEN_REPORT.read_text())
+        text = json.dumps(payload).replace('"T"', "0.125")
+        report = report_from_json(text)
+        assert report_to_json(report) == _dumps(report)
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(report=_reports())
+    @example(report=EvaluationReport(
+        group="caf\xe9 \x00\t\u2028\U0001f600\"\\", selector="", k_folds=0,
+        seed=0, folds=[FoldOutcome(0, np.array([], dtype=np.int64),
+                                   float("nan"), -0.0, np.array([3]), 0,
+                                   float("inf"), -float("inf"),
+                                   warnings=("\x7f\x1f",))],
+        mean_accuracy=np.float64(0.1), accuracy_sigma=np.float64("nan"),
+        mean_time_ms=1e300, warnings=(),
+        comparison=ComparisonBlock("", "", 0.0, 0.0, 0.0, 0.0, [], [],
+                                   0.0, 0.0, [])))
+    def test_generated_reports(self, report):
+        assert report_to_json(report) == _dumps(report)
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(value=st.recursive(
+        st.none() | st.booleans() | st.integers() | _FLOAT | _TEXT,
+        lambda inner: (st.lists(inner, max_size=3)
+                       | st.lists(inner, max_size=3).map(tuple)
+                       | st.dictionaries(_TEXT, inner, max_size=3)),
+        max_leaves=12))
+    @example(value=[[], (), {}, [1, 2, True], [1, 2], (0.5,)])
+    def test_writer_takes_any_nesting(self, value):
+        assert _json(value, "") == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        np.int64(3), np.bool_(True), b"x", {1, 2}, [1, object()],
+        {"a": np.float32(1.0)}])
+    def test_other_types_are_a_type_error(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError):
+            _json(value, "")
 
 
 class TestJsonRoundTrip:

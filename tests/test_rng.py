@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from enetpipe import PortableRng
 from enetpipe.rng import (_LANES, _STEPS, _gf2_apply, _lane_jumps,
                           _lane_starts)
-from helpers import reference_normals
+from helpers import reference_normals, reference_shuffle
 
 
 def test_same_seed_same_stream():
@@ -55,6 +55,27 @@ def test_shuffle_preserves_multiset_and_is_seeded():
     np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(np.sort(a), values)
     assert not np.array_equal(a, values)  # 50! leaves this essentially sure
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 31, 200])
+@pytest.mark.parametrize("width", [None, 3])
+def test_shuffle_and_permutation_match_the_swap_loop(n, width):
+    # same arrangement, rows moved whole, and the same draws: the next
+    # integer out of the generator agrees too
+    shape = (n,) if width is None else (n, width)
+    values = PortableRng(n + 100).normals(int(np.prod(shape))).reshape(shape)
+    got, want = values.copy(), values.copy()
+    rng, ref = PortableRng(n), PortableRng(n)
+    rng.shuffle(got)
+    reference_shuffle(ref, want)
+    assert got.tobytes() == want.tobytes()
+    assert rng.next_uint64() == ref.next_uint64()
+
+    rng, ref = PortableRng(n), PortableRng(n)
+    order = np.arange(n)
+    reference_shuffle(ref, order)
+    np.testing.assert_array_equal(rng.permutation(n), order)
+    assert rng.next_uint64() == ref.next_uint64()
 
 
 def test_permutation_is_a_permutation():
