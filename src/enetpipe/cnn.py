@@ -67,7 +67,9 @@ DEFAULT_CHANNELS = (32, 64, 64)
 # (row, column) of the strided views v0..v3 in a 2x2 window, row-major
 _WINDOW_OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
 _NO_GRADIENT = 4
-# threads that forward one volume's patches, the calling thread among them
+# usable CPUs: the threads that forward one volume's patches, the calling
+# thread among them, and the processes that fit a lambda1 grid
+# (pipeline._fan_out)
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 

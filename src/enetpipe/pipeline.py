@@ -24,12 +24,18 @@ generator. The only nondeterministic report content is wall-clock timing.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import os
+import pickle
+import signal
+import threading
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import cnn
 from .data import (apply_standardization, standardize_columns,
                    validate_feature_matrix)
 from .elm import DEFAULT_RIDGE_C, elm_predict, elm_train, predicted_labels
@@ -53,6 +59,9 @@ _FOLD_ERRORS = (EnetPipeError, np.linalg.LinAlgError)
 # Number of lambda1 candidates tried by the per-fold internal validation.
 _LAMBDA_GRID_POINTS = 5
 _LAMBDA_GRID_DECADES = 3.0
+# Grids on fit matrices of fewer elements run in one process: a fork
+# costs about 3.5 ms, and no smaller grid measured gained 1 ms from one.
+_FAN_OUT_MIN_ELEMENTS = 4096
 
 
 @dataclass(frozen=True)
@@ -237,11 +246,95 @@ def _not_converged(selector: str, result) -> str:
     return f"did not converge in {result.sweeps_used} {unit}"
 
 
+def _share(fn, items, first: int, step: int) -> dict:
+    """{i: fn(items[i])} for i in range(first, len(items), step), up to
+    the first call that raises; _fan_out makes that call again."""
+    results = {}
+    try:
+        for i in range(first, len(items), step):
+            results[i] = fn(items[i])
+    except Exception:
+        pass
+    return results
+
+
+def _fork_share(fn, items, first: int, step: int):
+    """(pid, pipe) of a forked child that computes _share(fn, items,
+    first, step) and pickles it into the pipe; None if no child starts."""
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            data = pickle.dumps(_share(fn, items, first, step),
+                                pickle.HIGHEST_PROTOCOL)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(data)
+            code = 0
+        finally:                    # never unwind into the caller's frames
+            os._exit(code)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _fan_out(fn, items, workers: int) -> list:
+    """[fn(x) for x in items], item i computed by worker i % workers.
+
+    Worker 0 is this process, the others forked children that pickle
+    their results back over a pipe. There are at most len(items) workers,
+    and one unless os.fork exists and this process runs one thread: a
+    child gets no copy of the other threads, and could wait forever on a
+    lock one of them held. The children's results are a cache: the items
+    are walked in order and any item without one (its child raised, died
+    or did not start, or the result would not pickle) is computed here,
+    so an exception is the plain loop's, from the earliest item that
+    raises. No child outlives the call.
+    """
+    if not hasattr(os, "fork") or threading.active_count() != 1:
+        workers = 1
+    workers = max(1, min(workers, len(items)))
+    children = []
+    try:
+        for first in range(1, workers):
+            child = _fork_share(fn, items, first, workers)
+            if child is not None:
+                children.append(child)
+        done = _share(fn, items, 0, workers)
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            if status == 0 and data:
+                done.update(pickle.loads(data))
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return [done[i] if i in done else fn(x) for i, x in enumerate(items)]
+
+
 def choose_lambda1(X, y, cfg: PipelineConfig, seed: int):
     """5-point log-grid internal validation of cfg.selector on an 80/20
     split of the training fold; ties prefer the larger (sparser) lambda1.
     Returns (lambda1, notes), one note for each grid fit that stopped
-    unconverged; such a fit still competes."""
+    unconverged; such a fit still competes.
+
+    On a fit matrix of at least _FAN_OUT_MIN_ELEMENTS elements the grid
+    fits run on up to one process per usable CPU (_fan_out); the fits,
+    notes and lambda1 do not depend on the number of processes."""
     n = X.shape[0]
     n_val = max(1, n // 5)
     if n - n_val < 2:
@@ -258,11 +351,16 @@ def choose_lambda1(X, y, cfg: PipelineConfig, seed: int):
         return 1e-12, []
     grid = lam_max * 10.0 ** np.linspace(-_LAMBDA_GRID_DECADES, 0.0,
                                          _LAMBDA_GRID_POINTS)
+
+    def fit(lam):
+        return fit_selector(X_fit, y_fit, cfg.selector, lam,
+                            resolve_lambda2(cfg.selector, lam, cfg.lambda2))
+
+    # ascending, so the costliest fits (smallest lambda1) spread over workers
+    workers = cnn._WORKERS if X_fit.size >= _FAN_OUT_MIN_ELEMENTS else 1
     best_lam, best_mse = None, np.inf
     notes = []
-    for lam in grid:
-        result = fit_selector(X_fit, y_fit, cfg.selector, lam,
-                              resolve_lambda2(cfg.selector, lam, cfg.lambda2))
+    for lam, result in zip(grid, _fan_out(fit, grid, workers)):
         if not result.converged:
             notes.append(f"lambda1 grid fit at {lam:.6g} "
                          + _not_converged(cfg.selector, result))

@@ -8,6 +8,7 @@ value column stays unit-free; a footnote records the unit.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import fields, is_dataclass
 from json.encoder import encode_basestring_ascii as _quote
@@ -132,12 +133,20 @@ def _plot_data(report: EvaluationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.cache
+def _field_names(cls) -> tuple:
+    return tuple(f.name for f in fields(cls))
+
+
 def _to_dict(obj) -> dict:
     """A report dataclass as a JSON-ready dict, keys in field order."""
-    return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
+    return {name: _jsonable(getattr(obj, name))
+            for name in _field_names(type(obj))}
 
 
 def _jsonable(value):
+    if isinstance(value, (str, int, float)) or value is None:
+        return value
     if is_dataclass(value):
         return _to_dict(value)
     if isinstance(value, np.ndarray):

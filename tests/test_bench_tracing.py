@@ -3,8 +3,8 @@
 ``bench/tracing.py`` replaces each entry of its ``PATCHES`` table at the
 name its caller resolves, reading the original from ``owner.__dict__``;
 a deleted or renamed function there breaks ``bench/run.py --trace 1``.
-One-second traced rounds of ``narrow_compare`` and ``volume_features``
-check the rest end to end.
+One-second traced rounds of ``narrow_compare``, ``wide_enet`` and
+``volume_features`` check the rest end to end.
 """
 
 import importlib.util
@@ -13,6 +13,8 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import enetpipe.cnn
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -61,6 +63,15 @@ def test_one_second_traced_round_keeps_its_counts(tmp_path):
     # so each fold trains one classifier for both
     assert metrics["elm.train.calls"]["value"] == 10
     assert metrics["elm.predict.calls"]["value"] == 400
+
+
+def test_one_second_traced_wide_round_forks_its_grid(tmp_path):
+    # the lambda1 grid fits in forked processes, whose spans the recorder
+    # does not see: it counts the parent's share and the final fit
+    result, _ = _traced_round(tmp_path, "wide_enet")
+    workers = min(enetpipe.cnn._WORKERS, 5)
+    assert result["metrics"]["solvers.cd.calls"]["value"] == 1 + len(
+        range(0, 5, workers))
 
 
 def test_one_second_traced_volume_round_keeps_one_span_stack(tmp_path):

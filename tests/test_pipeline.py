@@ -3,8 +3,11 @@ import gc
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 import types
 import weakref
@@ -14,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import enetpipe.cnn
 import enetpipe.pipeline
 from enetpipe import (EvaluationReport, PipelineConfig, PortableRng,
                       SyntheticSpec, accuracy, compare_selectors,
@@ -742,3 +746,188 @@ class TestFoldMemory:
                                 selector="none", use_pca=False)
                      for k in (5, 10))
         assert ten < 1.2 * five
+
+
+class _Interrupt(BaseException):
+    """Raised in the parent alone; _fan_out does not catch it."""
+
+
+class TestGridFanOut:
+    """Above _FAN_OUT_MIN_ELEMENTS, choose_lambda1 fits its grid on forked
+    processes; what it returns does not depend on how many."""
+
+    @staticmethod
+    def _wide():
+        # choose_lambda1 fits 64 x 100 elements on all rows, and 48 x 100
+        # on a 4-fold run's training rows
+        X = PortableRng(41).normal_matrix(80, 100)
+        labels = np.where(X[:, :5].sum(axis=1) > 0.0, 1.0, 0.0)
+        assert 48 * 100 >= enetpipe.pipeline._FAN_OUT_MIN_ELEMENTS
+        return X, labels
+
+    @staticmethod
+    def _assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def _grid_fits(monkeypatch, workers):
+        """choose_lambda1 with two-sweep fits (so four notes) on the wide
+        design: (lambda1, notes, the grid fits, the worker counts)."""
+        import enetpipe.pipeline as pl
+        monkeypatch.setattr(enetpipe.cnn, "_WORKERS", workers)
+        monkeypatch.setattr(pl, "PenaltyConfig",
+                            functools.partial(pl.PenaltyConfig, max_sweeps=2))
+        real, fan_outs = pl._fan_out, []
+
+        def recorded(fn, items, workers):
+            results = real(fn, items, workers)
+            fan_outs.append((workers, results))
+            return results
+
+        monkeypatch.setattr(pl, "_fan_out", recorded)
+        X, labels = TestGridFanOut._wide()
+        y = np.where(labels > 0.0, 1.0, -1.0)
+        lambda1, notes = pl.choose_lambda1(
+            X, y, PipelineConfig(use_pca=False), seed=3)
+        [(used, fits)] = fan_outs
+        return lambda1, notes, [
+            (r.coefficients.tobytes(), r.objective_value, r.sweeps_used,
+             r.converged, r.kkt_violation) for r in fits], used
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_choose_lambda1_does_not_depend_on_the_worker_count(
+            self, monkeypatch, workers):
+        want = self._grid_fits(monkeypatch, 1)
+        got = self._grid_fits(monkeypatch, workers)
+        self._assert_no_child_left()
+        assert got[3] == workers and want[3] == 1
+        assert len(got[1]) == 4
+        assert got[:3] == want[:3]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_no_pca_report_does_not_depend_on_the_worker_count(
+            self, monkeypatch, workers):
+        X, labels = self._wide()
+        cfg = PipelineConfig(selector="elastic_net_cd", use_pca=False,
+                             lambda2=1.0, k_folds=4, seed=5)
+        reports = []
+        for count in (1, workers):
+            monkeypatch.setattr(enetpipe.cnn, "_WORKERS", count)
+            reports.append(mask_timing_json(report_to_json(
+                run_pipeline(cfg, X, labels))))
+            self._assert_no_child_left()
+        assert reports[0] == reports[1]
+
+    def test_items_go_round_robin_to_this_process_and_its_children(self):
+        pids = enetpipe.pipeline._fan_out(lambda _: os.getpid(), range(7), 3)
+        self._assert_no_child_left()
+        assert pids[0] == os.getpid()
+        assert pids == pids[:3] * 2 + pids[:1]
+        assert len(set(pids)) == 3
+
+    @pytest.mark.parametrize("no_fork", ["thread", "os.fork"])
+    def test_one_process_without_fork_or_beside_another_thread(
+            self, monkeypatch, no_fork):
+        release = threading.Event()
+        helper = threading.Thread(target=release.wait)
+        if no_fork == "thread":
+            helper.start()
+        else:
+            monkeypatch.delattr(os, "fork")
+        try:
+            pids = enetpipe.pipeline._fan_out(lambda _: os.getpid(),
+                                              range(4), 2)
+        finally:
+            release.set()
+            if no_fork == "thread":
+                helper.join(timeout=10)
+        assert not helper.is_alive()
+        assert pids == [os.getpid()] * 4
+
+    @pytest.mark.parametrize("raising", [{1}, {2}, {3, 4}, {1, 4}, {0, 5}])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_an_item_that_raises_raises_as_in_the_plain_loop(
+            self, raising, workers):
+        def fn(i):
+            if i in raising:
+                raise NumericalError(f"item {i} failed")
+            return i * i
+
+        with pytest.raises(NumericalError) as plain:
+            [fn(i) for i in range(6)]
+        with pytest.raises(NumericalError) as fanned:
+            enetpipe.pipeline._fan_out(fn, range(6), workers)
+        self._assert_no_child_left()
+        assert str(fanned.value) == str(plain.value)
+
+    @pytest.mark.parametrize("above", [False, True],
+                             ids=["one-index", "and-above"])
+    @pytest.mark.parametrize("index", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_grid_fit_that_raises_raises_as_in_the_plain_loop(
+            self, monkeypatch, index, workers, above):
+        import enetpipe.pipeline as pl
+        X, labels = self._wide()
+        y = np.where(labels > 0.0, 1.0, -1.0)
+        cfg = PipelineConfig(use_pca=False, lambda2=1.0)
+        real, grid = pl.fit_selector, []
+
+        def recording(X, y, selector, lambda1, lambda2):
+            grid.append(lambda1)
+            return real(X, y, selector, lambda1, lambda2)
+
+        monkeypatch.setattr(enetpipe.cnn, "_WORKERS", 1)
+        monkeypatch.setattr(pl, "fit_selector", recording)
+        pl.choose_lambda1(X, y, cfg, seed=3)
+
+        def failing(X, y, selector, lambda1, lambda2):
+            # the grid ascends: with above, the later fits raise too
+            if lambda1 == grid[index] or above and lambda1 > grid[index]:
+                raise NumericalError(f"no fit at {lambda1!r}")
+            return real(X, y, selector, lambda1, lambda2)
+
+        monkeypatch.setattr(enetpipe.cnn, "_WORKERS", workers)
+        monkeypatch.setattr(pl, "fit_selector", failing)
+        with pytest.raises(NumericalError) as raised:
+            pl.choose_lambda1(X, y, cfg, seed=3)
+        self._assert_no_child_left()
+        assert str(raised.value) == f"no fit at {grid[index]!r}"
+
+    @pytest.mark.parametrize("ending", ["exit", "kill", "unpicklable",
+                                        "no fork"])
+    def test_a_missing_share_is_computed_here(self, monkeypatch, ending):
+        parent = os.getpid()
+
+        def fn(i):
+            if os.getpid() != parent and i == 4:
+                if ending == "exit":
+                    os._exit(0)
+                if ending == "kill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+            return (lambda: i * i) if ending == "unpicklable" else i * i
+
+        if ending == "no fork":
+            def failing_fork():
+                raise OSError("no fork here")
+            monkeypatch.setattr(os, "fork", failing_fork)
+        results = enetpipe.pipeline._fan_out(fn, range(7), 3)
+        self._assert_no_child_left()
+        if ending == "unpicklable":
+            results = [r() for r in results]
+        assert results == [i * i for i in range(7)]
+
+    def test_no_child_outlives_an_exception_in_this_process(self):
+        parent = os.getpid()
+
+        def fn(i):
+            if os.getpid() == parent:
+                raise _Interrupt
+            time.sleep(60)
+            return i
+
+        started = time.perf_counter()
+        with pytest.raises(_Interrupt):
+            enetpipe.pipeline._fan_out(fn, range(4), 3)
+        self._assert_no_child_left()
+        assert time.perf_counter() - started < 30
