@@ -59,9 +59,12 @@ _FOLD_ERRORS = (EnetPipeError, np.linalg.LinAlgError)
 # Number of lambda1 candidates tried by the per-fold internal validation.
 _LAMBDA_GRID_POINTS = 5
 _LAMBDA_GRID_DECADES = 3.0
-# Grids on fit matrices of fewer elements run in one process: a fork
-# costs about 3.5 ms, and no smaller grid measured gained 1 ms from one.
-_FAN_OUT_MIN_ELEMENTS = 4096
+# elastic_net_cd grids on fit matrices of fewer columns run in one
+# process: a fork costs about 3.5 ms. Of the grids measured with 1 and 2
+# workers (8-1000 rows, 15-2000 columns; BENCH_29.json), 30 of the 32 of
+# at least 250 columns gained and the other two came within 1.6 ms of
+# even, while 17 of the 21 of 200 columns or fewer lost, up to 6.2 ms.
+_FAN_OUT_MIN_COLUMNS = 250
 
 
 @dataclass(frozen=True)
@@ -267,7 +270,7 @@ def _fork_share(fn, items, first: int, step: int):
         return None
     try:
         pid = os.fork()
-    except OSError:
+    except Exception:
         os.close(read_fd)
         os.close(write_fd)
         return None
@@ -286,6 +289,15 @@ def _fork_share(fn, items, first: int, step: int):
     return pid, open(read_fd, "rb")
 
 
+def _one_thread() -> bool:
+    """Whether this process runs one thread: the OS threads Linux lists,
+    BLAS pools included, else the threads the threading module knows."""
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return threading.active_count() == 1
+
+
 def _fan_out(fn, items, workers: int) -> list:
     """[fn(x) for x in items], item i computed by worker i % workers.
 
@@ -299,9 +311,9 @@ def _fan_out(fn, items, workers: int) -> list:
     so an exception is the plain loop's, from the earliest item that
     raises. No child outlives the call.
     """
-    if not hasattr(os, "fork") or threading.active_count() != 1:
-        workers = 1
     workers = max(1, min(workers, len(items)))
+    if workers > 1 and not (hasattr(os, "fork") and _one_thread()):
+        workers = 1
     children = []
     try:
         for first in range(1, workers):
@@ -332,9 +344,10 @@ def choose_lambda1(X, y, cfg: PipelineConfig, seed: int):
     Returns (lambda1, notes), one note for each grid fit that stopped
     unconverged; such a fit still competes.
 
-    On a fit matrix of at least _FAN_OUT_MIN_ELEMENTS elements the grid
-    fits run on up to one process per usable CPU (_fan_out); the fits,
-    notes and lambda1 do not depend on the number of processes."""
+    For elastic_net_cd on a fit matrix of at least _FAN_OUT_MIN_COLUMNS
+    columns the grid fits run on up to one process per usable CPU
+    (_fan_out); the fits, notes and lambda1 do not depend on the number
+    of processes."""
     n = X.shape[0]
     n_val = max(1, n // 5)
     if n - n_val < 2:
@@ -356,8 +369,11 @@ def choose_lambda1(X, y, cfg: PipelineConfig, seed: int):
         return fit_selector(X_fit, y_fit, cfg.selector, lam,
                             resolve_lambda2(cfg.selector, lam, cfg.lambda2))
 
-    # ascending, so the costliest fits (smallest lambda1) spread over workers
-    workers = cnn._WORKERS if X_fit.size >= _FAN_OUT_MIN_ELEMENTS else 1
+    # ascending, so the costliest fits (smallest lambda1) spread over
+    # workers; the other selectors' grids were not measured, so stay here
+    fans_out = (cfg.selector == "elastic_net_cd"
+                and X_fit.shape[1] >= _FAN_OUT_MIN_COLUMNS)
+    workers = cnn._WORKERS if fans_out else 1
     best_lam, best_mse = None, np.inf
     notes = []
     for lam, result in zip(grid, _fan_out(fit, grid, workers)):

@@ -6,7 +6,6 @@ import os
 import signal
 import subprocess
 import sys
-import threading
 import time
 import tracemalloc
 import types
@@ -752,17 +751,27 @@ class _Interrupt(BaseException):
     """Raised in the parent alone; _fan_out does not catch it."""
 
 
+# pytest's process runs OpenBLAS's thread pool, beside which _fan_out
+# does not fork; these tests force its thread gate open, and Python 3.12
+# and later warn on such a fork
+@pytest.mark.filterwarnings(
+    "ignore:This process .*is multi-threaded, use of fork:DeprecationWarning")
 class TestGridFanOut:
-    """Above _FAN_OUT_MIN_ELEMENTS, choose_lambda1 fits its grid on forked
-    processes; what it returns does not depend on how many."""
+    """For elastic_net_cd at _FAN_OUT_MIN_COLUMNS columns and more,
+    choose_lambda1 fits its grid on forked processes; what it returns does
+    not depend on how many."""
+
+    @pytest.fixture(autouse=True)
+    def _forks(self, monkeypatch):
+        monkeypatch.setattr(enetpipe.pipeline, "_one_thread", lambda: True)
 
     @staticmethod
     def _wide():
-        # choose_lambda1 fits 64 x 100 elements on all rows, and 48 x 100
+        # choose_lambda1 fits 64 x 300 elements on all rows, and 48 x 300
         # on a 4-fold run's training rows
-        X = PortableRng(41).normal_matrix(80, 100)
+        X = PortableRng(41).normal_matrix(80, 300)
         labels = np.where(X[:, :5].sum(axis=1) > 0.0, 1.0, 0.0)
-        assert 48 * 100 >= enetpipe.pipeline._FAN_OUT_MIN_ELEMENTS
+        assert 300 >= enetpipe.pipeline._FAN_OUT_MIN_COLUMNS
         return X, labels
 
     @staticmethod
@@ -826,24 +835,55 @@ class TestGridFanOut:
         assert pids == pids[:3] * 2 + pids[:1]
         assert len(set(pids)) == 3
 
-    @pytest.mark.parametrize("no_fork", ["thread", "os.fork"])
-    def test_one_process_without_fork_or_beside_another_thread(
-            self, monkeypatch, no_fork):
-        release = threading.Event()
-        helper = threading.Thread(target=release.wait)
-        if no_fork == "thread":
-            helper.start()
-        else:
-            monkeypatch.delattr(os, "fork")
-        try:
-            pids = enetpipe.pipeline._fan_out(lambda _: os.getpid(),
-                                              range(4), 2)
-        finally:
-            release.set()
-            if no_fork == "thread":
-                helper.join(timeout=10)
-        assert not helper.is_alive()
+    @pytest.mark.parametrize("selector, columns", [
+        ("lasso", 300), ("elastic_net_svm", 300), ("elastic_net_cd", 249)])
+    def test_other_selectors_and_narrower_fits_stay_here(
+            self, monkeypatch, selector, columns):
+        import enetpipe.pipeline as pl
+        monkeypatch.setattr(enetpipe.cnn, "_WORKERS", 3)
+        real, used = pl._fan_out, []
+
+        def recorded(fn, items, workers):
+            used.append(workers)
+            return real(fn, items, workers)
+
+        monkeypatch.setattr(pl, "_fan_out", recorded)
+        X = self._wide()[0][:, :columns]
+        y = np.where(X[:, :5].sum(axis=1) > 0.0, 1.0, -1.0)
+        assert columns == 300 or columns < pl._FAN_OUT_MIN_COLUMNS
+        pl.choose_lambda1(X, y, PipelineConfig(selector=selector,
+                                               use_pca=False), seed=3)
+        assert used == [1]
+
+    def test_one_process_without_fork(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        pids = enetpipe.pipeline._fan_out(lambda _: os.getpid(), range(4), 2)
         assert pids == [os.getpid()] * 4
+
+    def test_one_process_beside_another_os_thread(self, tmp_path):
+        # in a process of one OS thread (BLAS pinned) it forks; beside a
+        # thread the threading module does not know, it does not
+        script = (
+            "import _thread, os, threading\n"
+            "from enetpipe.pipeline import _fan_out\n"
+            "def pids():\n"
+            "    got = _fan_out(lambda _: os.getpid(), range(4), 2)\n"
+            "    try:\n"
+            "        os.waitpid(-1, os.WNOHANG)\n"
+            "    except ChildProcessError:\n"
+            "        return len(set(got)), got[0] == os.getpid()\n"
+            "alone = pids()\n"
+            "release = _thread.allocate_lock()\n"
+            "release.acquire()\n"
+            "_thread.start_new_thread(release.acquire, ())\n"
+            "print(alone, threading.active_count(), pids())\n")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+                   OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", script],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[0] == "(2, True) 1 (1, True)"
 
     @pytest.mark.parametrize("raising", [{1}, {2}, {3, 4}, {1, 4}, {0, 5}])
     @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -895,7 +935,7 @@ class TestGridFanOut:
         assert str(raised.value) == f"no fit at {grid[index]!r}"
 
     @pytest.mark.parametrize("ending", ["exit", "kill", "unpicklable",
-                                        "no fork"])
+                                        "no fork", "fork warns"])
     def test_a_missing_share_is_computed_here(self, monkeypatch, ending):
         parent = os.getpid()
 
@@ -907,12 +947,17 @@ class TestGridFanOut:
                     os.kill(os.getpid(), signal.SIGKILL)
             return (lambda: i * i) if ending == "unpicklable" else i * i
 
-        if ending == "no fork":
-            def failing_fork():
+        def failing_fork():
+            if ending == "no fork":
                 raise OSError("no fork here")
+            raise DeprecationWarning("This process is multi-threaded")
+
+        if ending in ("no fork", "fork warns"):
             monkeypatch.setattr(os, "fork", failing_fork)
+        fds = sorted(os.listdir("/proc/self/fd"))
         results = enetpipe.pipeline._fan_out(fn, range(7), 3)
         self._assert_no_child_left()
+        assert sorted(os.listdir("/proc/self/fd")) == fds
         if ending == "unpicklable":
             results = [r() for r in results]
         assert results == [i * i for i in range(7)]
