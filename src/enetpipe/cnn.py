@@ -43,7 +43,6 @@ allocates once per call and shares out among its worker threads.
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass
 from math import prod
@@ -51,7 +50,7 @@ from math import prod
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import textio
+from . import fanout, textio
 from .data import Volume3D
 from .errors import (ConfigError, ContractError, DataError, DataFormatError,
                      DimensionError, NumericalError)
@@ -67,11 +66,6 @@ DEFAULT_CHANNELS = (32, 64, 64)
 # (row, column) of the strided views v0..v3 in a 2x2 window, row-major
 _WINDOW_OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
 _NO_GRADIENT = 4
-# usable CPUs: the threads that forward one volume's patches, the calling
-# thread among them, and the processes that fit a lambda1 grid
-# (pipeline._fan_out)
-_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -469,13 +463,14 @@ def extract_image_features(net: CnnNetwork, vol: Volume3D, centers,
     With the standard census of 151 centers and the default
     geometry the result has length 1024 * 151 = 154624.
 
-    The calling thread cuts every patch, then it and up to ``_WORKERS - 1``
-    helper threads forward contiguous shares of them, at most
-    ``batch_size`` patches at a time in all. Each worker's buffers are
-    views of one array the calling thread allocates, so helper threads
-    allocate nothing large. The bytes depend neither on the worker count
-    nor on the batching. A worker's error is raised once every helper has
-    joined; of several, the one over the earliest patches.
+    The calling thread cuts every patch, then it and up to
+    ``fanout._WORKERS - 1`` helper threads forward contiguous shares of
+    them, at most ``batch_size`` patches at a time in all. Each worker's
+    buffers are views of one array the calling thread allocates, so
+    helper threads allocate nothing large. The bytes depend neither on the
+    worker count nor on the batching. A worker's error is raised once
+    every helper has joined; of several, the one over the earliest
+    patches.
     """
     _check_batch_size(batch_size)
     centers = list(centers)
@@ -483,7 +478,7 @@ def extract_image_features(net: CnnNetwork, vol: Volume3D, centers,
     _check_finite_parameters(net)
     planes = np.stack([extract_patch_2_5d(vol, c) for c in centers])
     n = len(planes)
-    workers = min(_WORKERS, batch_size, n)
+    workers = min(fanout._WORKERS, batch_size, n)
     per_batch = min(batch_size // workers, -(-n // workers))
     features = np.empty((n, net.config.feature_length))
     length = sum(_workspace_lengths(net.config, per_batch))

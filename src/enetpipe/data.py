@@ -5,18 +5,23 @@ here validate them, read/write the two on-disk formats (headerless feature
 CSV and the RAW3D volume container) and build the correlated-groups
 synthetic datasets used throughout the test and comparison harnesses.
 
-The feature CSV goes through numpy's own reader and writer: one
-``np.loadtxt`` call parses it (via :func:`textio.load_matrix`, so a ragged
-row, a non-numeric cell or a non-ASCII byte is a ``DataFormatError`` naming
-the file and numpy's row and column) and ``np.savetxt`` writes it in
-:data:`textio.FLOAT_FORMAT`, so doubles round-trip exactly.
+One ``np.loadtxt`` call parses a feature CSV (via :func:`textio.load_matrix`,
+so a ragged row, a non-numeric cell or a non-ASCII byte is a
+``DataFormatError`` naming the file and numpy's row and column), and
+:func:`textio.write_rows` writes it in :data:`textio.FLOAT_FORMAT`, so
+doubles round-trip exactly.
 """
 
+import contextlib
+import os
+import shutil
 import struct
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import fanout
 from .errors import (
     ConfigError,
     DataFormatError,
@@ -24,7 +29,7 @@ from .errors import (
     InsufficientDataError,
 )
 from .rng import PortableRng
-from .textio import FLOAT_FORMAT, load_matrix
+from .textio import load_matrix, write_rows
 
 __all__ = ["StandardizationRecord", "SyntheticSpec", "Volume3D",
            "apply_standardization", "generate_synthetic", "load_feature_csv",
@@ -32,6 +37,13 @@ __all__ = ["StandardizationRecord", "SyntheticSpec", "Volume3D",
            "validate_feature_matrix", "validate_labels"]
 
 RAW3D_MAGIC = b"R3D1"
+
+# Feature CSVs of fewer values, labels included, are written by one
+# process. Written by 1 and by 2 processes (BENCH_31.json), each 200-row
+# file of 6,000-100,000 values took longer with 2, up to twice as long;
+# each file of 150,000-553,000 values took 0.54-0.76 of the time (minimum
+# of 15 runs).
+_CSV_FAN_OUT_MIN_VALUES = 150_000
 
 # Population std below this (relative to the column's magnitude) marks the
 # column as constant; such columns cannot be rescaled to unit norm.
@@ -117,12 +129,44 @@ def load_feature_csv(path, label_column=None, skip_header=False):
 
 
 def save_feature_csv(path, X, labels=None):
-    """Write a feature matrix (labels appended as the last column if given)."""
+    """Write a feature matrix (labels appended as the last column if given)
+    in the bytes of ``np.savetxt(path, X, fmt=FLOAT_FORMAT, delimiter=",")``.
+
+    From _CSV_FAN_OUT_MIN_VALUES values on, the rows are cut into one
+    contiguous block per usable CPU (at most one a row), written by
+    fanout._fan_out: this
+    process writes block 0 into the file, and block k > 0 goes to the k-th
+    of the unlinked temporary files opened beside it, which are then
+    appended in order. A block a child did not deliver is written again
+    here, over whatever prefix of it the child wrote, so the bytes do not
+    depend on the number of processes.
+    """
     X = validate_feature_matrix(X)
     if labels is not None:
         labels = validate_labels(labels, X.shape[0])
         X = np.column_stack([X, labels])
-    np.savetxt(path, X, fmt=FLOAT_FORMAT, delimiter=",")
+    workers = 1
+    if X.size >= _CSV_FAN_OUT_MIN_VALUES:
+        workers = fanout._processes(min(fanout._WORKERS, X.shape[0]))
+    bounds = [X.shape[0] * k // workers for k in range(workers + 1)]
+    folder = os.path.dirname(os.path.abspath(path))
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(path, "w", encoding="ascii"))]
+        files += [stack.enter_context(tempfile.TemporaryFile(
+            "w+", encoding="ascii", dir=folder)) for _ in range(1, workers)]
+
+        def write(k):
+            fh = files[k]
+            # from the start: a child that died may have written a prefix
+            fh.seek(0)
+            written = write_rows(fh, X[bounds[k]:bounds[k + 1]], ",")
+            fh.flush()          # a child leaves through os._exit
+            return written
+
+        fanout._fan_out(write, range(workers), workers)
+        for block in files[1:]:
+            block.seek(0)
+            shutil.copyfileobj(block, files[0])
 
 
 def load_volume_raw3d(path) -> Volume3D:

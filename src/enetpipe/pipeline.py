@@ -8,7 +8,8 @@ leakage tests recompute a fold with garbage test rows and require identical
 fitted parameters, which they capture by wrapping the fitting functions this
 module calls (standardize_columns, pca_fit, elm_train). A FoldOutcome keeps
 none of those models: they are dropped once the fold is scored, so a k-fold
-run holds one fold's working set, not k folds' fitted models.
+run holds one fold's working set in each of its processes, not k folds'
+fitted models.
 
 A fold's design (its standardization, optional PCA and re-standardization,
 fitted on its training rows only) does not depend on the selector, so
@@ -24,18 +25,13 @@ generator. The only nondeterministic report content is wall-clock timing.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import os
-import pickle
-import signal
-import threading
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import cnn
+from . import fanout
 from .data import (apply_standardization, standardize_columns,
                    validate_feature_matrix)
 from .elm import DEFAULT_RIDGE_C, elm_predict, elm_train, predicted_labels
@@ -65,6 +61,13 @@ _LAMBDA_GRID_DECADES = 3.0
 # at least 250 columns gained and the other two came within 1.6 ms of
 # even, while 17 of the 21 of 200 columns or fewer lost, up to 6.2 ms.
 _FAN_OUT_MIN_COLUMNS = 250
+# run_pipeline's folds run in one process on feature matrices of fewer
+# elements. The element count does not separate the outcome: of the runs
+# measured with 1 and 2 workers (BENCH_31.json), those at or above it
+# that lost were all runs of at most 60 ms, by up to 12 ms, while those
+# that gained saved up to 0.7 s each. Below it most runs gained too, by
+# at most 17 ms on narrow_compare's 200x29 shape (6 of its 8 runs).
+_FOLDS_MIN_ELEMENTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -249,95 +252,6 @@ def _not_converged(selector: str, result) -> str:
     return f"did not converge in {result.sweeps_used} {unit}"
 
 
-def _share(fn, items, first: int, step: int) -> dict:
-    """{i: fn(items[i])} for i in range(first, len(items), step), up to
-    the first call that raises; _fan_out makes that call again."""
-    results = {}
-    try:
-        for i in range(first, len(items), step):
-            results[i] = fn(items[i])
-    except Exception:
-        pass
-    return results
-
-
-def _fork_share(fn, items, first: int, step: int):
-    """(pid, pipe) of a forked child that computes _share(fn, items,
-    first, step) and pickles it into the pipe; None if no child starts."""
-    try:
-        read_fd, write_fd = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except Exception:
-        os.close(read_fd)
-        os.close(write_fd)
-        return None
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_fd)
-            data = pickle.dumps(_share(fn, items, first, step),
-                                pickle.HIGHEST_PROTOCOL)
-            with open(write_fd, "wb") as pipe:
-                pipe.write(data)
-            code = 0
-        finally:                    # never unwind into the caller's frames
-            os._exit(code)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
-
-
-def _one_thread() -> bool:
-    """Whether this process runs one thread: the OS threads Linux lists,
-    BLAS pools included, else the threads the threading module knows."""
-    try:
-        return len(os.listdir("/proc/self/task")) == 1
-    except OSError:
-        return threading.active_count() == 1
-
-
-def _fan_out(fn, items, workers: int) -> list:
-    """[fn(x) for x in items], item i computed by worker i % workers.
-
-    Worker 0 is this process, the others forked children that pickle
-    their results back over a pipe. There are at most len(items) workers,
-    and one unless os.fork exists and this process runs one thread: a
-    child gets no copy of the other threads, and could wait forever on a
-    lock one of them held. The children's results are a cache: the items
-    are walked in order and any item without one (its child raised, died
-    or did not start, or the result would not pickle) is computed here,
-    so an exception is the plain loop's, from the earliest item that
-    raises. No child outlives the call.
-    """
-    workers = max(1, min(workers, len(items)))
-    if workers > 1 and not (hasattr(os, "fork") and _one_thread()):
-        workers = 1
-    children = []
-    try:
-        for first in range(1, workers):
-            child = _fork_share(fn, items, first, workers)
-            if child is not None:
-                children.append(child)
-        done = _share(fn, items, 0, workers)
-        while children:
-            pid, pipe = children[0]
-            with pipe:
-                data = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            children.pop(0)
-            if status == 0 and data:
-                done.update(pickle.loads(data))
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-    return [done[i] if i in done else fn(x) for i, x in enumerate(items)]
-
-
 def choose_lambda1(X, y, cfg: PipelineConfig, seed: int):
     """5-point log-grid internal validation of cfg.selector on an 80/20
     split of the training fold; ties prefer the larger (sparser) lambda1.
@@ -346,8 +260,9 @@ def choose_lambda1(X, y, cfg: PipelineConfig, seed: int):
 
     For elastic_net_cd on a fit matrix of at least _FAN_OUT_MIN_COLUMNS
     columns the grid fits run on up to one process per usable CPU
-    (_fan_out); the fits, notes and lambda1 do not depend on the number
-    of processes."""
+    (fanout._fan_out), unless the fold itself runs in a fan-out's share,
+    where they stay in its process; the fits, notes and lambda1 do not
+    depend on the number of processes."""
     n = X.shape[0]
     n_val = max(1, n // 5)
     if n - n_val < 2:
@@ -373,10 +288,10 @@ def choose_lambda1(X, y, cfg: PipelineConfig, seed: int):
     # workers; the other selectors' grids were not measured, so stay here
     fans_out = (cfg.selector == "elastic_net_cd"
                 and X_fit.shape[1] >= _FAN_OUT_MIN_COLUMNS)
-    workers = cnn._WORKERS if fans_out else 1
+    workers = fanout._WORKERS if fans_out else 1
     best_lam, best_mse = None, np.inf
     notes = []
-    for lam, result in zip(grid, _fan_out(fit, grid, workers)):
+    for lam, result in zip(grid, fanout._fan_out(fit, grid, workers)):
         if not result.converged:
             notes.append(f"lambda1 grid fit at {lam:.6g} "
                          + _not_converged(cfg.selector, result))
@@ -550,6 +465,14 @@ def run_pipeline(cfg: PipelineConfig, features, labels, *,
     and the same design of each fold, and cfg's report carries the paired
     ComparisonBlock and the baseline's warnings before its own; a lasso
     baseline ignores cfg.lambda2.
+
+    On a feature matrix of at least _FOLDS_MIN_ELEMENTS elements, fold i
+    runs in worker i % w of fanout._fan_out's w processes (one per usable
+    CPU, at most one per fold), whose lambda1 grids then stay in that
+    process; with one fold, as under holdout, the grid's own gate
+    applies. A fold's error fails that fold in whichever process ran it,
+    and the report, its wall-clock timings aside, does not depend on the
+    number of processes.
     """
     X = validate_feature_matrix(features)
     labels = np.asarray(labels)
@@ -568,23 +491,22 @@ def run_pipeline(cfg: PipelineConfig, features, labels, *,
         targets = signed_targets(labels)
     folds = _folds_for(cfg, X.shape[0])
     all_indices = np.arange(X.shape[0])
-    outcomes = [[] for _ in arms]
-    for fold_index, test_idx in enumerate(folds):
+
+    def fold(fold_index):
+        test_idx = folds[fold_index]
         train_mask = np.ones(X.shape[0], dtype=bool)
         train_mask[test_idx] = False
         train_idx = all_indices[train_mask]
         try:
             design = _prepare_fold(cfg, X, train_idx, test_idx)
         except _FOLD_ERRORS as exc:
-            for arm_outcomes in outcomes:
-                arm_outcomes.append(_failed_fold(fold_index, test_idx, exc))
-            continue
-        fold_outcomes = _evaluate_fold(arms, *design, labels, targets,
-                                       train_idx, test_idx, fold_index)
-        for arm_outcomes, outcome in zip(outcomes, fold_outcomes):
-            arm_outcomes.append(outcome)
-        del design
+            return [_failed_fold(fold_index, test_idx, exc) for _ in arms]
+        return _evaluate_fold(arms, *design, labels, targets, train_idx,
+                              test_idx, fold_index)
 
+    workers = fanout._WORKERS if X.size >= _FOLDS_MIN_ELEMENTS else 1
+    per_fold = fanout._fan_out(fold, range(len(folds)), workers)
+    outcomes = [list(arm_outcomes) for arm_outcomes in zip(*per_fold)]
     reports = [_arm_report(arm, folds, arm_outcomes)
                for arm, arm_outcomes in zip(arms, outcomes)]
     if baseline is None:

@@ -6,7 +6,7 @@ row-major order: vectors on one line, higher-rank arrays one line per
 leading index.  Lines starting with ``#`` and blank lines outside a block
 are skipped; any other line that is not a header is a ``DataFormatError``.
 
-Numbers are written by ``np.savetxt`` in :data:`FLOAT_FORMAT` (17
+Numbers are written by :func:`write_rows` in :data:`FLOAT_FORMAT` (17
 significant digits, so doubles round-trip exactly) and each block's lines
 are parsed by one ``np.loadtxt`` call; a truncated block, a wrong value
 count or a bad value is a ``DataFormatError``.
@@ -48,6 +48,15 @@ def load_matrix(source, context: str, **kwargs) -> np.ndarray:
         raise DataFormatError(f"{context}: {exc}") from None
 
 
+def write_rows(fh, rows, delimiter: str) -> int:
+    """Write the 2-D float64 array rows to the text file fh, one line of
+    FLOAT_FORMAT values per row: the bytes of ``np.savetxt(fh, rows,
+    fmt=FLOAT_FORMAT, delimiter=delimiter)``. Returns the characters
+    written."""
+    line = delimiter.join([FLOAT_FORMAT] * rows.shape[1]) + "\n"
+    return sum(fh.write(line % tuple(row.tolist())) for row in rows)
+
+
 def write_blocks(path, blocks: dict):
     with open(path, "w", encoding="ascii") as fh:
         for name, array in blocks.items():
@@ -55,7 +64,7 @@ def write_blocks(path, blocks: dict):
             shape = arr.shape if arr.ndim > 0 else (1,)
             fh.write(f"{name}: " + " ".join(str(d) for d in shape) + "\n")
             rows = arr.reshape(shape[0], -1) if arr.ndim > 1 else arr.reshape(1, -1)
-            np.savetxt(fh, rows, fmt=FLOAT_FORMAT, delimiter=" ")
+            write_rows(fh, rows, " ")
 
 
 def read_blocks(path):

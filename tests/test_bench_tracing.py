@@ -4,7 +4,9 @@
 name its caller resolves, reading the original from ``owner.__dict__``;
 a deleted or renamed function there breaks ``bench/run.py --trace 1``.
 One-second traced rounds of ``narrow_compare``, ``wide_enet`` and
-``volume_features`` check the rest end to end.
+``volume_features`` check the rest end to end. The harness pins BLAS to
+one thread, so its process forks where a fan-out's gate is open, and the
+recorder sees only this process's spans.
 """
 
 import importlib.util
@@ -14,7 +16,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-import enetpipe.cnn
+import enetpipe.fanout
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -69,8 +71,18 @@ def test_one_second_traced_wide_round_forks_its_grid(tmp_path):
     # the lambda1 grid fits in forked processes, whose spans the recorder
     # does not see: it counts the parent's share and the final fit
     result, _ = _traced_round(tmp_path, "wide_enet")
-    workers = min(enetpipe.cnn._WORKERS, 5)
+    workers = min(enetpipe.fanout._WORKERS, 5)
     assert result["metrics"]["solvers.cd.calls"]["value"] == 1 + len(
+        range(0, 5, workers))
+
+
+def test_one_second_traced_volume_round_forks_its_folds(tmp_path):
+    # the 20 x 27648 features are above the fold gate, so each fold's PCA
+    # fit runs in the process its fold went to: the recorder counts the
+    # parent's share of the 5 folds
+    result, _ = _traced_round(tmp_path, "volume_features")
+    workers = min(enetpipe.fanout._WORKERS, 5)
+    assert result["metrics"]["pca.fit.calls"]["value"] == len(
         range(0, 5, workers))
 
 

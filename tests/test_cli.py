@@ -10,6 +10,7 @@ import pytest
 
 import enetpipe.cli
 import enetpipe.cnn
+import enetpipe.fanout
 import enetpipe.pipeline
 from enetpipe.cli import load_config_file, main
 from enetpipe.cnn import CnnConfig, cnn_init, save_cnn
@@ -845,7 +846,7 @@ class TestImageCommands:
         for w in net.conv_weights:
             w[...] = 1e200
         save_cnn(workdir / "cnn.txt", net)
-        monkeypatch.setattr(enetpipe.cnn, "_WORKERS", 2)
+        monkeypatch.setattr(enetpipe.fanout, "_WORKERS", 2)
         threads = threading.active_count()
         capsys.readouterr()
         rc = main(["extract", str(vol), "--net", str(workdir / "cnn.txt"),
@@ -860,7 +861,7 @@ class TestImageCommands:
             self, workdir, monkeypatch):
         paths = _volumes(workdir)
         save_cnn(workdir / "cnn.txt", cnn_init(CnnConfig(), seed=0))
-        monkeypatch.setattr(enetpipe.cnn, "_WORKERS", 2)
+        monkeypatch.setattr(enetpipe.fanout, "_WORKERS", 2)
         threads = {}
         for owner, name in [(enetpipe.cli, "load_volume_raw3d"),
                             (enetpipe.cli, "extract_image_features"),

@@ -12,7 +12,7 @@ from enetpipe import (CnnConfig, CnnNetwork, PortableRng, Volume3D,
                       cnn_init, cnn_loss_grad, cnn_train_sgd,
                       default_patch_centers, extract_image_features,
                       extract_patch_2_5d, load_cnn, save_cnn)
-import enetpipe.cnn
+import enetpipe.fanout
 from enetpipe.cnn import (_NO_GRADIENT, _forward_batch, _pool_then_rectify,
                           _unpool)
 from enetpipe.errors import (ConfigError, ContractError, DataError,
@@ -386,7 +386,7 @@ def test_extract_image_features_matches_reference_bytes(monkeypatch, bias):
             expected = reference_forward_features(net, planes).tobytes()
             for workers, batch_size in itertools.product(
                     [1, 2, 3, 8], [1, 2, 3, 16, 10 ** 9]):
-                monkeypatch.setattr(enetpipe.cnn, "_WORKERS", workers)
+                monkeypatch.setattr(enetpipe.fanout, "_WORKERS", workers)
                 vec = extract_image_features(net, vol, centers,
                                              batch_size=batch_size)
                 assert vec.tobytes() == expected, (count, workers,
@@ -422,7 +422,7 @@ def test_overflow_in_the_helper_share_alone_raises_after_the_join(
     net = _overflowing_net()
     # the calling thread's share alone stays finite
     extract_image_features(net, vol, centers[:4])
-    monkeypatch.setattr(enetpipe.cnn, "_WORKERS", 2)
+    monkeypatch.setattr(enetpipe.fanout, "_WORKERS", 2)
     threads = threading.active_count()
     with pytest.raises(NumericalError, match="stage 2"):
         extract_image_features(net, vol, centers)

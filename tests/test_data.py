@@ -1,14 +1,21 @@
+import io
+import os
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import enetpipe.data
+import enetpipe.fanout
 from enetpipe import (PortableRng, SyntheticSpec, Volume3D,
                       apply_standardization, generate_synthetic,
                       load_feature_csv, load_volume_raw3d, save_feature_csv,
                       standardize_columns)
 from enetpipe.errors import (ConfigError, DataFormatError, DimensionError,
                              InsufficientDataError)
+from enetpipe.textio import FLOAT_FORMAT
 
 from helpers import write_volume_raw3d
 
@@ -103,6 +110,108 @@ class TestFeatureCsv:
         path.write_text("1,2\n")
         with pytest.raises(ConfigError):
             load_feature_csv(path, label_column=5)
+
+
+# pytest's process runs OpenBLAS's thread pool, beside which the writer
+# does not fork; these tests force the thread gate open, and Python 3.12
+# and later warn on such a fork
+@pytest.mark.filterwarnings(
+    "ignore:This process .*is multi-threaded, use of fork:DeprecationWarning")
+class TestFeatureCsvFanOut:
+    """From _CSV_FAN_OUT_MIN_VALUES values on, save_feature_csv formats
+    contiguous row blocks on forked processes; the file has np.savetxt's
+    bytes for any number of them."""
+
+    @pytest.fixture(autouse=True)
+    def _forks(self, monkeypatch):
+        monkeypatch.setattr(enetpipe.fanout, "_one_thread", lambda: True)
+        self.forks = 0
+        real = os.fork
+
+        def counted():
+            self.forks += 1
+            return real()
+
+        monkeypatch.setattr(os, "fork", counted)
+
+    @staticmethod
+    def _matrix(rows: int, values: int, seed: int = 3) -> np.ndarray:
+        """rows x ceil(values / rows) finite doubles over many decades,
+        signed zeros and integers among them."""
+        rng = np.random.default_rng(seed)
+        shape = (rows, -(-values // rows))
+        X = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300,
+                                                               shape)
+        X.flat[::7] = np.round(X.flat[::7] * 1e-300)
+        X.flat[::11] = -0.0
+        return X
+
+    def _written(self, tmp_path, monkeypatch, workers, X, labels=None):
+        """The bytes save_feature_csv writes with `workers` usable CPUs;
+        no child, descriptor or other file outlives the call."""
+        monkeypatch.setattr(enetpipe.fanout, "_WORKERS", workers)
+        folder = tmp_path / f"out{workers}"
+        folder.mkdir()
+        fds = sorted(os.listdir("/proc/self/fd"))
+        save_feature_csv(folder / "f.csv", X, labels=labels)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert sorted(os.listdir("/proc/self/fd")) == fds
+        assert os.listdir(folder) == ["f.csv"]
+        return (folder / "f.csv").read_bytes()
+
+    @staticmethod
+    def _savetxt(X, labels=None) -> bytes:
+        if labels is not None:
+            X = np.column_stack([X, labels])
+        out = io.BytesIO()
+        np.savetxt(out, X, fmt=FLOAT_FORMAT, delimiter=",")
+        return out.getvalue()
+
+    @pytest.mark.parametrize("rows, above", [
+        (9, False), (9, True), (1000, True), (2, True), (1, True)],
+        ids=["below", "above", "short-rows", "two-rows", "one-row"])
+    @pytest.mark.parametrize("labelled", [False, True])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_bytes_are_savetxt_bytes(self, tmp_path, monkeypatch, workers,
+                                     rows, above, labelled):
+        floor = enetpipe.data._CSV_FAN_OUT_MIN_VALUES
+        X = self._matrix(rows, floor if above else floor // 10)
+        labels = np.arange(rows) % 2 if labelled else None
+        assert (X.size + labelled * rows >= floor) == above
+        got = self._written(tmp_path, monkeypatch, workers, X, labels)
+        assert got == self._savetxt(X, labels)
+        # a process for each block, never more than one a row
+        assert self.forks == (min(workers, rows) - 1 if above else 0)
+
+    @pytest.mark.parametrize("ending", ["exit", "kill", "no fork"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_block_no_child_delivers_is_written_here(
+            self, tmp_path, monkeypatch, workers, ending):
+        parent = os.getpid()
+        real = enetpipe.data.write_rows
+
+        def write_rows(fh, rows, delimiter):
+            if os.getpid() != parent:
+                # a child writes part of its block, then ends
+                real(fh, rows[:1], delimiter)
+                fh.flush()
+                if ending == "exit":
+                    os._exit(0)
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(fh, rows, delimiter)
+
+        def failing_fork():
+            raise OSError("no fork here")
+
+        monkeypatch.setattr(enetpipe.data, "write_rows", write_rows)
+        if ending == "no fork":
+            monkeypatch.setattr(os, "fork", failing_fork)
+        X = self._matrix(7, enetpipe.data._CSV_FAN_OUT_MIN_VALUES)
+        got = self._written(tmp_path, monkeypatch, workers, X)
+        assert got == self._savetxt(X)
+        if ending != "no fork":
+            assert self.forks == workers - 1
 
 
 class TestVolumeRaw3d:

@@ -128,6 +128,23 @@ def test_coordinate_descent_sweep_has_no_matmul_operator():
     assert not any(isinstance(node, ast.MatMult) for node in ast.walk(loop))
 
 
+def _call_sites(name: str) -> list:
+    """The module of each call in src/ of a function named `name`,
+    whether reached as an attribute (``os.fork()``) or by name."""
+    return sorted(module for module, tree in LINTED.items()
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and name in (getattr(node.func, "attr", None),
+                               getattr(node.func, "id", None)))
+
+
+def test_one_fork_and_no_savetxt():
+    # the fork policy (when, how many, what a failed child means) lives in
+    # one module, and every number the package writes goes through
+    # textio.write_rows
+    assert _call_sites("fork") == ["fanout.py"]
+    assert _call_sites("savetxt") == []
+
+
 def _sven_calls(function: str) -> list:
     """Names called by name in sven.py's function of that name."""
     node, = (node for node in ast.walk(LINTED["sven.py"])

@@ -1,3 +1,4 @@
+import collections
 import functools
 import gc
 import json
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import enetpipe.cnn
+import enetpipe.fanout
 import enetpipe.pipeline
 from enetpipe import (EvaluationReport, PipelineConfig, PortableRng,
                       SyntheticSpec, accuracy, compare_selectors,
@@ -763,7 +764,7 @@ class TestGridFanOut:
 
     @pytest.fixture(autouse=True)
     def _forks(self, monkeypatch):
-        monkeypatch.setattr(enetpipe.pipeline, "_one_thread", lambda: True)
+        monkeypatch.setattr(enetpipe.fanout, "_one_thread", lambda: True)
 
     @staticmethod
     def _wide():
@@ -784,17 +785,17 @@ class TestGridFanOut:
         """choose_lambda1 with two-sweep fits (so four notes) on the wide
         design: (lambda1, notes, the grid fits, the worker counts)."""
         import enetpipe.pipeline as pl
-        monkeypatch.setattr(enetpipe.cnn, "_WORKERS", workers)
+        monkeypatch.setattr(enetpipe.fanout, "_WORKERS", workers)
         monkeypatch.setattr(pl, "PenaltyConfig",
                             functools.partial(pl.PenaltyConfig, max_sweeps=2))
-        real, fan_outs = pl._fan_out, []
+        real, fan_outs = enetpipe.fanout._fan_out, []
 
         def recorded(fn, items, workers):
             results = real(fn, items, workers)
             fan_outs.append((workers, results))
             return results
 
-        monkeypatch.setattr(pl, "_fan_out", recorded)
+        monkeypatch.setattr(enetpipe.fanout, "_fan_out", recorded)
         X, labels = TestGridFanOut._wide()
         y = np.where(labels > 0.0, 1.0, -1.0)
         lambda1, notes = pl.choose_lambda1(
@@ -822,14 +823,14 @@ class TestGridFanOut:
                              lambda2=1.0, k_folds=4, seed=5)
         reports = []
         for count in (1, workers):
-            monkeypatch.setattr(enetpipe.cnn, "_WORKERS", count)
+            monkeypatch.setattr(enetpipe.fanout, "_WORKERS", count)
             reports.append(mask_timing_json(report_to_json(
                 run_pipeline(cfg, X, labels))))
             self._assert_no_child_left()
         assert reports[0] == reports[1]
 
     def test_items_go_round_robin_to_this_process_and_its_children(self):
-        pids = enetpipe.pipeline._fan_out(lambda _: os.getpid(), range(7), 3)
+        pids = enetpipe.fanout._fan_out(lambda _: os.getpid(), range(7), 3)
         self._assert_no_child_left()
         assert pids[0] == os.getpid()
         assert pids == pids[:3] * 2 + pids[:1]
@@ -840,14 +841,14 @@ class TestGridFanOut:
     def test_other_selectors_and_narrower_fits_stay_here(
             self, monkeypatch, selector, columns):
         import enetpipe.pipeline as pl
-        monkeypatch.setattr(enetpipe.cnn, "_WORKERS", 3)
-        real, used = pl._fan_out, []
+        monkeypatch.setattr(enetpipe.fanout, "_WORKERS", 3)
+        real, used = enetpipe.fanout._fan_out, []
 
         def recorded(fn, items, workers):
             used.append(workers)
             return real(fn, items, workers)
 
-        monkeypatch.setattr(pl, "_fan_out", recorded)
+        monkeypatch.setattr(enetpipe.fanout, "_fan_out", recorded)
         X = self._wide()[0][:, :columns]
         y = np.where(X[:, :5].sum(axis=1) > 0.0, 1.0, -1.0)
         assert columns == 300 or columns < pl._FAN_OUT_MIN_COLUMNS
@@ -857,7 +858,7 @@ class TestGridFanOut:
 
     def test_one_process_without_fork(self, monkeypatch):
         monkeypatch.delattr(os, "fork")
-        pids = enetpipe.pipeline._fan_out(lambda _: os.getpid(), range(4), 2)
+        pids = enetpipe.fanout._fan_out(lambda _: os.getpid(), range(4), 2)
         assert pids == [os.getpid()] * 4
 
     def test_one_process_beside_another_os_thread(self, tmp_path):
@@ -865,7 +866,7 @@ class TestGridFanOut:
         # thread the threading module does not know, it does not
         script = (
             "import _thread, os, threading\n"
-            "from enetpipe.pipeline import _fan_out\n"
+            "from enetpipe.fanout import _fan_out\n"
             "def pids():\n"
             "    got = _fan_out(lambda _: os.getpid(), range(4), 2)\n"
             "    try:\n"
@@ -897,7 +898,7 @@ class TestGridFanOut:
         with pytest.raises(NumericalError) as plain:
             [fn(i) for i in range(6)]
         with pytest.raises(NumericalError) as fanned:
-            enetpipe.pipeline._fan_out(fn, range(6), workers)
+            enetpipe.fanout._fan_out(fn, range(6), workers)
         self._assert_no_child_left()
         assert str(fanned.value) == str(plain.value)
 
@@ -917,7 +918,7 @@ class TestGridFanOut:
             grid.append(lambda1)
             return real(X, y, selector, lambda1, lambda2)
 
-        monkeypatch.setattr(enetpipe.cnn, "_WORKERS", 1)
+        monkeypatch.setattr(enetpipe.fanout, "_WORKERS", 1)
         monkeypatch.setattr(pl, "fit_selector", recording)
         pl.choose_lambda1(X, y, cfg, seed=3)
 
@@ -927,7 +928,7 @@ class TestGridFanOut:
                 raise NumericalError(f"no fit at {lambda1!r}")
             return real(X, y, selector, lambda1, lambda2)
 
-        monkeypatch.setattr(enetpipe.cnn, "_WORKERS", workers)
+        monkeypatch.setattr(enetpipe.fanout, "_WORKERS", workers)
         monkeypatch.setattr(pl, "fit_selector", failing)
         with pytest.raises(NumericalError) as raised:
             pl.choose_lambda1(X, y, cfg, seed=3)
@@ -955,7 +956,7 @@ class TestGridFanOut:
         if ending in ("no fork", "fork warns"):
             monkeypatch.setattr(os, "fork", failing_fork)
         fds = sorted(os.listdir("/proc/self/fd"))
-        results = enetpipe.pipeline._fan_out(fn, range(7), 3)
+        results = enetpipe.fanout._fan_out(fn, range(7), 3)
         self._assert_no_child_left()
         assert sorted(os.listdir("/proc/self/fd")) == fds
         if ending == "unpicklable":
@@ -973,6 +974,87 @@ class TestGridFanOut:
 
         started = time.perf_counter()
         with pytest.raises(_Interrupt):
-            enetpipe.pipeline._fan_out(fn, range(4), 3)
+            enetpipe.fanout._fan_out(fn, range(4), 3)
         self._assert_no_child_left()
         assert time.perf_counter() - started < 30
+
+
+@pytest.mark.filterwarnings(
+    "ignore:This process .*is multi-threaded, use of fork:DeprecationWarning")
+class TestFoldFanOut:
+    """From _FOLDS_MIN_ELEMENTS feature-matrix elements on, run_pipeline's
+    folds go round-robin to forked processes; the reports do not depend on
+    how many, and a fold's process fits that fold's lambda1 grid alone."""
+
+    @pytest.fixture(autouse=True)
+    def _forks(self, monkeypatch):
+        monkeypatch.setattr(enetpipe.fanout, "_one_thread", lambda: True)
+        monkeypatch.setattr(enetpipe.pipeline, "_FOLDS_MIN_ELEMENTS", 0)
+
+    @pytest.mark.parametrize("selector", enetpipe.pipeline.SELECTORS)
+    def test_reports_do_not_depend_on_the_worker_count(
+            self, monkeypatch, selector):
+        import enetpipe.pipeline as pl
+        real = pl._prepare_fold
+
+        def prepare(cfg, X, train_idx, test_idx):
+            if 0 in test_idx:           # the same fold in every process
+                raise NumericalError("no design for the fold of row 0")
+            return real(cfg, X, train_idx, test_idx)
+
+        monkeypatch.setattr(pl, "_prepare_fold", prepare)
+        X, labels, _ = _dataset(seed=11, n=60)
+        # the SVM route's lambda1 grid runs for seconds; fix lambda1 there
+        cfg = PipelineConfig(
+            selector=selector, k_folds=5, seed=3,
+            lambda1=0.05 if selector == "elastic_net_svm" else None)
+        reports = {}
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(enetpipe.fanout, "_WORKERS", workers)
+            reports[workers] = [
+                mask_timing_json(report_to_json(report)) for report in (
+                    run_pipeline(cfg, X, labels),
+                    compare_selectors(cfg, X, labels))]
+            TestGridFanOut._assert_no_child_left()
+        assert reports[2] == reports[1]
+        assert reports[3] == reports[1]
+        assert all("no design for the fold of row 0" in report
+                   for report in reports[1])
+
+    @pytest.mark.parametrize("holdout", [None, 0.5],
+                             ids=["three-folds", "holdout"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_fold_process_fits_its_grid_alone(
+            self, tmp_path, monkeypatch, workers, holdout):
+        import enetpipe.pipeline as pl
+        record, real = tmp_path / "fits.txt", pl.fit_selector
+
+        def fit_selector(*args):
+            with open(record, "a") as fh:
+                fh.write(f"{os.getpid()} {os.getppid()}\n")
+            return real(*args)
+
+        monkeypatch.setattr(pl, "fit_selector", fit_selector)
+        monkeypatch.setattr(enetpipe.fanout, "_WORKERS", workers)
+        X, labels = TestGridFanOut._wide()
+        cfg = PipelineConfig(selector="elastic_net_cd", use_pca=False,
+                             lambda2=1.0, k_folds=3, holdout=holdout, seed=5)
+        run_pipeline(cfg, X, labels)
+        TestGridFanOut._assert_no_child_left()
+        fits = collections.Counter(
+            tuple(map(int, line.split()))
+            for line in record.read_text().splitlines())
+        here = (os.getpid(), os.getppid())
+        # every fit runs here or in a child of this process, never deeper
+        assert {ppid for pid, ppid in fits if pid != here[0]} <= {here[0]}
+        if holdout is None:
+            # fold i goes to worker i % workers, whose process makes the
+            # fold's five grid fits and its final fit
+            shares = [len(range(w, 3, workers)) for w in range(workers)]
+            assert fits[here] == 6 * shares[0]
+            assert sorted(fits.values()) == sorted(6 * s for s in shares)
+        else:
+            # the one fold runs here, and its grid goes round-robin
+            assert fits[here] == 1 + len(range(0, 5, workers))
+            assert sum(fits.values()) == 6
+            assert len(fits) == workers
