@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import textio
+from . import fanout, textio
 from .cnn import (CnnConfig, _check_sgd_settings, cnn_init, cnn_train_sgd,
                   extract_image_features, load_cnn, save_cnn)
 from .data import (SyntheticSpec, generate_synthetic, load_feature_csv,
@@ -250,12 +250,13 @@ def _cmd_extract(args, settings) -> int:
             textio.load_matrix(args.labels, args.labels, encoding="ascii"),
             len(args.volumes))
     net = load_cnn(args.net)
-    rows = []
-    for path in args.volumes:
+
+    def features_of(path):
         vol = load_volume_raw3d(path)
         centers = default_patch_centers(vol.voxels.shape, count=args.centers)
-        rows.append(extract_image_features(net, vol, centers))
-    X = np.vstack(rows)
+        return extract_image_features(net, vol, centers)
+
+    X = np.vstack(fanout._fan_out(features_of, args.volumes, fanout._WORKERS))
     out = _out_dir(settings)
     save_feature_csv(out / "features.csv", X, labels=labels)
     print(f"wrote {out / 'features.csv'}: {X.shape[0]} volumes x "

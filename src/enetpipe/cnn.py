@@ -37,20 +37,18 @@ non-finite loss.
 
 Each convolution takes the steps of ``einsum("bchwij,ocij->bohw")`` over
 the padded input's 3x3 windows, a copy of the windows and one GEMM, with
-its bytes. Extraction takes them in buffers that ``extract_image_features``
-allocates once per call and shares out among its worker threads.
+its bytes. Training and extraction run the same forward pass.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from math import prod
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import fanout, textio
+from . import textio
 from .data import Volume3D
 from .errors import (ConfigError, ContractError, DataError, DataFormatError,
                      DimensionError, NumericalError)
@@ -181,27 +179,21 @@ def _check_finite_parameters(net: CnnNetwork) -> None:
             raise NumericalError("network parameters contain non-finite values")
 
 
-def _conv_same(x, w, b, pad=None, col=None, out=None):
+def _conv_same(x, w, b):
     """3x3 convolution, stride 1, zero padding. Returns (out, x_pad), out a
     (batch, c_out, h, w) view of c_out-major memory.
 
-    The input goes into the interior of ``pad`` (batch, c, h+2, w+2), whose
-    border must be zero; its 3x3 windows are copied into ``col`` (c, 3, 3,
-    batch, h, w); one GEMM of the flattened weights with them fills ``out``
-    (c_out, batch*h*w). These are the steps and the bytes of
-    ``einsum("bchwij,ocij->bohw")`` on the windows. A buffer not given is
-    allocated.
+    The input is zero-padded to (batch, c, h+2, w+2); its 3x3 windows are
+    copied into a (c, 3, 3, batch, h, w) array, and one GEMM of the
+    flattened weights with them gives (c_out, batch*h*w). These are the
+    steps and the bytes of ``einsum("bchwij,ocij->bohw")`` on the windows.
     """
     n, c, h, wd = x.shape
-    if pad is None:
-        pad = np.zeros((n, c, h + 2, wd + 2))
+    pad = np.zeros((n, c, h + 2, wd + 2))
     pad[:, :, 1:-1, 1:-1] = x
-    if col is None:
-        col = np.empty((c, 3, 3, n, h, wd))
-    np.copyto(col, sliding_window_view(pad, (3, 3), axis=(2, 3))
-              .transpose(1, 4, 5, 0, 2, 3))
-    out = np.matmul(w.reshape(w.shape[0], -1), col.reshape(c * 9, -1),
-                    out=out)
+    col = np.ascontiguousarray(sliding_window_view(pad, (3, 3), axis=(2, 3))
+                               .transpose(1, 4, 5, 0, 2, 3))
+    out = w.reshape(w.shape[0], -1) @ col.reshape(c * 9, -1)
     out += b[:, None]
     return out.reshape(-1, n, h, wd).transpose(1, 0, 2, 3), pad
 
@@ -224,19 +216,17 @@ def _conv_input_grad(dout, x_pad, w):
     return dx_pad[:, :, 1:-1, 1:-1]
 
 
-def _pool_then_rectify(x, want_index: bool = False, out=None, mask=None):
+def _pool_then_rectify(x, want_index: bool = False):
     """2x2 max-pool of the raw conv map, then ReLU: the same bits as ReLU
     then a first-occurrence pool, the sign of zero included (see the module
     docstring). Returns (pooled, index), the index None unless wanted.
-    The pooled map goes into ``out`` and the m <= 0 mask into ``mask``
-    (float64 and bool, of the pooled shape), each allocated if not given.
     The order of the maxima does not matter: where m > 0 it is the one
     largest value, and elsewhere v0 * 0.0 replaces it."""
     views = [x[:, :, i::2, j::2] for i, j in _WINDOW_OFFSETS]
-    m = np.maximum(views[0], views[1], out=out)
+    m = np.maximum(views[0], views[1])
     np.maximum(m, views[2], out=m)
     np.maximum(m, views[3], out=m)
-    dead = np.less_equal(m, 0.0, out=mask)
+    dead = m <= 0.0
     idx = None
     if want_index:
         # the lowest k with v_k == m is the number of views before it that
@@ -260,62 +250,9 @@ def _unpool(dout, idx):
     return dx
 
 
-def _scratch_lengths(stage, n: int) -> list:
-    """Float64 lengths of a stage's im2col, GEMM output, pool output and
-    (bool) pool mask for n patches; ``stage`` is one of
-    ``_stage_geometry``."""
-    c_in, c_out, s = stage
-    pooled = c_out * n * (s // 2) ** 2
-    return [c_in * 9 * n * s * s, c_out * n * s * s, pooled, -(-pooled // 8)]
-
-
-def _workspace_lengths(config: CnnConfig, n: int) -> list:
-    """Float64 lengths of a ``_Workspace``'s regions for n patches: a pad
-    per stage, then one scratch region for the stage that needs most."""
-    stages = _stage_geometry(config)
-    return ([n * c_in * (s + 2) ** 2 for c_in, _, s in stages]
-            + [max(sum(_scratch_lengths(stage, n)) for stage in stages)])
-
-
-class _Workspace:
-    """The forward buffers of one extraction worker, for batches of up to
-    n patches: views of ``memory``, zeros of ``sum(_workspace_lengths(
-    config, n))`` float64s that the caller allocates. Only pad interiors
-    are written, so pad borders stay zero. Each stage lays out its im2col,
-    GEMM output, pool output and pool mask back to back in the scratch
-    region."""
-
-    def __init__(self, config: CnnConfig, n: int, memory):
-        self.stages = _stage_geometry(config)
-        *self.pads, self.scratch = np.split(
-            memory, np.cumsum(_workspace_lengths(config, n))[:-1])
-
-    def stage(self, stage: int, n: int):
-        """Buffers for a stage on n patches: ``_conv_same``'s pad, col and
-        out, then ``_pool_then_rectify``'s out and mask, c_out-major as the
-        GEMM leaves its output."""
-        c_in, c_out, s = self.stages[stage]
-        lengths = _scratch_lengths(self.stages[stage], n)
-        col, out, pool, mask = np.split(self.scratch[:sum(lengths)],
-                                        np.cumsum(lengths)[:-1])
-        pooled = (c_out, n, s // 2, s // 2)
-        mask = mask.view(np.bool_)[:pool.size]
-        return ((self.pads[stage][:n * c_in * (s + 2) ** 2]
-                 .reshape(n, c_in, s + 2, s + 2),
-                 col.reshape(c_in, 3, 3, n, s, s),
-                 out.reshape(c_out, n * s * s)),
-                (pool.reshape(pooled).transpose(1, 0, 2, 3),
-                 mask.reshape(pooled).transpose(1, 0, 2, 3)))
-
-
-_ALLOCATE = ((None, None, None), (None, None))
-
-
-def _forward_batch(net: CnnNetwork, x, want_cache: bool = False,
-                   workspace: _Workspace = None):
+def _forward_batch(net: CnnNetwork, x, want_cache: bool = False):
     """The three conv stages on a batch: (last pooled map, caches), the
-    caches each stage's padded input and pool index for the backward pass.
-    Each stage writes into ``workspace`` if given, else into new arrays."""
+    caches each stage's padded input and pool index for the backward pass."""
     cfg = net.config
     size = cfg.input_size
     if x.ndim != 4 or x.shape[1:] != (cfg.in_channels, size, size):
@@ -324,18 +261,16 @@ def _forward_batch(net: CnnNetwork, x, want_cache: bool = False,
             f"(batch, {cfg.in_channels}, {size}, {size})")
     caches = []
     for stage in range(3):
-        conv, pool = (_ALLOCATE if workspace is None
-                      else workspace.stage(stage, x.shape[0]))
         # the finite check below is the one overflow signal; the extremes
         # are finite exactly when every entry is
         with np.errstate(over="ignore", invalid="ignore"):
             out, x_pad = _conv_same(x, net.conv_weights[stage],
-                                    net.conv_biases[stage], *conv)
+                                    net.conv_biases[stage])
             finite = np.isfinite(out.max()) and np.isfinite(out.min())
         if not finite:
             raise NumericalError(
                 f"stage {stage + 1} convolution output is not finite")
-        pooled, idx = _pool_then_rectify(out, want_cache, *pool)
+        pooled, idx = _pool_then_rectify(out, want_cache)
         if want_cache:
             caches.append((x_pad, idx))
         # free this stage's conv map before the next stage's convolution
@@ -463,54 +398,19 @@ def extract_image_features(net: CnnNetwork, vol: Volume3D, centers,
     With the standard census of 151 centers and the default
     geometry the result has length 1024 * 151 = 154624.
 
-    The calling thread cuts every patch, then it and up to
-    ``fanout._WORKERS - 1`` helper threads forward contiguous shares of
-    them, at most ``batch_size`` patches at a time in all. Each worker's
-    buffers are views of one array the calling thread allocates, so
-    helper threads allocate nothing large. The bytes depend neither on the
-    worker count nor on the batching. A worker's error is raised once
-    every helper has joined; of several, the one over the earliest
-    patches.
+    Every patch is cut first, then forwarded ``batch_size`` at a time.
+    The bytes do not depend on the batching. ``extract`` spreads volumes,
+    not patches, over the CPUs.
     """
     _check_batch_size(batch_size)
     centers = list(centers)
     _check_center_count(len(centers))
     _check_finite_parameters(net)
     planes = np.stack([extract_patch_2_5d(vol, c) for c in centers])
-    n = len(planes)
-    workers = min(fanout._WORKERS, batch_size, n)
-    per_batch = min(batch_size // workers, -(-n // workers))
-    features = np.empty((n, net.config.feature_length))
-    length = sum(_workspace_lengths(net.config, per_batch))
-    memory = np.zeros(workers * length)
-    spaces = [_Workspace(net.config, per_batch,
-                         memory[k * length:(k + 1) * length])
-              for k in range(workers)]
-    bounds = [n * k // workers for k in range(workers + 1)]
-    errors = [None] * workers
-
-    def work(k):
-        try:
-            for start in range(bounds[k], bounds[k + 1], per_batch):
-                stop = min(start + per_batch, bounds[k + 1])
-                pooled, _ = _forward_batch(net, planes[start:stop],
-                                           workspace=spaces[k])
-                np.copyto(features[start:stop].reshape(pooled.shape), pooled)
-        except Exception as exc:
-            errors[k] = exc
-
-    helpers = [threading.Thread(target=work, args=(k,))
-               for k in range(1, workers)]
-    for helper in helpers:
-        helper.start()
-    try:
-        work(0)
-    finally:
-        for helper in helpers:
-            helper.join()
-    for error in errors:
-        if error is not None:
-            raise error
+    features = np.empty((len(planes), net.config.feature_length))
+    for start in range(0, len(planes), batch_size):
+        pooled, _ = _forward_batch(net, planes[start:start + batch_size])
+        features[start:start + batch_size] = pooled.reshape(len(pooled), -1)
     return features.reshape(-1)
 
 

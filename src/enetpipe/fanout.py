@@ -3,9 +3,9 @@
 ``_fan_out(fn, items, workers)`` is ``[fn(x) for x in items]`` with the
 items shared out round-robin between this process and forked children,
 which pickle their results back over a pipe. Its callers are the fold
-loop and the lambda1 grid in :mod:`enetpipe.pipeline` and the feature-CSV
-writer in :mod:`enetpipe.data`; :mod:`enetpipe.cnn` runs feature
-extraction on ``_WORKERS`` threads. Each caller gates on a property of
+loop and the lambda1 grid in :mod:`enetpipe.pipeline`, the feature-CSV
+writer in :mod:`enetpipe.data` and the ``extract`` command's volumes in
+:mod:`enetpipe.cli`. Each caller but ``extract`` gates on a property of
 its input, and the results do not depend on the worker count. A fan-out
 inside another one's share runs in one process, so a forked child never
 forks again. No process forks beside another OS thread (a BLAS pool that
@@ -20,8 +20,7 @@ import pickle
 import signal
 import threading
 
-# usable CPUs: the threads that forward one volume's patches, the calling
-# thread among them, and the processes of a fan-out
+# usable CPUs: the processes of a fan-out, this one among them
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 

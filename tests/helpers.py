@@ -414,16 +414,6 @@ def save_malformed_network(path, net, edit: str):
     return error, word
 
 
-def helper_share_ones():
-    """A 40 x 40 x 200 volume, zero below z = 100 and one above. Of its 8
-    default patch centers the first 4 sit at z = 66 and the last 4 at
-    z = 133, and no patch spans both halves: with 2 extraction workers,
-    only the helper thread's share sees nonzero voxels."""
-    voxels = np.zeros((40, 40, 200))
-    voxels[:, :, 100:] = 1.0
-    return Volume3D(voxels)
-
-
 def write_volume_raw3d(path, vol):
     """Write ``vol`` as RAW3D, the format ``load_volume_raw3d`` reads: magic,
     three little-endian u32 dims, float32 voxels x-fastest."""

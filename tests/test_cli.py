@@ -1,15 +1,14 @@
 import functools
 import hashlib
 import json
+import os
 import re
-import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import enetpipe.cli
-import enetpipe.cnn
 import enetpipe.fanout
 import enetpipe.pipeline
 from enetpipe.cli import load_config_file, main
@@ -22,7 +21,7 @@ from enetpipe.rng import PortableRng
 from enetpipe.textio import read_blocks
 
 from helpers import (MALFORMED_NETWORK_EDITS, benchmark_masked,
-                     helper_share_ones, mask_timing, mask_timing_json,
+                     mask_timing, mask_timing_json,
                      save_malformed_network, tiny_lambda2_instance,
                      write_volume_raw3d)
 
@@ -836,48 +835,88 @@ class TestImageCommands:
         assert loaded == []
         assert not (workdir / "features.csv").exists()
 
+    @staticmethod
+    def _fan_out_loads(monkeypatch, workers, log):
+        """Open fanout's thread gate with `workers` usable CPUs, and append
+        'volume path,pid' to `log` for each volume loaded, in any process."""
+        monkeypatch.setattr(enetpipe.fanout, "_one_thread", lambda: True)
+        monkeypatch.setattr(enetpipe.fanout, "_WORKERS", workers)
+        real = enetpipe.cli.load_volume_raw3d
+
+        def logged(path):
+            with open(log, "a") as fh:
+                fh.write(f"{path},{os.getpid()}\n")
+            return real(path)
+
+        monkeypatch.setattr(enetpipe.cli, "load_volume_raw3d", logged)
+
+    @staticmethod
+    def _assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    # pytest's process runs OpenBLAS's thread pool, beside which _fan_out
+    # does not fork; Python 3.12 and later warn on such a fork
+    @pytest.mark.filterwarnings(
+        "ignore:This process .*is multi-threaded, use of fork:"
+        "DeprecationWarning")
+    def test_extract_does_not_depend_on_the_worker_count(self, workdir,
+                                                         monkeypatch):
+        # volume i is loaded and forwarded in worker i % w, worker 0 being
+        # this process; 4 volumes leave 3 workers uneven shares
+        paths = [str(p) for p in _volumes(workdir, n=4)]
+        save_cnn(workdir / "cnn.txt", cnn_init(CnnConfig(), seed=0))
+        written = []
+        for workers in (1, 2, 3):
+            log = workdir / f"loads{workers}.txt"
+            self._fan_out_loads(monkeypatch, workers, log)
+            assert main(["extract", *paths, "--net", "cnn.txt",
+                         "--centers", "3", "--out-dir", f"w{workers}"]) == 0
+            self._assert_no_child_left()
+            written.append((workdir / f"w{workers}" / "features.csv")
+                           .read_bytes())
+            pids = dict(line.split(",") for line
+                        in log.read_text().splitlines())
+            assert sorted(pids) == sorted(paths)
+            worker_pids = [pids[path] for path in paths[:workers]]
+            assert worker_pids[0] == str(os.getpid())
+            assert len(set(worker_pids)) == workers
+            assert [pids[path] for path in paths] == [
+                worker_pids[i % workers] for i in range(len(paths))]
+        assert written[1] == written[0] and written[2] == written[0]
+
+    @pytest.mark.filterwarnings(
+        "ignore:This process .*is multi-threaded, use of fork:"
+        "DeprecationWarning")
     def test_overflow_in_a_helper_share_is_three(self, workdir, monkeypatch,
                                                  capsys):
-        # the first worker's patches are zero and stay finite; only the
-        # helper thread's share overflows, at stage 2
-        vol = workdir / "split.raw3d"
-        write_volume_raw3d(vol, helper_share_ones())
+        # of two volumes, this process's stays finite and only the forked
+        # child's overflows, at stage 2; this process then forwards it
+        # again and raises the child's error
+        zeros, ones = workdir / "zeros.raw3d", workdir / "ones.raw3d"
+        write_volume_raw3d(zeros, Volume3D(np.zeros((40, 40, 40))))
+        write_volume_raw3d(ones, Volume3D(np.ones((40, 40, 40))))
         net = cnn_init(CnnConfig(), seed=0)
         for w in net.conv_weights:
             w[...] = 1e200
         save_cnn(workdir / "cnn.txt", net)
-        monkeypatch.setattr(enetpipe.fanout, "_WORKERS", 2)
-        threads = threading.active_count()
+        log = workdir / "loads.txt"
+        self._fan_out_loads(monkeypatch, 2, log)
         capsys.readouterr()
-        rc = main(["extract", str(vol), "--net", str(workdir / "cnn.txt"),
+        rc = main(["extract", str(zeros), str(ones), "--net", "cnn.txt",
                    "--centers", "8"])
         assert rc == 3
         assert capsys.readouterr().err == (
             "numerical failure: stage 2 convolution output is not finite\n")
         assert not (workdir / "features.csv").exists()
-        assert threading.active_count() == threads
-
-    def test_volumes_and_patches_are_read_on_the_calling_thread(
-            self, workdir, monkeypatch):
-        paths = _volumes(workdir)
-        save_cnn(workdir / "cnn.txt", cnn_init(CnnConfig(), seed=0))
-        monkeypatch.setattr(enetpipe.fanout, "_WORKERS", 2)
-        threads = {}
-        for owner, name in [(enetpipe.cli, "load_volume_raw3d"),
-                            (enetpipe.cli, "extract_image_features"),
-                            (enetpipe.cnn, "extract_patch_2_5d"),
-                            (enetpipe.cnn, "_forward_batch")]:
-            def spy(*args, _name=name, _real=getattr(owner, name), **kwargs):
-                threads.setdefault(_name, set()).add(threading.get_ident())
-                return _real(*args, **kwargs)
-            monkeypatch.setattr(owner, name, spy)
-        assert main(["extract", *map(str, paths), "--net",
-                     str(workdir / "cnn.txt"), "--centers", "5"]) == 0
-        calling = {threading.get_ident()}
-        assert threads.pop("_forward_batch") > calling   # a helper ran
-        assert threads == {"load_volume_raw3d": calling,
-                           "extract_image_features": calling,
-                           "extract_patch_2_5d": calling}
+        self._assert_no_child_left()
+        here = str(os.getpid())
+        loads = sorted(tuple(line.split(","))
+                       for line in log.read_text().splitlines())
+        children = {pid for _, pid in loads} - {here}
+        assert len(children) == 1
+        assert loads == sorted([(str(zeros), here), (str(ones), here),
+                                (str(ones), children.pop())])
 
     def test_extract_with_labels(self, workdir):
         paths = _volumes(workdir)

@@ -1,7 +1,5 @@
 import hashlib
 import itertools
-import sys
-import threading
 import tracemalloc
 import warnings
 
@@ -12,16 +10,15 @@ from enetpipe import (CnnConfig, CnnNetwork, PortableRng, Volume3D,
                       cnn_init, cnn_loss_grad, cnn_train_sgd,
                       default_patch_centers, extract_image_features,
                       extract_patch_2_5d, load_cnn, save_cnn)
-import enetpipe.fanout
 from enetpipe.cnn import (_NO_GRADIENT, _forward_batch, _pool_then_rectify,
                           _unpool)
 from enetpipe.errors import (ConfigError, ContractError, DataError,
                              DimensionError, NumericalError)
 
 from helpers import (MALFORMED_NETWORK_EDITS, forward_batch,
-                     helper_share_ones, reference_forward_features,
-                     reference_maxpool, reference_pool_index,
-                     reference_unpool, save_malformed_network)
+                     reference_forward_features, reference_maxpool,
+                     reference_pool_index, reference_unpool,
+                     save_malformed_network)
 
 # small configuration for everything gradient- or training-related;
 # the full-size network is exercised by the acceptance suite
@@ -369,30 +366,20 @@ def _zero_band_volume():
 
 
 @pytest.mark.parametrize("bias", ["zero", "negative-zero", "negative"])
-def test_extract_image_features_matches_reference_bytes(monkeypatch, bias):
-    # The bytes depend neither on the worker count nor on the batching.
-    # Shares of 27 patches over 2, 3 and 8 workers are uneven, and so are
-    # their last batches; 8 workers outnumber the cores, and a short switch
-    # interval interleaves them often. Buffers for a batch size far above
-    # the patch count would not fit in memory.
+def test_extract_image_features_matches_reference_bytes(bias):
+    # The bytes do not depend on the batching. Batches of 2, 3 and 16
+    # leave a short last batch on 5 or 27 patches; buffers for a batch
+    # size far above the patch count would not fit in memory.
     net = _bias_variant(cnn_init(seed=33), bias)
     vol = _zero_band_volume()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for count in (1, 5, 27):
-            centers = default_patch_centers(vol.voxels.shape, count=count)
-            planes = np.stack([extract_patch_2_5d(vol, c) for c in centers])
-            expected = reference_forward_features(net, planes).tobytes()
-            for workers, batch_size in itertools.product(
-                    [1, 2, 3, 8], [1, 2, 3, 16, 10 ** 9]):
-                monkeypatch.setattr(enetpipe.fanout, "_WORKERS", workers)
-                vec = extract_image_features(net, vol, centers,
-                                             batch_size=batch_size)
-                assert vec.tobytes() == expected, (count, workers,
-                                                   batch_size)
-    finally:
-        sys.setswitchinterval(interval)
+    for count in (1, 5, 27):
+        centers = default_patch_centers(vol.voxels.shape, count=count)
+        planes = np.stack([extract_patch_2_5d(vol, c) for c in centers])
+        expected = reference_forward_features(net, planes).tobytes()
+        for batch_size in (1, 2, 3, 16, 10 ** 9):
+            vec = extract_image_features(net, vol, centers,
+                                         batch_size=batch_size)
+            assert vec.tobytes() == expected, (count, batch_size)
 
 
 def test_empty_center_list_is_a_config_error():
@@ -413,20 +400,6 @@ def test_overflowing_network_raises_numerical_error():
     # the typed error is the only signal: warnings are errors in this suite
     with pytest.raises(NumericalError, match="stage 2"):
         extract_image_features(_overflowing_net(), vol, centers)
-
-
-def test_overflow_in_the_helper_share_alone_raises_after_the_join(
-        monkeypatch):
-    vol = helper_share_ones()
-    centers = default_patch_centers(vol.voxels.shape, count=8)
-    net = _overflowing_net()
-    # the calling thread's share alone stays finite
-    extract_image_features(net, vol, centers[:4])
-    monkeypatch.setattr(enetpipe.fanout, "_WORKERS", 2)
-    threads = threading.active_count()
-    with pytest.raises(NumericalError, match="stage 2"):
-        extract_image_features(net, vol, centers)
-    assert threading.active_count() == threads
 
 
 def test_loss_grad_on_overflowing_network_raises_numerical_error():

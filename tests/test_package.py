@@ -139,9 +139,10 @@ def _call_sites(name: str) -> list:
 
 def test_one_fork_and_no_savetxt():
     # the fork policy (when, how many, what a failed child means) lives in
-    # one module, and every number the package writes goes through
-    # textio.write_rows
+    # one module, which is the one way the package runs in parallel, and
+    # every number the package writes goes through textio.write_rows
     assert _call_sites("fork") == ["fanout.py"]
+    assert _call_sites("Thread") == []
     assert _call_sites("savetxt") == []
 
 
